@@ -4,7 +4,7 @@ under adversarial reward corruption, with a seeded experiment harness."""
 from .adversary import (Adversary, BudgetedTargetedAdversary, CorruptionLedger,
                         EpochFloodAdversary, GapFlipAdversary, make_adversary)
 from .agents import (AgentState, EpochSchedule, build_schedule,
-                     estimate_naive, estimate_weighted)
+                     pool_estimates)
 from .config import ExperimentConfig, load_config, load_sweep, validate_config
 from .engine import RunResult, run_single
 from .errors import (ConfigError, DraaError, DuplicateBroadcastError,
@@ -19,8 +19,8 @@ __all__ = [
     "ConfigError", "CorruptionLedger", "DraaError", "DuplicateBroadcastError",
     "EpochFloodAdversary", "EpochSchedule", "ExperimentConfig",
     "GapFlipAdversary", "InvariantError", "LedgerError", "RunResult",
-    "build_instance", "build_schedule", "estimate_naive", "estimate_weighted",
-    "execute_run", "load_config", "load_sweep", "make_adversary",
-    "run_experiment", "run_single", "run_sweep", "validate_config",
+    "build_instance", "build_schedule", "execute_run", "load_config",
+    "load_sweep", "make_adversary", "pool_estimates", "run_experiment",
+    "run_single", "run_sweep", "validate_config",
     "__version__",
 ]

@@ -3,9 +3,10 @@
 The algorithm proceeds in quadrupling epochs.  During an epoch every
 agent pulls from a frozen categorical distribution over its local arms
 and accumulates observed reward sums and pull counts.  At the boundary
-all agents broadcast, each arm's reward is re-estimated by pooling the
-broadcasts of every agent that holds the arm, and the next epoch's
-active/bad split and probabilities are derived from the new estimates.
+all agents broadcast and every arm's reward is re-estimated once, by
+pooling the broadcasts of every agent that holds the arm
+(:func:`pool_estimates`); each agent then reads its own arms' estimates
+and derives the next epoch's active/bad split and probabilities.
 
 Gap estimates are floored at 1/8 and padded by 3/128, so they always
 live in [0.125, 1.0234375]; reward estimates are deliberately NOT
@@ -253,40 +254,37 @@ def record_observation(state: AgentState, k: int, observed: float) -> None:
     state.pull_counts[idx] += 1
 
 
-def estimate_weighted(broadcasts: list[EpochBroadcast], arm: int,
-                      epoch_len: int) -> float:
-    """Importance-weighted pooled estimate of one arm's mean reward.
+def pool_estimates(broadcasts: list[EpochBroadcast], num_arms: int,
+                   epoch_len: int, estimator: str = "weighted") -> np.ndarray:
+    """Pooled reward estimate of every arm from one epoch's broadcasts.
 
-    Averages R~/p over the agents holding the arm and divides by the
-    epoch length; unbiased but can land outside [0,1].
+    ``weighted`` averages R~/p over the agents holding an arm and divides
+    by the epoch length (unbiased, can land outside [0,1]); ``naive``
+    divides the total reward by the total expected pulls.  Broadcasts
+    are summed in list order, one vector add per sender, so each arm
+    sees the same float operations in the same order as a per-arm,
+    sender-ascending loop would perform.
     """
-    total = 0.0
-    holders = 0
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    weighted = estimator == "weighted"
+    num = np.zeros(num_arms)
+    prob_totals = np.zeros(num_arms)
+    holders = np.zeros(num_arms, dtype=np.int64)
     for b in broadcasts:
-        if b.has_arm(arm):
-            idx = b.arm_index(arm)
-            total += b.reward_sums[idx] / b.probs[idx]
-            holders += 1
-    if holders == 0:
-        raise ValueError(f"no broadcast covers arm {arm}")
-    return total / (holders * epoch_len)
-
-
-def estimate_naive(broadcasts: list[EpochBroadcast], arm: int,
-                   epoch_len: int) -> float:
-    """Pooled ratio estimate: total reward over total expected pulls."""
-    reward_total = 0.0
-    prob_total = 0.0
-    seen = False
-    for b in broadcasts:
-        if b.has_arm(arm):
-            idx = b.arm_index(arm)
-            reward_total += b.reward_sums[idx]
-            prob_total += b.probs[idx]
-            seen = True
-    if not seen:
-        raise ValueError(f"no broadcast covers arm {arm}")
-    return reward_total / (prob_total * epoch_len)
+        arms = np.asarray(b.arms, dtype=np.int64)
+        holders[arms] += 1
+        if weighted:
+            num[arms] += b.reward_sums / b.probs
+        else:
+            num[arms] += b.reward_sums
+            prob_totals[arms] += b.probs
+    uncovered = np.flatnonzero(holders == 0)
+    if uncovered.size:
+        raise ValueError(f"no broadcast covers arm {int(uncovered[0])}")
+    if weighted:
+        return num / (holders * epoch_len)
+    return num / (prob_totals * epoch_len)
 
 
 def update_rmax(estimates: np.ndarray, prev_gaps: np.ndarray) -> float:
@@ -314,19 +312,21 @@ def make_broadcast(state: AgentState) -> EpochBroadcast:
 
 def advance_epoch(state: AgentState, broadcasts: list[EpochBroadcast],
                   instance: BanditInstance, epoch_len: int,
-                  estimator: str = "weighted") -> None:
+                  estimator: str = "weighted", *,
+                  pooled: np.ndarray | None = None) -> None:
     """Epoch-boundary update: estimate, re-split, re-weight, reset.
 
     Mutates ``state`` into its next-epoch configuration using this
     epoch's pooled broadcasts.  ``epoch_len`` is the length of the
-    epoch that just ended.
+    epoch that just ended.  ``pooled`` is :func:`pool_estimates` of
+    ``broadcasts``, shared by all agents of one boundary; it is
+    computed here when not given.
     """
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    est_fn = estimate_weighted if estimator == "weighted" else estimate_naive
+    if pooled is None:
+        pooled = pool_estimates(broadcasts, instance.num_arms, epoch_len,
+                                estimator)
     m = state.epoch
-    new_estimates = np.array([est_fn(broadcasts, int(k), epoch_len)
-                              for k in state.arms])
+    new_estimates = pooled[state.arms]
     new_r_max = update_rmax(new_estimates, state.gaps)
     new_gaps = update_gaps(new_r_max, new_estimates)
     active, fallback = split_sets(new_estimates, new_r_max, m,

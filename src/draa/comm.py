@@ -32,12 +32,6 @@ class EpochBroadcast:
     prev_gaps: np.ndarray
     active: tuple[int, ...]
 
-    def has_arm(self, k: int) -> bool:
-        return k in self.arms
-
-    def arm_index(self, k: int) -> int:
-        return self.arms.index(k)
-
 
 def freeze_broadcast(sender: int, epoch: int, arms, reward_sums, probs,
                      prev_gaps, active) -> EpochBroadcast:
@@ -65,6 +59,7 @@ class MessageLog:
         self.num_agents = num_agents
         self.entries: list[EpochBroadcast] = []
         self._posted: set[tuple[int, int]] = set()  # (epoch, sender)
+        self._posts_per_epoch: dict[int, int] = {}
         self._completed_epochs = 0
 
     def post(self, broadcast: EpochBroadcast) -> None:
@@ -75,7 +70,8 @@ class MessageLog:
             )
         self._posted.add(key)
         self.entries.append(broadcast)
-        posted_this_epoch = sum(1 for (m, _) in self._posted if m == broadcast.epoch)
+        posted_this_epoch = self._posts_per_epoch.get(broadcast.epoch, 0) + 1
+        self._posts_per_epoch[broadcast.epoch] = posted_this_epoch
         if posted_this_epoch == self.num_agents:
             self._completed_epochs = max(self._completed_epochs, broadcast.epoch)
 

@@ -38,6 +38,10 @@ from .model import BanditInstance, build_instance
 
 SCHEMA_VERSION = 1
 
+#: libyaml's parser when PyYAML was built with it; both loaders share the
+#: pure-Python resolver and constructor, so they build equal dicts
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _TOP_LEVEL_KEYS = {
     "schema_version", "instance", "adversary", "algorithm", "horizon",
     "seeds", "num_seeds", "seed_base", "output_dir", "num_checkpoints",
@@ -66,7 +70,7 @@ class ExperimentConfig:
 def load_yaml(path) -> dict:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

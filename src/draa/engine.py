@@ -22,7 +22,8 @@ import numpy as np
 from .adversary import (Adversary, CorruptionLedger, HistoryView,
                         ledger_totals)
 from .agents import (GAP_CAP, GAP_FLOOR, AgentState, EpochSchedule,
-                     advance_epoch, init_epoch1, make_broadcast)
+                     advance_epoch, init_epoch1, make_broadcast,
+                     pool_estimates)
 from .comm import MessageLog, comm_cost
 from .errors import InvariantError
 from .kernels import (SegmentPlan, default_backend, run_segment)
@@ -277,9 +278,12 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             log.post(b)
 
         if m < schedule.num_epochs:
+            epoch_len = schedule.epoch_length(m)
+            pooled = pool_estimates(broadcasts, instance.num_arms, epoch_len,
+                                    estimator)
             for state in states:
-                advance_epoch(state, broadcasts, instance,
-                              schedule.epoch_length(m), estimator)
+                advance_epoch(state, broadcasts, instance, epoch_len,
+                              estimator, pooled=pooled)
             history = HistoryView(
                 epoch=m + 1,
                 estimates=tuple(s.estimates.copy() for s in states),

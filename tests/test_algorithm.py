@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from draa.adversary import make_adversary
 from draa.agents import (GAP_CAP, GAP_FLOOR, assign_probabilities,
-                         build_schedule, categorical_index,
-                         estimate_naive, estimate_weighted, init_epoch1,
-                         pull, raw_epoch_length, record_observation,
-                         split_sets, split_threshold, update_gaps,
-                         update_rmax)
+                         build_schedule, categorical_index, init_epoch1,
+                         pool_estimates, pull, raw_epoch_length,
+                         record_observation, split_sets, split_threshold,
+                         update_gaps, update_rmax)
 from draa.comm import freeze_broadcast
+from draa.engine import run_single
 from draa.errors import ConfigError, InvariantError
 from draa.model import build_instance
 from draa.rng import PULL_STREAM, Stream
@@ -224,29 +225,120 @@ def two_agent_broadcasts(probs, sums):
 class TestEstimators:
     def test_weighted_hand_value(self):
         bc = two_agent_broadcasts(probs=(0.5, 0.25), sums=(30.0, 10.0))
-        assert estimate_weighted(bc, 0, 100) == pytest.approx(0.5, abs=1e-15)
+        assert pool_estimates(bc, 1, 100, "weighted")[0] == \
+            pytest.approx(0.5, abs=1e-15)
 
     def test_naive_hand_value(self):
         bc = two_agent_broadcasts(probs=(0.5, 0.25), sums=(30.0, 10.0))
-        assert estimate_naive(bc, 0, 100) == pytest.approx(40.0 / 75.0,
-                                                           abs=1e-12)
+        assert pool_estimates(bc, 1, 100, "naive")[0] == \
+            pytest.approx(40.0 / 75.0, abs=1e-12)
 
     def test_all_zero_sums(self):
         bc = two_agent_broadcasts(probs=(0.5, 0.25), sums=(0.0, 0.0))
-        assert estimate_weighted(bc, 0, 100) == 0.0
-        assert estimate_naive(bc, 0, 100) == 0.0
+        assert pool_estimates(bc, 1, 100, "weighted")[0] == 0.0
+        assert pool_estimates(bc, 1, 100, "naive")[0] == 0.0
 
     def test_single_holder_estimators_coincide(self):
-        bc = [freeze_broadcast(0, 1, [3], [12.0], [0.4], [1.0], [3])]
-        w = estimate_weighted(bc, 3, 50)
-        n = estimate_naive(bc, 3, 50)
+        bc = [freeze_broadcast(0, 1, [0, 1, 2, 3], [1.0, 2.0, 3.0, 12.0],
+                               [0.2, 0.2, 0.2, 0.4], [1.0] * 4, [3])]
+        w = pool_estimates(bc, 4, 50, "weighted")[3]
+        n = pool_estimates(bc, 4, 50, "naive")[3]
         assert w == pytest.approx(n, abs=1e-12)
         assert w == pytest.approx(12.0 / (0.4 * 50), abs=1e-12)
 
     def test_weighted_not_clipped(self):
         # heavy reward sum with a tiny probability overshoots 1
         bc = [freeze_broadcast(0, 1, [0], [10.0], [0.05], [1.0], [0])]
-        assert estimate_weighted(bc, 0, 20) > 1.0
+        assert pool_estimates(bc, 1, 20, "weighted")[0] > 1.0
+
+    def test_uncovered_arm_rejected(self):
+        bc = [freeze_broadcast(0, 1, [0, 3], [1.0, 2.0], [0.5, 0.5],
+                               [1.0, 1.0], [0]),
+              freeze_broadcast(1, 1, [2], [1.0], [1.0], [1.0], [2])]
+        for estimator in ("weighted", "naive"):
+            with pytest.raises(ValueError, match="arm 1$"):
+                pool_estimates(bc, 4, 10, estimator)
+
+    def test_unknown_estimator_rejected(self):
+        bc = two_agent_broadcasts(probs=(0.5, 0.25), sums=(30.0, 10.0))
+        with pytest.raises(ConfigError, match="estimator"):
+            pool_estimates(bc, 1, 100, "mean")
+
+
+def per_arm_oracle(broadcasts, num_arms, epoch_len, estimator):
+    """Reference pooling: for each arm, a scalar loop over the broadcasts
+    in list (sender-ascending) order.  ``pool_estimates`` must match it
+    bit for bit."""
+    out = np.empty(num_arms)
+    for arm in range(num_arms):
+        num = 0.0
+        den = 0.0 if estimator == "naive" else 0
+        for b in broadcasts:
+            if arm in b.arms:
+                idx = b.arms.index(arm)
+                if estimator == "weighted":
+                    num += b.reward_sums[idx] / b.probs[idx]
+                    den += 1
+                else:
+                    num += b.reward_sums[idx]
+                    den += b.probs[idx]
+        out[arm] = num / (den * epoch_len)
+    return out
+
+
+@st.composite
+def epoch_broadcasts(draw):
+    """Irregular arm sets covering every arm, with non-dyadic sums and
+    probabilities; senders ascend with list position."""
+    num_arms = draw(st.integers(1, 64))
+    num_agents = draw(st.integers(1, 16))
+    arm_sets = [draw(st.lists(st.integers(0, num_arms - 1), min_size=1,
+                              max_size=num_arms, unique=True))
+                for _ in range(num_agents)]
+    for k in set(range(num_arms)) - set().union(*arm_sets):
+        arm_sets[k % num_agents].append(k)
+    broadcasts = []
+    for ell, arms in enumerate(arm_sets):
+        n = len(arms)
+        sums = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
+        probs = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+        broadcasts.append(freeze_broadcast(ell, 1, arms, sums, probs,
+                                           [1.0] * n, arms[:1]))
+    return broadcasts, num_arms
+
+
+@given(case=epoch_broadcasts(), epoch_len=st.integers(1, 10 ** 7),
+       estimator=st.sampled_from(["weighted", "naive"]))
+@settings(max_examples=300, deadline=None)
+def test_pool_estimates_bit_identical_to_per_arm_loop(case, epoch_len,
+                                                      estimator):
+    broadcasts, num_arms = case
+    pooled = pool_estimates(broadcasts, num_arms, epoch_len, estimator)
+    expected = per_arm_oracle(broadcasts, num_arms, epoch_len, estimator)
+    assert np.array_equal(pooled, expected)
+
+
+@pytest.mark.parametrize("estimator", ["weighted", "naive"])
+def test_engine_boundary_estimates_match_oracle(estimator):
+    # K=64, L=16, 16 consecutive arms per agent (4 holders per arm); Beta
+    # rewards make the reward sums non-dyadic
+    inst = build_instance({
+        "num_arms": 64, "num_agents": 16,
+        "arm_sets": [[(4 * ell + j) % 64 for j in range(16)]
+                     for ell in range(16)],
+        "means": [0.05 + 0.9 * k / 63 for k in range(64)],
+        "reward_model": "beta"})
+    sched = build_schedule(inst, 20_000, delta=0.05, lam_scale=16)
+    assert sched.num_epochs >= 3
+    result = run_single(inst, sched, make_adversary(None), 3,
+                        estimator=estimator, backend="numpy")
+    for m in range(1, sched.num_epochs):
+        expected = per_arm_oracle(result.message_log.epoch_broadcasts(m),
+                                  inst.num_arms, sched.epoch_length(m),
+                                  estimator)
+        for ell, estimates in enumerate(result.epochs[m].estimates):
+            assert np.array_equal(estimates,
+                                  expected[list(inst.arm_sets[ell])])
 
 
 class TestGapUpdates:

@@ -69,3 +69,19 @@ def test_epoch_broadcasts_filter():
     log.post(bcast(0, 2))
     assert len(log.epoch_broadcasts(1)) == 2
     assert len(log.epoch_broadcasts(2)) == 1
+
+
+def test_out_of_order_posts_complete_the_latest_full_epoch():
+    log = MessageLog(2)
+    log.post(bcast(0, 2))
+    log.post(bcast(0, 1))
+    assert log.completed_epochs == 0
+    log.post(bcast(1, 2))  # epoch 2 full while epoch 1 is still open
+    assert log.completed_epochs == 2
+    assert comm_cost(log) == 3
+    log.post(bcast(1, 1))  # completing an older epoch does not lower it
+    assert log.completed_epochs == 2
+    assert comm_cost(log) == 4
+    with pytest.raises(DuplicateBroadcastError):
+        log.post(bcast(0, 2))
+    assert comm_cost(log) == 4

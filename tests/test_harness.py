@@ -5,9 +5,10 @@ import os
 import pytest
 import yaml
 
+from draa import config as config_module
 from draa.cli import main
-from draa.config import (load_config, validate_config, validate_sweep,
-                         sweep_points)
+from draa.config import (load_config, load_yaml, validate_config,
+                         validate_sweep, sweep_points)
 from draa.errors import ConfigError
 from draa.runner import (evenly_spaced_checkpoints, run_experiment,
                          run_sweep)
@@ -192,6 +193,32 @@ class TestCli:
     def test_invalid_config_exit_2(self, tmp_path):
         path = self.write_config(tmp_path, algorithm={"delta": 1.5})
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
+    def test_malformed_yaml_exit_2(self, tmp_path, monkeypatch, capsys,
+                                   loader):
+        if loader == "SafeLoader":
+            monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        path = tmp_path / "config.yaml"
+        path.write_text("schema_version: 1\ninstance: [0, 1\nhorizon: 10\n")
+        assert main(["run", str(path)]) == 2
+        assert "could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"horizon": 1500},
+        {"algorithm": {"delta": 1.5}},
+        {"adversary": {"kind": "gap_flip", "magnitude": 0.7,
+                       "budget": 20.3}},
+    ])
+    def test_yaml_loaders_agree(self, tmp_path, monkeypatch, overrides):
+        if yaml.__with_libyaml__:
+            assert config_module.YAML_LOADER is yaml.CSafeLoader
+        path = self.write_config(tmp_path, **overrides)
+        default = load_yaml(path)
+        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        assert load_yaml(path) == default
+        assert default == base_config(output_dir=str(tmp_path), **overrides)
 
     def test_verify_passes(self, tmp_path, capsys):
         path = self.write_config(tmp_path, horizon=1500)

@@ -27,7 +27,7 @@ from .agents import (GAP_CAP, GAP_FLOOR, AgentState, EpochSchedule,
 from .comm import MessageLog, comm_cost
 from .errors import InvariantError
 from .kernels import (SegmentPlan, default_backend, run_segment)
-from .model import BanditInstance
+from .model import REWARD_MODELS, BanditInstance
 from .rng import ENV_STREAM, PULL_STREAM, stream_prefix
 
 _SIMPLEX_TOL = 1e-12
@@ -184,7 +184,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     pull_prefix = stream_prefix(seed, PULL_STREAM)
     arms_pad, n_local, best_means = _build_layout(instance)
     kmax = arms_pad.shape[1]
-    reward_model = 0 if instance.reward_model == "bernoulli" else 1
+    reward_model = REWARD_MODELS.index(instance.reward_model)
     beta_table = (instance.beta_table() if instance.reward_model == "beta"
                   else np.zeros((0, 0)))
 

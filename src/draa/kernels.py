@@ -12,16 +12,32 @@ Two backends implement the same contract:
 * ``numba``: a compiled per-round loop (default).
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
+The numpy kernel works on a segment's (rounds x agents) grid at once.
+Each stream's ``(t)`` hash prefix is mixed once per segment and the
+``(t, ell)`` prefix once per cell; the pull draw (arm field 0), the
+pulled arm's reward draw and the adversary-target draws all continue
+from those prefixes.  The elementwise work runs in blocks of
+``_BLOCK_CELLS`` cells, so its scratch memory is bounded; only the
+search in each agent's CDF and each agent's regret sum run per agent.
+Reward sums and pull counts come from one ``bincount`` over the slots
+``ell * kmax + i``, which adds each slot's rewards in round order.
+
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
-or ``numpy``), overridable per call.  Pulls and per-pull rewards are
-bit-identical across backends; floating-point aggregates (regret and
-corruption sums) may differ in the last ulps because the accumulation
-order differs, and are compared at 1e-9 in tests.
+or ``numpy``), overridable per call.  Pulls and clean rewards are
+bit-identical across backends.  Delivered rewards are too, except where
+a segment that starts at ``spent > 0`` crosses the budget (see the budget
+rule below).  Regret, the spend and corruption sums may differ in the
+last ulps because the accumulation order differs, and are compared at
+1e-9 in tests.
 
 Budget rule shared by both backends: (round, agent) cells are processed
 round-major, agent-minor; a cell is delivered only if the running spend
 stays within budget, and the first overrun disables corruption for the
-rest of the run.
+rest of the run.  The loop kernel keeps the running spend as
+``spent += c``; the numpy kernel compares ``spent + cumsum(c)``, which is
+the same float only when the segment starts at ``spent = 0``.  So a
+non-dyadic budget crossed in a later segment can close the gate one cell
+early or late on one backend (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -31,17 +47,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .rng import _mix64_np
+from .model import reward_array
+from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np
 
 BACKENDS = ("numba", "numpy")
 
-_U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_U64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_U64_MUL2 = np.uint64(0x94D049BB133111EB)
-_INV_2_53 = 2.0 ** -53
+#: (round, agent) cells per block of the numpy kernel's elementwise work;
+#: a block holds _BLOCK_CELLS // L rounds, which bounds its scratch memory
+_BLOCK_CELLS = 4096
 
-_REWARD_BERNOULLI = 0
-_REWARD_BETA = 1
+_U64_11 = np.uint64(11)
 
 try:
     from numba import njit
@@ -89,7 +104,7 @@ class SegmentPlan:
     cdf: np.ndarray  # (L, Kmax) float64, padded with 1.0
     means: np.ndarray  # (K,)
     best_means: np.ndarray  # (L,)
-    reward_model: int  # _REWARD_BERNOULLI or _REWARD_BETA
+    reward_model: int  # index into model.REWARD_MODELS
     beta_table: np.ndarray  # (K, N) or (0, 0)
     targets: np.ndarray  # (L, 2) int64
     pushes: np.ndarray  # (L, 2) float64
@@ -109,7 +124,9 @@ class SegmentResult:
     spent: float  # budget spend after the segment
     adv_active: bool
     pulls: np.ndarray | None = None  # (Tseg, L) arm ids when traced
-    observed: np.ndarray | None = None  # (Tseg, L) delivered pulled rewards
+    # (Tseg, L) delivered pulled rewards; the numpy kernel returns its
+    # `clean` array itself when no adversary slot was live
+    observed: np.ndarray | None = None
     clean: np.ndarray | None = None  # (Tseg, L) clean pulled rewards
 
 
@@ -252,109 +269,145 @@ def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     )
 
 
-def _uniform_np(prefix: int, t: np.ndarray, agent: int, arm) -> np.ndarray:
-    h = _mix64_np(np.uint64(prefix) ^ t)
-    h = _mix64_np(h ^ np.uint64(agent))
-    h = _mix64_np(h ^ np.asarray(arm, dtype=np.uint64))
-    return (h >> np.uint64(11)) * _INV_2_53
+def _unit(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of the hashes ``h`` (clobbered) as uniforms in ``out``."""
+    h >>= _U64_11
+    return np.multiply(h, _INV_2_53, out=out)
 
 
-def _reward_np(model: int, means: np.ndarray, arms: np.ndarray,
-               u: np.ndarray, table: np.ndarray) -> np.ndarray:
-    if model == _REWARD_BERNOULLI:
-        return (u < means[arms]).astype(np.float64)
-    n = table.shape[1]
-    pos = u * (n - 1)
-    idx = np.minimum(pos.astype(np.int64), n - 2)
-    frac = pos - idx
-    lo = table[arms, idx]
-    hi = table[arms, idx + 1]
-    return lo + (hi - lo) * frac
+def _pull_slots(plan: SegmentPlan, t: np.ndarray, rows: int,
+                scratch: np.ndarray) -> np.ndarray:
+    """``ell * kmax +`` the local index of the arm each agent pulls in each
+    round of ``t``, as a (len(t), L) array; ``scratch`` holds the draws."""
+    L, kmax = plan.arms.shape
+    agents = np.arange(L, dtype=np.uint64)
+    prefix_t = _mix64_np(t ^ np.uint64(plan.pull_prefix))
+    for r0 in range(0, t.size, rows):
+        h = _mix64_np(prefix_t[r0:r0 + rows, None] ^ agents)
+        # the arm field of a pull draw is 0, and h ^ 0 == h
+        _unit(_mix64_np(h), scratch[r0:r0 + rows])
+    slot = np.empty((t.size, L), dtype=np.int64)
+    for ell in range(L):
+        n = plan.n_local[ell]
+        slot[:, ell] = np.searchsorted(plan.cdf[ell, :n], scratch[:, ell],
+                                       side="right")
+    np.minimum(slot, plan.n_local - 1, out=slot)
+    slot += np.arange(0, L * kmax, kmax)
+    return slot
+
+
+def _live_targets(plan: SegmentPlan):
+    """Which adversary slots act, and the local slot of each target arm.
+
+    Target j of agent ell is live when the adversary is active and the
+    target is one of the agent's first ``n_local`` arms.  The slots are
+    ``None`` when no target can be live.
+    """
+    L, kmax = plan.arms.shape
+    if not plan.adv_active or (plan.targets < 0).all():
+        return np.zeros((L, 2), dtype=bool), None
+    local = plan.arms[:, None, :] == plan.targets[:, :, None]
+    local &= (np.arange(kmax) < plan.n_local[:, None])[:, None, :]
+    live = local.any(axis=2)
+    target_slot = np.arange(L)[:, None] * kmax + local.argmax(axis=2)
+    return live, target_slot
+
+
+def _target_draws(plan: SegmentPlan, g: np.ndarray, live: np.ndarray,
+                  target_slot: np.ndarray, slot: np.ndarray,
+                  contrib: np.ndarray) -> list:
+    """Corrupted rewards of the live targets over one block of rounds.
+
+    ``g`` holds the block's (t, ell) env prefixes and ``slot`` its pulled
+    slots.  Returns one (pulled-the-target mask, corrupted values) pair per
+    slot j with a live target, in slot order, and raises ``contrib`` in
+    place to each cell's largest |corrupted - clean| over its live targets.
+    """
+    delivered = []
+    for j in range(2):
+        if not live[:, j].any():
+            continue
+        arm = np.where(live[:, j], plan.targets[:, j], 0)
+        u = _unit(_mix64_np(g ^ arm.astype(np.uint64)), np.empty(g.shape))
+        clean = reward_array(plan.reward_model, plan.means, arm, u,
+                             plan.beta_table)
+        corrupted = np.clip(clean + plan.pushes[:, j], 0.0, 1.0)
+        np.maximum(contrib, np.abs(corrupted - clean), out=contrib,
+                   where=live[:, j])
+        delivered.append((live[:, j] & (slot == target_slot[:, j]), corrupted))
+    return delivered
 
 
 def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     """Execute one segment with vectorized numpy (fallback backend)."""
     L, kmax = plan.arms.shape
     t_len = plan.t_end - plan.t_start + 1
-    ts = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
-    reward_sums = np.zeros((L, kmax))
-    pull_counts = np.zeros((L, kmax), dtype=np.int64)
-    regret = np.zeros(L)
-    corruption = np.zeros(L)
+    rows = max(1, _BLOCK_CELLS // L)
+    arms_flat = plan.arms.reshape(-1)
 
-    # phase 1: pulls and clean rewards, fully vectorized per agent
-    pulled_idx = np.empty((t_len, L), dtype=np.int64)
-    pulled_arm = np.empty((t_len, L), dtype=np.int64)
+    t = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
     clean = np.empty((t_len, L))
-    for ell in range(L):
-        n = int(plan.n_local[ell])
-        u_pull = _uniform_np(plan.pull_prefix, ts, ell, 0)
-        idx = np.searchsorted(plan.cdf[ell, :n], u_pull, side="right")
-        idx = np.minimum(idx, n - 1)
-        arm = plan.arms[ell, idx]
-        u_env = _uniform_np(plan.env_prefix, ts, ell, arm)
-        pulled_idx[:, ell] = idx
-        pulled_arm[:, ell] = arm
-        clean[:, ell] = _reward_np(plan.reward_model, plan.means, arm, u_env,
-                                   plan.beta_table)
+    slot = _pull_slots(plan, t, rows, scratch=clean)
+    live, target_slot = _live_targets(plan)
+    attack = bool(live.any())
+    observed = np.empty((t_len, L)) if attack else clean
+    contrib = np.zeros((t_len, L)) if attack else None
 
-    observed = clean.copy()
-    spent = plan.spent
-    adv_active = plan.adv_active
+    t ^= np.uint64(plan.env_prefix)
+    env_t = _mix64_np(t)
+    agents = np.arange(L, dtype=np.uint64)
+    for r0 in range(0, t_len, rows):
+        r1 = min(r0 + rows, t_len)
+        # the (t, ell) env prefix, shared by the pulled arm and the targets
+        g = _mix64_np(env_t[r0:r1, None] ^ agents)
+        if attack:
+            delivered = _target_draws(plan, g, live, target_slot,
+                                      slot[r0:r1], contrib[r0:r1])
+        arm = arms_flat[slot[r0:r1]]
+        g ^= arm.view(np.uint64)
+        block = _unit(_mix64_np(g), clean[r0:r1])
+        del g  # keep the block's scratch small while the rewards are mapped
+        reward_array(plan.reward_model, plan.means, arm, block,
+                     plan.beta_table, out=block)
+        if attack:
+            observed[r0:r1] = block
+            for hit, corrupted in delivered:
+                np.copyto(observed[r0:r1], corrupted, where=hit)
 
-    if adv_active and np.any(plan.targets >= 0):
-        # per-cell contribution and per-slot delivered values
-        contrib = np.zeros((t_len, L))
-        delivered = np.zeros((t_len, L, 2))
-        has_slot = np.zeros((L, 2), dtype=bool)
-        for ell in range(L):
-            n = int(plan.n_local[ell])
-            local = set(int(a) for a in plan.arms[ell, :n])
-            for j in range(2):
-                k = int(plan.targets[ell, j])
-                if k < 0 or k not in local:
-                    continue
-                u_env = _uniform_np(plan.env_prefix, ts, ell, k)
-                cj = _reward_np(plan.reward_model, plan.means,
-                                np.full(t_len, k, dtype=np.int64), u_env,
-                                plan.beta_table)
-                dj = np.clip(cj + plan.pushes[ell, j], 0.0, 1.0)
-                delivered[:, ell, j] = dj
-                contrib[:, ell] = np.maximum(contrib[:, ell], np.abs(dj - cj))
-                has_slot[ell, j] = True
-        if has_slot.any():
-            # round-major, agent-minor prefix budget rule
-            flat = contrib.reshape(-1)
-            cum = plan.spent + np.cumsum(flat)
-            accepted = (cum <= plan.budget)
-            first_reject = np.argmax(~accepted) if not accepted.all() else flat.size
-            accepted[first_reject:] = False
-            accepted = accepted.reshape(t_len, L)
-            targeted = has_slot.any(axis=1)[np.newaxis, :] & np.ones(
-                (t_len, 1), dtype=bool)
-            applied = accepted & targeted
-            # cum is a sequential accumulation, so reusing it keeps the
-            # spend bit-identical to the compiled loop's running sum
-            spent = float(cum[first_reject - 1]) if first_reject > 0 else plan.spent
-            adv_active = bool(first_reject == flat.size)
-            corruption += np.where(applied, contrib, 0.0).sum(axis=0)
-            for j in range(2):
-                hit = applied & (pulled_arm == plan.targets[:, j][np.newaxis, :]) \
-                    & has_slot[:, j][np.newaxis, :]
-                observed = np.where(hit, delivered[:, :, j], observed)
+    spent, adv_active = plan.spent, plan.adv_active
+    corruption = np.zeros(L)
+    if attack:
+        # round-major, agent-minor prefix budget rule.  spent + cumsum is
+        # the loop kernel's running sum only when plan.spent == 0 (module
+        # docstring, ROADMAP item 1)
+        flat = contrib.reshape(-1)
+        cum = np.cumsum(flat)
+        cum += plan.spent
+        accepted = cum <= plan.budget
+        first_reject = (flat.size if accepted.all()
+                        else int(np.argmin(accepted)))
+        if first_reject > 0:
+            spent = float(cum[first_reject - 1])
+        adv_active = first_reject == flat.size
+        flat[first_reject:] = 0.0
+        observed.reshape(-1)[first_reject:] = clean.reshape(-1)[first_reject:]
+        corruption = contrib.sum(axis=0)
 
-    for ell in range(L):
-        n = int(plan.n_local[ell])
-        reward_sums[ell, :n] = np.bincount(pulled_idx[:, ell],
-                                           weights=observed[:, ell],
-                                           minlength=n)[:n]
-        pull_counts[ell, :n] = np.bincount(pulled_idx[:, ell], minlength=n)[:n]
-        regret[ell] = plan.best_means[ell] * t_len - plan.means[pulled_arm[:, ell]].sum()
+    bins = slot.reshape(-1)
+    reward_sums = np.bincount(bins, weights=observed.reshape(-1),
+                              minlength=L * kmax).reshape(L, kmax)
+    pull_counts = np.bincount(bins, minlength=L * kmax).reshape(L, kmax)
+    slot_means = plan.means[arms_flat]  # -1 pads read means[-1], never pulled
+    # one 1-D sum per agent: summing the grid along an axis rounds differently
+    regret = plan.best_means * t_len - np.array(
+        [slot_means[slot[:, ell]].sum() for ell in range(L)])
 
     return SegmentResult(
-        reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
-        corruption=corruption, spent=float(spent), adv_active=adv_active,
-        pulls=pulled_arm if trace else None,
+        reward_sums=reward_sums,
+        pull_counts=pull_counts.astype(np.int64, copy=False),
+        regret=regret, corruption=corruption, spent=float(spent),
+        adv_active=bool(adv_active),
+        pulls=arms_flat[slot] if trace else None,
         observed=observed if trace else None,
         clean=clean if trace else None,
     )

@@ -160,26 +160,37 @@ def build_instance(config: dict) -> BanditInstance:
     )
 
 
-def reward_from_uniform(instance: BanditInstance, arms, u):
-    """Map uniforms to rewards for the given arm indices (vectorized).
+def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
+                 out: np.ndarray | None = None):
+    """Map uniforms ``u`` to rewards of ``arms`` (broadcast together).
 
-    Bernoulli: 1 if u < mu else 0, so mu=0 / mu=1 are exactly degenerate.
-    Beta: linear interpolation into the precomputed inverse-CDF table.
-    The same formula is used by every backend, so traces agree bit for
-    bit regardless of how the rewards were materialized.
+    ``model`` indexes :data:`REWARD_MODELS`.  Bernoulli: 1 if u < mu else
+    0, so mu=0 / mu=1 are exactly degenerate.  Beta: linear interpolation
+    into the (K, N) inverse-CDF ``table``.  The numba kernel's scalar
+    ``_reward_nb`` applies the same formula, so traces agree bit for bit
+    regardless of how the rewards were materialized.  ``out`` (float64,
+    may be ``u`` itself) receives the rewards if given.
     """
-    arms = np.asarray(arms)
-    u = np.asarray(u)
-    mu = instance.means[arms]
-    if instance.reward_model == "bernoulli":
-        return (u < mu).astype(np.float64)
-    table = instance.beta_table()
-    pos = u * (_BETA_TABLE_SIZE - 1)
-    idx = np.minimum(pos.astype(np.int64), _BETA_TABLE_SIZE - 2)
+    if REWARD_MODELS[model] == "bernoulli":
+        if out is None:
+            return (u < means[arms]).astype(np.float64)
+        return np.less(u, means[arms], out=out)
+    n = table.shape[1]
+    pos = u * (n - 1)
+    idx = np.minimum(pos.astype(np.int64), n - 2)
     frac = pos - idx
     lo = table[arms, idx]
     hi = table[arms, idx + 1]
-    return lo + (hi - lo) * frac
+    hi -= lo
+    hi *= frac
+    return np.add(lo, hi, out=out)
+
+
+def reward_from_uniform(instance: BanditInstance, arms, u):
+    """Map uniforms to rewards for the given arm indices (vectorized)."""
+    table = instance.beta_table() if instance.reward_model == "beta" else None
+    return reward_array(REWARD_MODELS.index(instance.reward_model),
+                        instance.means, np.asarray(arms), np.asarray(u), table)
 
 
 def env_stream(seed: int) -> Stream:

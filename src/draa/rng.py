@@ -9,9 +9,9 @@ adding an adversary never shifts the environment or agent randomness.
 
 The mixer is the splitmix64 finalizer, applied once per absorbed key
 field.  Three equivalent implementations are kept in sync: a plain-int
-scalar version (reference), a vectorized numpy version (fallback
-backend) and a numba-compiled version (fast backend); tests assert they
-agree exactly.
+scalar version (reference), an in-place numpy version (shared by
+:func:`uniform_array` and the numpy kernel) and a numba-compiled version
+(fast backend); tests assert they agree exactly.
 """
 from __future__ import annotations
 
@@ -21,6 +21,10 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_U64_GAMMA = np.uint64(_GAMMA)
+_U64_MUL1 = np.uint64(_MUL1)
+_U64_MUL2 = np.uint64(_MUL2)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # Stream ids.  ENV draws rewards, ADV feeds adversary randomness, PULL
 # drives the agents' arm choices.
@@ -55,11 +59,19 @@ def uniform(seed: int, stream: int, t: int, agent: int = 0, arm: int = 0) -> flo
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        x = x + np.uint64(_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MUL1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MUL2)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer applied in place to a uint64 ndarray; returns it.
+
+    ``x`` must be an ndarray the caller owns (0-d is fine).  Only in-place
+    array ufuncs run here, and those wrap silently; numpy scalars would
+    warn on the (intended) overflow.
+    """
+    x += _U64_GAMMA
+    x ^= x >> _U64_30
+    x *= _U64_MUL1
+    x ^= x >> _U64_27
+    x *= _U64_MUL2
+    x ^= x >> _U64_31
+    return x
 
 
 def uniform_array(prefix: int, t: np.ndarray | int, agent: int, arm) -> np.ndarray:
@@ -67,9 +79,12 @@ def uniform_array(prefix: int, t: np.ndarray | int, agent: int, arm) -> np.ndarr
 
     ``prefix`` must come from :func:`stream_prefix`.
     """
-    h = _mix64_np(np.uint64(prefix) ^ np.asarray(t, dtype=np.uint64))
-    h = _mix64_np(h ^ np.uint64(agent))
-    h = _mix64_np(h ^ np.asarray(arm, dtype=np.uint64))
+    h = np.array(t, dtype=np.uint64)
+    h ^= np.uint64(prefix)
+    _mix64_np(h)
+    h ^= np.uint64(agent)
+    _mix64_np(h)
+    h = _mix64_np(np.asarray(h ^ np.asarray(arm, dtype=np.uint64)))
     return (h >> np.uint64(11)) * _INV_2_53
 
 

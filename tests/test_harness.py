@@ -1,6 +1,9 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -236,3 +239,16 @@ class TestCli:
 
     def test_show_missing_file_exit_2(self, tmp_path):
         assert main(["show", str(tmp_path / "nope.json")]) == 2
+
+
+def test_benchmark_backends_script_runs(monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    path = root / "benchmarks" / "benchmark_backends.py"
+    spec = importlib.util.spec_from_file_location("benchmark_backends", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv",
+                        [str(path), "--horizon", "4000", "--seeds", "1"])
+    script.main()
+    out = capsys.readouterr().out
+    assert " numpy: " in out and "M agent-rounds/s" in out

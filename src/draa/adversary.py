@@ -1,9 +1,12 @@
 """Reward corruption: adversary kinds and the corruption ledger.
 
-Corruption is applied to the freshly drawn reward matrix before agents
-pull.  Raw edits are clamped into [0, 1] and the ledger records the
-per-round infinity norm of the *delivered* minus clean values (clamp
-then measure), so the ledger totals match what agents experienced.
+An adversary names, per agent and epoch, up to two target arms and a
+signed raw edit for each; the segment kernels (:mod:`draa.kernels`)
+apply the edits to the targets' clean rewards in every round of the
+epoch, whether or not the agent pulls a target.  Raw edits are clamped
+into [0, 1] and the ledger records the per-(round, agent) infinity norm
+of the *delivered* minus clean values (clamp then measure), so the
+ledger totals match what agents experienced.
 
 Budget semantics: the budget counts ledger contributions.  The first
 round-agent cell whose contribution would overrun the budget turns the
@@ -16,12 +19,12 @@ never from the agents' current-round choices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LedgerError
-from .model import BanditInstance, RoundSample
+from .model import BanditInstance
 
 
 @dataclass
@@ -65,10 +68,6 @@ class CorruptionLedger:
             raise LedgerError("no epoch in progress")
         self._per_epoch.append(self._current.copy())
         self._open = False
-
-    @property
-    def num_finalized_epochs(self) -> int:
-        return len(self._per_epoch)
 
     def epoch_agent_matrix(self) -> np.ndarray:
         """(M, L) matrix of finalized per-epoch per-agent contributions."""
@@ -142,57 +141,10 @@ class Adversary:
         return self._pushes if self.active else None
 
     # -- budget -------------------------------------------------------------
-    def try_spend(self, contribution: float) -> bool:
-        """Prefix budget rule: first overrun disables the adversary."""
-        if not self.active:
-            return False
-        if self.spent + contribution > self.budget:
-            self.active = False
-            return False
-        self.spent += contribution
-        return True
-
     def sync_spend(self, spent: float, active: bool) -> None:
-        """Adopt budget state computed by a vectorized kernel."""
+        """Adopt the budget state a segment kernel returned."""
         self.spent = spent
         self.active = active
-
-    # -- reference per-round path -------------------------------------------
-    def corrupt(self, sample: RoundSample, history: HistoryView,
-                ledger: CorruptionLedger | None = None) -> RoundSample:
-        """Corrupt one round's reward matrix (clamp, then measure).
-
-        Agents are processed in ascending order; the budget gate applies
-        per (round, agent) cell exactly as in the vectorized kernels.
-        """
-        if self._targets is None or not self.active:
-            if ledger is not None:
-                ledger.add_bulk(np.zeros(sample.rewards.shape[0]))
-            return sample
-        rewards = sample.rewards.copy()
-        L = rewards.shape[0]
-        contribs = np.zeros(L)
-        for ell in range(L):
-            deltas = []
-            delivered = []
-            for j in range(self._targets.shape[1]):
-                k = int(self._targets[ell, j])
-                if k < 0 or not sample.mask[ell, k]:
-                    continue
-                clean = rewards[ell, k]
-                new = min(1.0, max(0.0, clean + self._pushes[ell, j]))
-                deltas.append(abs(new - clean))
-                delivered.append((k, new))
-            if not deltas:
-                continue
-            contribution = max(deltas)
-            if self.try_spend(contribution):
-                for k, new in delivered:
-                    rewards[ell, k] = new
-                contribs[ell] = contribution
-        if ledger is not None:
-            ledger.add_bulk(contribs)
-        return RoundSample(t=sample.t, rewards=rewards, mask=sample.mask)
 
 
 class BudgetedTargetedAdversary(Adversary):
@@ -295,12 +247,6 @@ class GapFlipAdversary(Adversary):
                 targets[ell, 1] = worst
                 pushes[ell, 1] = self.magnitude
         return targets, pushes
-
-
-def corrupt(sample: RoundSample, history: HistoryView, adversary: Adversary,
-            ledger: CorruptionLedger | None = None) -> RoundSample:
-    """Apply one round of corruption (delegates to the adversary)."""
-    return adversary.corrupt(sample, history, ledger)
 
 
 def make_adversary(config: dict | None) -> Adversary:

@@ -142,16 +142,6 @@ class AgentState:
         if self.pull_counts is None:
             self.pull_counts = np.zeros(len(self.arms), dtype=np.int64)
 
-    @property
-    def num_local_arms(self) -> int:
-        return len(self.arms)
-
-    def local_index(self, k: int) -> int:
-        idx = int(np.searchsorted(self.arms, k))
-        if idx >= len(self.arms) or self.arms[idx] != k:
-            raise ValueError(f"arm {k} not local to agent {self.ell}")
-        return idx
-
     def active_arms(self) -> tuple[int, ...]:
         return tuple(int(k) for k in self.arms[self.active])
 
@@ -231,27 +221,6 @@ def assign_probabilities(active: np.ndarray, gaps: np.ndarray, m_next: int,
         )
     probs[active] = remainder / n_active
     return probs
-
-
-def categorical_index(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: smallest index whose cumulative mass exceeds u."""
-    cdf = np.cumsum(probs)
-    # clamp guards the u >= cdf[-1] edge when the mass sums to 1 - 1 ulp
-    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
-
-
-def pull(state: AgentState, u: float) -> int:
-    """Sample an arm id from the agent's frozen epoch distribution."""
-    return int(state.arms[categorical_index(state.probs, u)])
-
-
-def record_observation(state: AgentState, k: int, observed: float) -> None:
-    """Accumulate one pulled-arm observation into the epoch sums."""
-    if not (0.0 <= observed <= 1.0):
-        raise ValueError(f"observed reward {observed} outside [0,1]")
-    idx = state.local_index(k)
-    state.reward_sums[idx] += observed
-    state.pull_counts[idx] += 1
 
 
 def pool_estimates(broadcasts: list[EpochBroadcast], num_arms: int,

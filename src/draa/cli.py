@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import load_config, load_sweep
 from .errors import ConfigError, InvariantError
-from .kernels import BACKENDS
+from .kernels import BACKENDS, default_backend
 from .model import build_instance
 from .oracle import (compare, exhaustive_estimator_mean, expected_pulls,
                      replay_check)
@@ -77,7 +77,7 @@ def _verify_reports(config, backend):
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    reports = _verify_reports(config, args.backend)
+    reports = _verify_reports(config, default_backend(args.backend))
     header = f"{'quantity':<40} {'oracle':>12} {'engine':>12} {'abs dev':>10}  status"
     print(header)
     print("-" * len(header))

@@ -7,7 +7,6 @@ of completed epochs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +80,6 @@ class MessageLog:
     @property
     def completed_epochs(self) -> int:
         return self._completed_epochs
-
-    def dump_jsonl(self, path) -> None:
-        """Debug export: one broadcast per line."""
-        with open(path, "w") as fh:
-            for b in self.entries:
-                fh.write(json.dumps({
-                    "epoch": b.epoch,
-                    "sender": b.sender,
-                    "arms": list(b.arms),
-                    "reward_sums": b.reward_sums.tolist(),
-                    "probs": b.probs.tolist(),
-                    "prev_gaps": b.prev_gaps.tolist(),
-                    "active": list(b.active),
-                }) + "\n")
 
 
 def comm_cost(log: MessageLog) -> int:

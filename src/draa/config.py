@@ -55,7 +55,6 @@ class ExperimentConfig:
 
     name: str
     instance: BanditInstance
-    instance_raw: dict
     adversary: dict | None
     estimator: str
     lam_scale: float
@@ -134,7 +133,6 @@ def validate_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         name=str(data.get("name", "experiment")),
         instance=instance,
-        instance_raw=data["instance"],
         adversary=adversary,
         estimator=estimator,
         lam_scale=lam_scale,

@@ -1,11 +1,13 @@
 """Single-run simulation engine tying the algorithm to the kernels.
 
-A run advances all agents epoch by epoch.  Within an epoch the pull
-distributions are frozen, so the rounds are delegated to a backend
-kernel in contiguous segments (split only at checkpoint rounds).  At
-each epoch boundary agents broadcast, re-estimate, and re-weight; the
-engine snapshots state, enforces hard invariants, and records soft
-invariant violations for the test harness.
+:func:`run_single` is the one epoch loop: it advances all agents epoch
+by epoch.  Within an epoch the pull distributions are frozen, so the
+rounds are delegated to a backend kernel in contiguous segments, split
+only at checkpoint rounds; the budget runs out at the same cell wherever
+they fall.  At each epoch boundary agents broadcast, re-estimate, and
+re-weight; the engine snapshots state, enforces hard invariants, and
+records soft invariant violations for the test harness.  Cross-checks
+run the same loop on both kernels (see :mod:`draa.kernels`).
 
 Hard invariants (raise): probability simplex to 1e-12, strictly
 positive probabilities, positive remainder for the active set.  Soft
@@ -300,98 +302,3 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         pulls=pulls_full, observed=observed_full, clean=clean_full,
     )
 
-
-def run_reference(instance: BanditInstance, schedule: EpochSchedule,
-                  adversary: Adversary, seed: int,
-                  estimator: str = "weighted") -> RunResult:
-    """Round-by-round reference simulation (slow, for cross-checks only).
-
-    Draws the full reward matrix each round, applies the adversary's
-    per-round corruption path, and samples pulls with the plain-python
-    categorical draw.  Must agree with :func:`run_single` bit for bit on
-    pulls and delivered rewards.
-    """
-    from .agents import pull, record_observation
-    from .model import env_stream, sample_round
-
-    L = instance.num_agents
-    T = schedule.horizon
-    env = env_stream(seed)
-    pull_prefix = stream_prefix(seed, PULL_STREAM)
-    from .rng import mix64, MASK64
-
-    states = [init_epoch1(instance, ell) for ell in range(L)]
-    ledger = CorruptionLedger(L)
-    log = MessageLog(L)
-    history = HistoryView(
-        epoch=1,
-        estimates=tuple(s.estimates.copy() for s in states),
-        arm_lists=instance.arm_sets,
-    )
-    adversary.begin_epoch(instance, history)
-
-    cum_regret = np.zeros(L)
-    best_means = np.array([instance.means[b] for b in instance.best_arms])
-    epochs: list[EpochRecord] = []
-    pulls_full = np.zeros((T, L), dtype=np.int64)
-    observed_full = np.zeros((T, L))
-    clean_full = np.zeros((T, L))
-
-    for m in range(1, schedule.num_epochs + 1):
-        start, end = schedule.epoch_bounds(m)
-        record = EpochRecord(
-            m=m, start=start, end=end, length=schedule.epoch_length(m),
-            probs=[s.probs.copy() for s in states],
-            active_sets=[s.active_arms() for s in states],
-            fallback=[s.fallback for s in states],
-            gaps=[s.gaps.copy() for s in states],
-            estimates=[s.estimates.copy() for s in states],
-            r_max=[s.r_max for s in states],
-        )
-        record.prob_bracket_violations = _check_probabilities(states, m, instance)
-        record.gap_range_violations = _check_gap_range(states)
-        ledger.begin_epoch()
-
-        for t in range(start, end + 1):
-            sample = sample_round(instance, t, env)
-            delivered = adversary.corrupt(sample, history, ledger)
-            for ell, state in enumerate(states):
-                h = mix64(pull_prefix ^ (t & MASK64))
-                h = mix64(h ^ ell)
-                h = mix64(h ^ 0)
-                u = (h >> 11) * 2.0 ** -53
-                arm = pull(state, u)
-                observed = float(delivered.rewards[ell, arm])
-                record_observation(state, arm, observed)
-                cum_regret[ell] += best_means[ell] - instance.means[arm]
-                pulls_full[t - 1, ell] = arm
-                observed_full[t - 1, ell] = observed
-                clean_full[t - 1, ell] = float(sample.rewards[ell, arm])
-
-        record.pull_counts = [s.pull_counts.copy() for s in states]
-        ledger.finalize_epoch()
-        record.corruption = ledger.epoch_total(m)
-        epochs.append(record)
-
-        broadcasts = [make_broadcast(s) for s in states]
-        for b in broadcasts:
-            log.post(b)
-        if m < schedule.num_epochs:
-            for state in states:
-                advance_epoch(state, broadcasts, instance,
-                              schedule.epoch_length(m), estimator)
-            history = HistoryView(
-                epoch=m + 1,
-                estimates=tuple(s.estimates.copy() for s in states),
-                arm_lists=instance.arm_sets,
-            )
-            adversary.begin_epoch(instance, history)
-
-    return RunResult(
-        seed=seed, estimator=estimator, backend="reference",
-        instance=instance, schedule=schedule, epochs=epochs, checkpoints=[],
-        per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),
-        comm_cost=comm_cost(log), corruption=ledger_totals(ledger),
-        message_log=log, ledger=ledger,
-        pulls=pulls_full, observed=observed_full, clean=clean_full,
-    )

@@ -1,4 +1,4 @@
-"""Epoch-segment simulation kernels: numba-compiled and numpy-vectorized.
+"""Epoch-segment simulation kernels: a scalar loop and a vectorized numpy pass.
 
 Within an epoch every agent's pull distribution is frozen, so a whole
 contiguous block of rounds ("segment") can be simulated in one call.
@@ -9,7 +9,13 @@ equivalent to drawing the full matrix and discarding the rest.
 
 Two backends implement the same contract:
 
-* ``numba``: a compiled per-round loop (default).
+* ``numba``: the per-round loop ``_segment_nb``, compiled by numba
+  (default).  It is also the reference implementation: with its own hash,
+  reward map, linear CDF scan and running-sum budget gate it shares no
+  code with the numpy kernel.  When numba is not importable a library
+  call that asks for this backend runs the same loop as plain Python,
+  about 100x slower; a user who asks for it through ``DRAA_BACKEND`` or
+  ``--backend`` gets a ``ConfigError`` instead (:func:`default_backend`).
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
 The numpy kernel works on a segment's (rounds x agents) grid at once.
@@ -23,21 +29,19 @@ Reward sums and pull counts come from one ``bincount`` over the slots
 ``ell * kmax + i``, which adds each slot's rewards in round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
-or ``numpy``), overridable per call.  Pulls and clean rewards are
-bit-identical across backends.  Delivered rewards are too, except where
-a segment that starts at ``spent > 0`` crosses the budget (see the budget
-rule below).  Regret, the spend and corruption sums may differ in the
-last ulps because the accumulation order differs, and are compared at
-1e-9 in tests.
+or ``numpy``), overridable per call.  For the same segment, pulls, clean
+and delivered rewards, reward sums, pull counts and the budget state are
+bit-identical across backends.  Regret and the per-agent corruption sums
+may differ in the last ulps because their accumulation order differs,
+and are compared at 1e-9 in tests.
 
 Budget rule shared by both backends: (round, agent) cells are processed
 round-major, agent-minor; a cell is delivered only if the running spend
 stays within budget, and the first overrun disables corruption for the
 rest of the run.  The loop kernel keeps the running spend as
-``spent += c``; the numpy kernel compares ``spent + cumsum(c)``, which is
-the same float only when the segment starts at ``spent = 0``.  So a
-non-dyadic budget crossed in a later segment can close the gate one cell
-early or late on one backend (ROADMAP item 1).
+``spent += c``; the numpy kernel folds the segment's starting spend into
+the first cell before its ``cumsum``, which performs the same additions
+in the same order, so both gates close at the same cell.
 """
 from __future__ import annotations
 
@@ -74,14 +78,21 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
-def default_backend() -> str:
-    """Resolve the backend from DRAA_BACKEND (default numba if present)."""
-    choice = os.environ.get("DRAA_BACKEND", "").strip().lower()
+def default_backend(requested: str | None = None) -> str:
+    """Resolve a user's backend choice: ``requested``, else DRAA_BACKEND,
+    else numba if present.
+
+    Naming numba without numba installed is a ``ConfigError``: nobody
+    should get the uncompiled loop without asking for it in code.
+    """
+    choice = (requested or os.environ.get("DRAA_BACKEND", "")).strip().lower()
     if choice:
         if choice not in BACKENDS:
-            raise ConfigError(f"DRAA_BACKEND must be one of {BACKENDS}, got {choice!r}")
+            raise ConfigError(
+                f"backend must be one of {BACKENDS}, got {choice!r}")
         if choice == "numba" and not _HAVE_NUMBA:
-            raise ConfigError("DRAA_BACKEND=numba but numba is not importable")
+            raise ConfigError("the numba backend was requested but numba is "
+                              "not importable")
         return choice
     return "numba" if _HAVE_NUMBA else "numpy"
 
@@ -131,7 +142,7 @@ class SegmentResult:
 
 
 @njit(cache=True)
-def _mix64_nb(x: np.uint64) -> np.uint64:  # pragma: no cover - compiled
+def _mix64_nb(x: np.uint64) -> np.uint64:
     x = x + _U64_GAMMA
     x = (x ^ (x >> np.uint64(30))) * _U64_MUL1
     x = (x ^ (x >> np.uint64(27))) * _U64_MUL2
@@ -139,7 +150,7 @@ def _mix64_nb(x: np.uint64) -> np.uint64:  # pragma: no cover - compiled
 
 
 @njit(cache=True)
-def _uniform_nb(prefix, t, agent, arm):  # pragma: no cover - compiled
+def _uniform_nb(prefix, t, agent, arm):
     h = _mix64_nb(np.uint64(prefix) ^ np.uint64(t))
     h = _mix64_nb(h ^ np.uint64(agent))
     h = _mix64_nb(h ^ np.uint64(arm))
@@ -147,7 +158,7 @@ def _uniform_nb(prefix, t, agent, arm):  # pragma: no cover - compiled
 
 
 @njit(cache=True)
-def _reward_nb(model, mu, u, table, arm):  # pragma: no cover - compiled
+def _reward_nb(model, mu, u, table, arm):
     if model == 0:
         return 1.0 if u < mu else 0.0
     n = table.shape[1]
@@ -165,8 +176,7 @@ def _reward_nb(model, mu, u, table, arm):  # pragma: no cover - compiled
 def _segment_nb(t_start, t_end, env_prefix, pull_prefix, arms, n_local, cdf,
                 means, best_means, reward_model, beta_table, targets, pushes,
                 budget, spent, adv_active, reward_sums, pull_counts, regret,
-                corruption, pulls, observed, clean_out,
-                trace):  # pragma: no cover - compiled
+                corruption, pulls, observed, clean_out, trace):
     L = arms.shape[0]
     for t in range(t_start, t_end + 1):
         row = t - t_start
@@ -238,9 +248,7 @@ def _segment_nb(t_start, t_end, env_prefix, pull_prefix, arms, n_local, cdf,
 
 
 def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
-    """Execute one segment with the compiled per-round loop."""
-    if not _HAVE_NUMBA:
-        raise ConfigError("numba backend requested but numba is unavailable")
+    """Execute one segment with the per-round loop (uncompiled without numba)."""
     L, kmax = plan.arms.shape
     t_len = plan.t_end - plan.t_start + 1
     reward_sums = np.zeros((L, kmax))
@@ -252,14 +260,17 @@ def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     observed = np.zeros(shape)
     clean = np.zeros(shape)
     beta_table = plan.beta_table if plan.beta_table.size else np.zeros((1, 2))
-    spent, active = _segment_nb(
-        plan.t_start, plan.t_end, np.uint64(plan.env_prefix),
-        np.uint64(plan.pull_prefix), plan.arms, plan.n_local, plan.cdf,
-        plan.means, plan.best_means, plan.reward_model, beta_table,
-        plan.targets, plan.pushes, plan.budget, plan.spent, plan.adv_active,
-        reward_sums, pull_counts, regret, corruption, pulls, observed, clean,
-        trace,
-    )
+    # as plain Python the loop's uint64 scalar arithmetic warns on the
+    # intended wraparound; compiled, it wraps silently
+    with np.errstate(over="ignore"):
+        spent, active = _segment_nb(
+            plan.t_start, plan.t_end, np.uint64(plan.env_prefix),
+            np.uint64(plan.pull_prefix), plan.arms, plan.n_local, plan.cdf,
+            plan.means, plan.best_means, plan.reward_model, beta_table,
+            plan.targets, plan.pushes, plan.budget, plan.spent,
+            plan.adv_active, reward_sums, pull_counts, regret, corruption,
+            pulls, observed, clean, trace,
+        )
     return SegmentResult(
         reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
         corruption=corruption, spent=float(spent), adv_active=bool(active),
@@ -377,12 +388,13 @@ def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     spent, adv_active = plan.spent, plan.adv_active
     corruption = np.zeros(L)
     if attack:
-        # round-major, agent-minor prefix budget rule.  spent + cumsum is
-        # the loop kernel's running sum only when plan.spent == 0 (module
-        # docstring, ROADMAP item 1)
+        # round-major, agent-minor prefix budget rule.  Starting the cumsum
+        # at spent + c[0] makes cum[i] the loop kernel's `spent += c` chain
         flat = contrib.reshape(-1)
+        first = flat[0]
+        flat[0] += plan.spent
         cum = np.cumsum(flat)
-        cum += plan.spent
+        flat[0] = first
         accepted = cum <= plan.budget
         first_reject = (flat.size if accepted.all()
                         else int(np.argmin(accepted)))

@@ -7,59 +7,12 @@ approximates the expectation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adversary import CorruptionLedger
 from .agents import EpochSchedule
 from .errors import ConfigError
 from .model import BanditInstance
-
-
-@dataclass
-class RunTrace:
-    """Per-(round, agent) pull record for one run.
-
-    ``pulls`` is (T, L) arm ids; ``observed`` and ``clean`` are the
-    delivered and pre-corruption rewards of the pulled arms; ``inst_regret``
-    holds the true-mean gaps charged per pull.
-    """
-
-    pulls: np.ndarray
-    observed: np.ndarray
-    clean: np.ndarray
-    inst_regret: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.pulls.shape[0]
-
-    @property
-    def num_agents(self) -> int:
-        return self.pulls.shape[1]
-
-
-def instantaneous_regret(instance: BanditInstance, pulls: np.ndarray) -> np.ndarray:
-    """True-mean gap of each pulled arm, shaped like ``pulls`` (T, L)."""
-    best = np.array([instance.means[b] for b in instance.best_arms])
-    return best[np.newaxis, :] - instance.means[pulls]
-
-
-def regret(trace: RunTrace) -> dict:
-    """Cumulative pseudo-regret, per agent and total."""
-    per_agent = trace.inst_regret.sum(axis=0)
-    return {
-        "per_agent": per_agent.tolist(),
-        "total": float(per_agent.sum()),
-    }
-
-
-def regret_curve(trace: RunTrace, checkpoints) -> np.ndarray:
-    """Total regret at each checkpoint round (1-based, ascending)."""
-    cum = np.cumsum(trace.inst_regret.sum(axis=1))
-    idx = np.asarray(checkpoints, dtype=np.int64) - 1
-    return cum[idx]
 
 
 def rho_diagnostic(ledger: CorruptionLedger, schedule: EpochSchedule,

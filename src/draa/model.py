@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .rng import ENV_STREAM, Stream, stream_prefix, uniform_array
 
 REWARD_MODELS = ("bernoulli", "beta")
 
@@ -44,16 +43,10 @@ class BanditInstance:
     best_arms: tuple[int, ...] = ()  # k*_ell per agent
     _beta_table: np.ndarray = field(default=None, repr=False)
 
-    def local_arms(self, ell: int) -> tuple[int, ...]:
-        return self.arm_sets[ell]
-
     def local_gaps(self, ell: int) -> np.ndarray:
         """True gaps mu_{k*_ell} - mu_k over the agent's local arms."""
         arms = np.asarray(self.arm_sets[ell])
         return self.means[self.best_arms[ell]] - self.means[arms]
-
-    def gap(self, ell: int, k: int) -> float:
-        return float(self.means[self.best_arms[ell]] - self.means[k])
 
     @property
     def min_positive_gap(self) -> float:
@@ -81,15 +74,6 @@ class BanditInstance:
             table.flags.writeable = False
             object.__setattr__(self, "_beta_table", table)
         return self._beta_table
-
-
-@dataclass
-class RoundSample:
-    """Rewards for one round: an (L, K) matrix masked to local pairs."""
-
-    t: int
-    rewards: np.ndarray  # (L, K) float64; entries outside the mask are NaN
-    mask: np.ndarray  # (L, K) bool, True where agent ell can access arm k
 
 
 def build_instance(config: dict) -> BanditInstance:
@@ -166,7 +150,7 @@ def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
 
     ``model`` indexes :data:`REWARD_MODELS`.  Bernoulli: 1 if u < mu else
     0, so mu=0 / mu=1 are exactly degenerate.  Beta: linear interpolation
-    into the (K, N) inverse-CDF ``table``.  The numba kernel's scalar
+    into the (K, N) inverse-CDF ``table``.  The loop kernel's scalar
     ``_reward_nb`` applies the same formula, so traces agree bit for bit
     regardless of how the rewards were materialized.  ``out`` (float64,
     may be ``u`` itself) receives the rewards if given.
@@ -185,33 +169,3 @@ def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
     hi *= frac
     return np.add(lo, hi, out=out)
 
-
-def reward_from_uniform(instance: BanditInstance, arms, u):
-    """Map uniforms to rewards for the given arm indices (vectorized)."""
-    table = instance.beta_table() if instance.reward_model == "beta" else None
-    return reward_array(REWARD_MODELS.index(instance.reward_model),
-                        instance.means, np.asarray(arms), np.asarray(u), table)
-
-
-def env_stream(seed: int) -> Stream:
-    return Stream(seed, ENV_STREAM)
-
-
-def sample_round(instance: BanditInstance, t: int, env: Stream) -> RoundSample:
-    """Draw the full per-(agent, local arm) reward matrix for round t.
-
-    Every (ell, k in K_ell) pair receives a fresh i.i.d. reward; pairs
-    outside the arm-sets are NaN.  Deterministic given (seed, t).
-    """
-    if t < 1:
-        raise ValueError("round index must be >= 1")
-    L, K = instance.num_agents, instance.num_arms
-    rewards = np.full((L, K), np.nan)
-    mask = np.zeros((L, K), dtype=bool)
-    prefix = env.prefix
-    for ell in range(L):
-        arms = np.asarray(instance.arm_sets[ell])
-        u = uniform_array(prefix, t, ell, arms)
-        rewards[ell, arms] = reward_from_uniform(instance, arms, u)
-        mask[ell, arms] = True
-    return RoundSample(t=t, rewards=rewards, mask=mask)

@@ -9,9 +9,10 @@ adding an adversary never shifts the environment or agent randomness.
 
 The mixer is the splitmix64 finalizer, applied once per absorbed key
 field.  Three equivalent implementations are kept in sync: a plain-int
-scalar version (reference), an in-place numpy version (shared by
-:func:`uniform_array` and the numpy kernel) and a numba-compiled version
-(fast backend); tests assert they agree exactly.
+scalar version (:func:`mix64`), an in-place numpy version (shared by
+:func:`uniform_array` and the numpy kernel) and the loop kernel's
+``kernels._mix64_nb`` (numba-compiled, or plain Python on numpy scalars
+without numba); tests assert they agree exactly.
 """
 from __future__ import annotations
 
@@ -87,21 +88,3 @@ def uniform_array(prefix: int, t: np.ndarray | int, agent: int, arm) -> np.ndarr
     h = _mix64_np(np.asarray(h ^ np.asarray(arm, dtype=np.uint64)))
     return (h >> np.uint64(11)) * _INV_2_53
 
-
-class Stream:
-    """Thin handle binding (seed, stream id) for counter-based draws."""
-
-    def __init__(self, seed: int, stream: int):
-        self.seed = seed
-        self.stream = stream
-        self._prefix = stream_prefix(seed, stream)
-
-    @property
-    def prefix(self) -> int:
-        return self._prefix
-
-    def uniform(self, t: int, agent: int = 0, arm: int = 0) -> float:
-        h = mix64(self._prefix ^ (t & MASK64))
-        h = mix64(h ^ (agent & MASK64))
-        h = mix64(h ^ (arm & MASK64))
-        return (h >> 11) * _INV_2_53

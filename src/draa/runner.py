@@ -142,10 +142,10 @@ def _worker(raw_config: dict, seed: int, backend: str | None):
 def run_experiment(config: ExperimentConfig, backend: str | None = None,
                    quiet: bool = False) -> list[dict]:
     """Run every seed, persist artifacts, return the summaries."""
+    backend = default_backend(backend)
+    jobs = resolve_jobs()
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = resolve_jobs()
-    backend = backend or default_backend()
 
     outputs = []
     if jobs == 1:

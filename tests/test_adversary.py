@@ -1,4 +1,9 @@
-"""Corruption ledger accounting and adversary behavior."""
+"""Corruption ledger accounting and adversary behavior.
+
+Corruption is delivered by the segment kernels; the ``rounds`` fixture
+(conftest.py) runs rounds through both of them with fixed pulls and
+constant clean rewards.
+"""
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ from draa.adversary import (Adversary, BudgetedTargetedAdversary,
                             GapFlipAdversary, HistoryView, ledger_totals,
                             make_adversary)
 from draa.errors import ConfigError, LedgerError
-from draa.model import RoundSample, build_instance
+from draa.model import build_instance
 
 
 @pytest.fixture
@@ -20,13 +25,8 @@ def inst():
     })
 
 
-def make_sample(inst, values):
-    rewards = np.full((2, 3), np.nan)
-    mask = np.zeros((2, 3), dtype=bool)
-    for (ell, k), v in values.items():
-        rewards[ell, k] = v
-        mask[ell, k] = True
-    return RoundSample(t=1, rewards=rewards, mask=mask)
+#: constant clean reward of arms 0, 1 and 2
+CLEAN = (1.0, 0.5, 0.0)
 
 
 def history(inst, epoch=1):
@@ -35,11 +35,6 @@ def history(inst, epoch=1):
         estimates=tuple(np.ones(len(a)) for a in inst.arm_sets),
         arm_lists=inst.arm_sets,
     )
-
-
-def full_sample(inst):
-    return make_sample(inst, {(0, 0): 1.0, (0, 1): 0.5,
-                              (1, 1): 0.5, (1, 2): 0.0})
 
 
 class TestLedger:
@@ -81,66 +76,61 @@ class TestLedger:
 
 
 class TestNullAdversary:
-    def test_delivers_clean_rewards(self, inst):
+    def test_delivers_clean_rewards(self, inst, rounds):
         adv = Adversary()
         adv.begin_epoch(inst, history(inst))
-        sample = full_sample(inst)
-        out = adv.corrupt(sample, history(inst))
-        np.testing.assert_array_equal(out.rewards[sample.mask],
-                                      sample.rewards[sample.mask])
+        for pulled in ((0, 0), (1, 1)):
+            out = rounds(inst, pulled, adv, rewards=CLEAN)
+            np.testing.assert_array_equal(out.observed, out.clean)
+            assert out.corruption.sum() == 0.0
 
 
 class TestBudgetedTargeted:
-    def test_pushes_target_down_and_clamps(self, inst):
+    def test_pushes_target_down_and_clamps(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=100.0)
         adv.begin_epoch(inst, history(inst))
-        ledger = CorruptionLedger(2)
-        ledger.begin_epoch()
-        out = adv.corrupt(full_sample(inst), history(inst), ledger)
-        assert out.rewards[0, 0] == pytest.approx(0.4)
-        assert out.rewards[0, 1] == 0.5  # untargeted arm untouched
-        assert out.rewards[1, 1] == 0.5  # agent without the arm untouched
-        assert ledger._current[0] == pytest.approx(0.6)
-        assert ledger._current[1] == 0.0
+        out = rounds(inst, (0, 0), adv, rewards=CLEAN)
+        assert out.observed[0, 0] == pytest.approx(0.4)
+        assert out.observed[0, 1] == 0.5  # agent without the arm untouched
+        assert out.corruption[0] == pytest.approx(0.6)
+        assert out.corruption[1] == 0.0
+        # an untargeted pull is delivered clean, but the edit of the
+        # agent's target arm is still charged
+        out = rounds(inst, (1, 0), adv, rewards=CLEAN)
+        assert out.observed[0, 0] == 0.5
+        assert out.corruption[0] == pytest.approx(0.6)
 
-    def test_clamp_then_measure(self, inst):
+    def test_clamp_then_measure(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=100.0)
         adv.begin_epoch(inst, history(inst))
-        sample = make_sample(inst, {(0, 0): 0.2, (0, 1): 0.5,
-                                    (1, 1): 0.5, (1, 2): 0.0})
-        ledger = CorruptionLedger(2)
-        ledger.begin_epoch()
-        out = adv.corrupt(sample, history(inst), ledger)
-        assert out.rewards[0, 0] == 0.0  # clamped at the floor
+        out = rounds(inst, (0, 0), adv, rewards=(0.2, 0.5, 0.0))
+        assert out.clean[0, 0] == 0.2
+        assert out.observed[0, 0] == 0.0  # clamped at the floor
         # the ledger charges the delivered delta (0.2), not the raw push
-        assert ledger._current[0] == pytest.approx(0.2)
+        assert out.corruption[0] == pytest.approx(0.2)
 
-    def test_budget_stops_permanently_at_first_overrun(self, inst):
+    def test_budget_stops_permanently_at_first_overrun(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=1.0)
         adv.begin_epoch(inst, history(inst))
-        ledger = CorruptionLedger(2)
-        ledger.begin_epoch()
         # two spends of 0.6: the first fits, the second overruns and
         # disables the adversary for good
-        out1 = adv.corrupt(full_sample(inst), history(inst), ledger)
-        out2 = adv.corrupt(full_sample(inst), history(inst), ledger)
-        out3 = adv.corrupt(full_sample(inst), history(inst), ledger)
-        assert out1.rewards[0, 0] == pytest.approx(0.4)
-        assert out2.rewards[0, 0] == 1.0
-        assert out3.rewards[0, 0] == 1.0
+        out = rounds(inst, (0, 0), adv, rewards=CLEAN, rounds=3)
+        np.testing.assert_allclose(out.observed[:, 0], [0.4, 1.0, 1.0])
         assert not adv.active
         assert adv.spent == pytest.approx(0.6)
+        out = rounds(inst, (0, 0), adv, rewards=CLEAN)
+        assert out.observed[0, 0] == 1.0
 
-    def test_agent_restriction(self, inst):
+    def test_agent_restriction(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=1, magnitude=0.5,
                                         budget=10.0, agents=[1])
         adv.begin_epoch(inst, history(inst))
-        out = adv.corrupt(full_sample(inst), history(inst))
-        assert out.rewards[0, 1] == 0.5  # agent 0 excluded
-        assert out.rewards[1, 1] == 0.0
+        out = rounds(inst, (1, 0), adv, rewards=CLEAN)  # both pull arm 1
+        assert out.observed[0, 0] == 0.5  # agent 0 excluded
+        assert out.observed[0, 1] == 0.0
 
 
 class TestEpochFlood:
@@ -152,12 +142,12 @@ class TestEpochFlood:
         adv.begin_epoch(inst, history(inst, epoch=2))
         assert adv.targets is not None
 
-    def test_direction_up(self, inst):
+    def test_direction_up(self, inst, rounds):
         adv = EpochFloodAdversary(target_arm=2, start_epoch=1,
                                   direction="up", budget=10.0)
         adv.begin_epoch(inst, history(inst))
-        out = adv.corrupt(full_sample(inst), history(inst))
-        assert out.rewards[1, 2] == 1.0
+        out = rounds(inst, (0, 1), adv, rewards=CLEAN)  # agent 1 pulls arm 2
+        assert out.observed[0, 1] == 1.0
 
 
 class TestGapFlip:

@@ -13,15 +13,13 @@ from hypothesis.extra import numpy as hnp
 
 from draa.adversary import make_adversary
 from draa.agents import (GAP_CAP, GAP_FLOOR, assign_probabilities,
-                         build_schedule, categorical_index, init_epoch1,
-                         pool_estimates, pull, raw_epoch_length,
-                         record_observation, split_sets, split_threshold,
+                         build_schedule, init_epoch1, pool_estimates,
+                         raw_epoch_length, split_sets, split_threshold,
                          update_gaps, update_rmax)
 from draa.comm import freeze_broadcast
 from draa.engine import run_single
 from draa.errors import ConfigError, InvariantError
 from draa.model import build_instance
-from draa.rng import PULL_STREAM, Stream
 
 
 def make_instance(**overrides):
@@ -168,51 +166,44 @@ class TestAssignProbabilities:
 
 
 class TestPull:
-    def test_degenerate_distribution(self):
-        inst = make_instance()
-        state = init_epoch1(inst, 0)
-        state.probs = np.array([1.0, 0.0])
-        stream = Stream(1, PULL_STREAM)
-        assert all(pull(state, stream.uniform(t)) == 0
-                   for t in range(1, 100))
+    """Pulls and accumulators as the segment kernels produce them."""
 
-    def test_frequencies_match_probabilities(self):
-        probs = np.array([0.5, 0.5])
-        stream = Stream(2, PULL_STREAM)
-        n = 100000
-        counts = np.zeros(2)
-        for t in range(1, n + 1):
-            counts[categorical_index(probs, stream.uniform(t))] += 1
-        assert abs(counts[0] / n - 0.5) < 0.01
-
-    def test_deterministic_sequence(self):
+    def test_degenerate_distribution(self, rounds):
         inst = make_instance()
-        state = init_epoch1(inst, 0)
-        stream = Stream(3, PULL_STREAM)
-        seq1 = [pull(state, stream.uniform(t)) for t in range(1, 50)]
-        seq2 = [pull(state, stream.uniform(t)) for t in range(1, 50)]
-        assert seq1 == seq2
+        out = rounds(inst, [np.array([1.0, 0.0]), np.array([0.5, 0.5])],
+                     rounds=99, seed=1)
+        assert (out.pulls[:, 0] == 0).all()
+        assert out.pull_counts[0].tolist() == [99, 0]
+
+    def test_frequencies_match_probabilities(self, rounds):
+        inst = make_instance()
+        half = np.array([0.5, 0.5])
+        n = 20000
+        out = rounds(inst, [half, half], rounds=n, seed=2)
+        # both agents' first local arm, over 2n fair draws
+        assert abs(out.pull_counts[:, 0].sum() / (2 * n) - 0.5) < 0.01
+
+    def test_deterministic_sequence(self, rounds):
+        inst = make_instance()
+        probs = [init_epoch1(inst, ell).probs for ell in range(2)]
+        seq1 = rounds(inst, probs, rounds=49, seed=3).pulls
+        seq2 = rounds(inst, probs, rounds=49, seed=3).pulls
+        np.testing.assert_array_equal(seq1, seq2)
 
 
 class TestRecordObservation:
-    def test_accumulates(self):
+    def test_accumulates(self, rounds):
         inst = make_instance()
-        state = init_epoch1(inst, 0)
-        for r in (0.2, 0.5, 0.3):
-            record_observation(state, 1, r)
-        assert state.reward_sums[1] == pytest.approx(1.0)
-        assert state.pull_counts[1] == 3
+        out = rounds(inst, [1, 0], rewards=(0.9, 0.25, 0.6, 0.4), rounds=4)
+        assert out.reward_sums[0, 1] == 1.0
+        assert out.pull_counts[0].tolist() == [0, 4]
 
-    def test_zero_observations_contribute_zero(self):
+    def test_zero_observations_contribute_zero(self, rounds):
         inst = make_instance()
         state = init_epoch1(inst, 0)
         assert state.reward_sums[0] == 0.0
-
-    def test_out_of_range_reward_rejected(self):
-        inst = make_instance()
-        state = init_epoch1(inst, 0)
-        with pytest.raises(ValueError, match="outside"):
-            record_observation(state, 0, 1.2)
+        out = rounds(inst, [1, 0], rewards=(0.9, 0.25, 0.6, 0.4), rounds=4)
+        assert out.reward_sums[0, 0] == 0.0
 
 
 def two_agent_broadcasts(probs, sums):

@@ -1,12 +1,15 @@
-"""End-to-end engine behavior: backend equivalence, reference parity,
-invariant bookkeeping, and structural reductions."""
+"""End-to-end engine behavior: backend equivalence, independence from
+checkpoint placement, invariant bookkeeping, and structural reductions.
+
+``backend="numba"`` runs the scalar loop kernel, compiled or, without
+numba, as plain Python; it is the reference the numpy kernel must match.
+"""
 import numpy as np
 import pytest
 
 from draa.adversary import make_adversary
 from draa.agents import build_schedule
-from draa.engine import default_checkpoints, run_reference, run_single
-from draa.kernels import _HAVE_NUMBA
+from draa.engine import default_checkpoints, run_single
 from draa.model import build_instance
 
 ADVERSARIES = [
@@ -33,37 +36,66 @@ def small_schedule(inst, horizon=2500):
     return build_schedule(inst, horizon, delta=0.05, lam_scale=16)
 
 
+def assert_same_trace(a, b):
+    """Equal pulls and rewards; regret and C within 1e-9."""
+    np.testing.assert_array_equal(a.pulls, b.pulls)
+    np.testing.assert_array_equal(a.observed, b.observed)
+    np.testing.assert_array_equal(a.clean, b.clean)
+    assert abs(a.corruption["C"] - b.corruption["C"]) < 1e-9
+    assert abs(a.total_regret - b.total_regret) < 1e-9
+
+
 @pytest.mark.parametrize("adv_cfg", ADVERSARIES)
 @pytest.mark.parametrize("reward_model", ["bernoulli", "beta"])
 def test_numpy_matches_numba(adv_cfg, reward_model):
-    if not _HAVE_NUMBA:
-        pytest.skip("numba unavailable")
     inst = small_instance(reward_model)
     sched = small_schedule(inst)
     a = run_single(inst, sched, make_adversary(adv_cfg), 5,
                    backend="numpy", trace=True)
     b = run_single(inst, sched, make_adversary(adv_cfg), 5,
                    backend="numba", trace=True)
-    np.testing.assert_array_equal(a.pulls, b.pulls)
-    np.testing.assert_array_equal(a.observed, b.observed)
-    assert abs(a.total_regret - b.total_regret) < 1e-9
-    assert abs(a.corruption["C"] - b.corruption["C"]) < 1e-9
+    assert_same_trace(a, b)
 
 
 @pytest.mark.parametrize("adv_cfg", ADVERSARIES)
 def test_kernel_matches_reference_path(adv_cfg):
     inst = small_instance()
     sched = small_schedule(inst, horizon=1500)
-    ref = run_reference(inst, sched, make_adversary(adv_cfg), 9)
+    ref = run_single(inst, sched, make_adversary(adv_cfg), 9,
+                     backend="numba", trace=True)
     eng = run_single(inst, sched, make_adversary(adv_cfg), 9,
                      backend="numpy", trace=True)
-    np.testing.assert_array_equal(ref.pulls, eng.pulls)
-    np.testing.assert_array_equal(ref.observed, eng.observed)
-    assert abs(ref.corruption["C"] - eng.corruption["C"]) < 1e-9
-    assert abs(ref.total_regret - eng.total_regret) < 1e-9
+    assert_same_trace(ref, eng)
+    np.testing.assert_allclose(ref.corruption["C_per_epoch"],
+                               eng.corruption["C_per_epoch"], rtol=0,
+                               atol=1e-9)
     for re, ee in zip(ref.epochs, eng.epochs):
-        for pr, pe in zip(re.probs, ee.probs):
-            np.testing.assert_array_equal(pr, pe)
+        for a, b in zip(re.probs + re.estimates, ee.probs + ee.estimates):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("budget", [20.3, 140.7])
+@pytest.mark.parametrize("reward_model", ["bernoulli", "beta"])
+def test_budget_crossing_exact_across_kernels_and_checkpoints(reward_model,
+                                                               budget):
+    """A non-dyadic budget runs out at the same cell on both kernels and
+    whatever the checkpoints, so segments that start with budget already
+    spent must keep the loop's running sum exactly."""
+    inst = small_instance(reward_model)
+    sched = small_schedule(inst)
+    every_7 = range(7, sched.horizon + 1, 7)
+    cfg = {"kind": "gap_flip", "magnitude": 0.7, "budget": budget}
+    for seed in range(10):
+        loop = run_single(inst, sched, make_adversary(cfg), seed,
+                          backend="numba", trace=True)
+        vec = run_single(inst, sched, make_adversary(cfg), seed,
+                         backend="numpy", trace=True)
+        chunked = run_single(inst, sched, make_adversary(cfg), seed,
+                             backend="numpy", trace=True,
+                             checkpoints=every_7)
+        assert_same_trace(loop, vec)
+        assert_same_trace(vec, chunked)
+        assert loop.corruption["C"] <= budget
 
 
 def test_estimator_choice_changes_behavior_only_when_heterogeneous():

@@ -1,7 +1,6 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
 import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import pytest
 import yaml
 
 from draa import config as config_module
+from draa import kernels
 from draa.cli import main
 from draa.config import (load_config, load_yaml, validate_config,
                          validate_sweep, sweep_points)
@@ -222,6 +222,22 @@ class TestCli:
         monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
         assert load_yaml(path) == default
         assert default == base_config(output_dir=str(tmp_path), **overrides)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", False), ("run", True), ("verify", True)])
+    def test_numba_request_without_numba_exit_2(self, tmp_path, monkeypatch,
+                                                capsys, command, flag):
+        # a user asking for numba never gets the uncompiled loop
+        monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
+        if flag:
+            monkeypatch.delenv("DRAA_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("DRAA_BACKEND", "numba")
+        path = self.write_config(tmp_path)
+        argv = [command, str(path)] + (["--backend", "numba"] if flag else [])
+        assert main(argv) == 2
+        assert "numba is not importable" in capsys.readouterr().err
+        assert not (tmp_path / "unit").exists()
 
     def test_verify_passes(self, tmp_path, capsys):
         path = self.write_config(tmp_path, horizon=1500)

@@ -2,8 +2,9 @@
 
 ``_oracle_segment`` is the numpy kernel as it was before it drew all
 agents in one pass: one agent at a time, every draw hashed from the
-stream prefix.  The vectorized kernel must reproduce every field of its
-``SegmentResult`` exactly, traced arrays included.
+stream prefix.  Its budget gate is a cumsum over ``[spent, *c]``, the
+loop kernel's running sum.  The vectorized kernel must reproduce every
+field of its ``SegmentResult`` exactly, traced arrays included.
 """
 import dataclasses
 import warnings
@@ -100,7 +101,8 @@ def _oracle_segment(plan, trace=False):
                 has_slot[ell, j] = True
         if has_slot.any():
             flat = contrib.reshape(-1)
-            cum = plan.spent + np.cumsum(flat)
+            # the loop kernel's running `spent += c` chain
+            cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
             accepted = (cum <= plan.budget)
             first_reject = np.argmax(~accepted) if not accepted.all() else flat.size
             accepted[first_reject:] = False

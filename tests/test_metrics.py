@@ -1,12 +1,15 @@
-"""Regret arithmetic, corruption diagnostics, and bound-shaped terms."""
-import numpy as np
+"""Regret arithmetic, corruption diagnostics, and bound-shaped terms.
+
+Regret is accounted by the segment kernels and summed by the engine; the
+``rounds`` fixture (conftest.py) runs fixed pulls through both kernels.
+"""
 import pytest
 
-from draa.adversary import CorruptionLedger
+from draa.adversary import CorruptionLedger, make_adversary
 from draa.agents import build_schedule
+from draa.engine import run_single
 from draa.errors import ConfigError
-from draa.metrics import (RunTrace, instantaneous_regret, regret,
-                          regret_curve, rho_diagnostic, theory_terms)
+from draa.metrics import rho_diagnostic, theory_terms
 from draa.model import build_instance
 
 
@@ -20,39 +23,34 @@ def inst():
     })
 
 
-def trace_from_pulls(inst, pulls):
-    pulls = np.asarray(pulls, dtype=np.int64)
-    inst_reg = instantaneous_regret(inst, pulls)
-    zeros = np.zeros_like(inst_reg)
-    return RunTrace(pulls=pulls, observed=zeros, clean=zeros,
-                    inst_regret=inst_reg)
+def test_always_best_zero_regret(inst, rounds):
+    out = rounds(inst, [0, 0], rounds=10)  # arms 0 and 1, the local bests
+    assert out.regret.tolist() == [0.0, 0.0]
 
 
-def test_always_best_zero_regret(inst):
-    pulls = np.tile([0, 1], (10, 1))
-    assert regret(trace_from_pulls(inst, pulls))["total"] == 0.0
-
-
-def test_hand_value(inst):
+def test_hand_value(inst, rounds):
     # agent 0 pulls the 0.5 arm for 10 rounds against a 0.9 best
-    pulls = np.tile([1, 1], (10, 1))
-    r = regret(trace_from_pulls(inst, pulls))
-    assert r["per_agent"][0] == pytest.approx(4.0)
-    assert r["per_agent"][1] == pytest.approx(0.0)
+    out = rounds(inst, [1, 0], rounds=10)
+    assert out.regret[0] == pytest.approx(4.0)
+    assert out.regret[1] == pytest.approx(0.0)
 
 
-def test_total_is_sum_of_agents(inst):
-    pulls = np.vstack([np.tile([1, 2], (10, 1))])
-    r = regret(trace_from_pulls(inst, pulls))
-    assert r["total"] == pytest.approx(sum(r["per_agent"]))
-    assert r["per_agent"] == [pytest.approx(4.0), pytest.approx(1.0)]
+def test_total_is_sum_of_agents(inst, rounds):
+    out = rounds(inst, [1, 1], rounds=10)
+    assert out.regret.tolist() == [pytest.approx(4.0), pytest.approx(1.0)]
+    sched = build_schedule(inst, 500, delta=0.05, lam_scale=16)
+    result = run_single(inst, sched, make_adversary(None), 0)
+    assert result.total_regret == pytest.approx(result.per_agent_regret.sum())
 
 
 def test_regret_curve_monotone(inst):
-    rng = np.random.default_rng(0)
-    pulls = np.stack([rng.integers(0, 2, 50), rng.integers(1, 3, 50)], axis=1)
-    curve = regret_curve(trace_from_pulls(inst, pulls), [10, 20, 50])
+    sched = build_schedule(inst, 50, delta=0.05, lam_scale=16)
+    result = run_single(inst, sched, make_adversary(None), 0,
+                        checkpoints=[10, 20, 50])
+    curve = [cp.total_regret for cp in result.checkpoints]
+    assert [cp.t for cp in result.checkpoints] == [10, 20, 50]
     assert curve[0] <= curve[1] <= curve[2]
+    assert curve[2] == result.total_regret
 
 
 def ledger_with_epochs(totals, num_agents=2):

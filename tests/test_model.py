@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from draa.errors import ConfigError
-from draa.model import (BanditInstance, build_instance, env_stream,
-                        reward_from_uniform, sample_round)
+from draa.model import REWARD_MODELS, build_instance, reward_array
+from draa.rng import ENV_STREAM, stream_prefix, uniform_array
 
 
 def small_descriptor(**overrides):
@@ -59,45 +59,42 @@ def test_means_are_read_only():
         inst.means[0] = 0.1
 
 
+def draw(inst, seed, t, ell, arms):
+    """Clean rewards of ``arms`` for agent ``ell`` in round(s) ``t``."""
+    u = uniform_array(stream_prefix(seed, ENV_STREAM), t, ell, arms)
+    table = inst.beta_table() if inst.reward_model == "beta" else None
+    return reward_array(REWARD_MODELS.index(inst.reward_model), inst.means,
+                        arms, u, table)
+
+
 def test_bernoulli_rewards_are_binary_and_degenerate_means_exact():
     inst = build_instance(small_descriptor(means=[0.0, 1.0, 0.5]))
     u = np.array([0.0, 0.3, 0.999])
-    r = reward_from_uniform(inst, np.array([0, 1, 2]), u)
+    r = reward_array(0, inst.means, np.array([0, 1, 2]), u, None)
     assert r[0] == 0.0  # mean 0 never pays
     assert r[1] == 1.0  # mean 1 always pays
     assert r[2] in (0.0, 1.0)
 
 
+ROUNDS = np.arange(1, 20001, dtype=np.uint64)
+
+
 def test_bernoulli_empirical_mean():
     inst = build_instance(small_descriptor())
-    env = env_stream(3)
-    total = 0.0
-    n = 20000
-    for t in range(1, n + 1):
-        total += sample_round(inst, t, env).rewards[0, 0]
-    assert abs(total / n - 0.9) < 0.01
+    vals = draw(inst, 3, ROUNDS, 0, 0)
+    assert abs(vals.mean() - 0.9) < 0.01
 
 
 def test_beta_rewards_bounded_with_correct_mean():
     inst = build_instance(small_descriptor(reward_model="beta"))
-    env = env_stream(11)
-    vals = np.array([sample_round(inst, t, env).rewards[0, 0]
-                     for t in range(1, 20001)])
+    vals = draw(inst, 11, ROUNDS, 0, 0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert abs(vals.mean() - 0.9) < 0.01
     assert np.unique(vals).size > 100  # continuous, not binary
 
 
-def test_sample_round_mask_and_nan():
-    inst = build_instance(small_descriptor())
-    s = sample_round(inst, 1, env_stream(0))
-    assert s.mask[0, 0] and s.mask[0, 1] and not s.mask[0, 2]
-    assert np.isnan(s.rewards[0, 2])
-    assert not np.isnan(s.rewards[1, 2])
-
-
 def test_sampling_is_deterministic():
-    inst = build_instance(small_descriptor())
-    a = sample_round(inst, 5, env_stream(9)).rewards
-    b = sample_round(inst, 5, env_stream(9)).rewards
-    np.testing.assert_array_equal(a, b)
+    inst = build_instance(small_descriptor(reward_model="beta"))
+    arms = np.array(inst.arm_sets[1])
+    np.testing.assert_array_equal(draw(inst, 9, 5, 1, arms),
+                                  draw(inst, 9, 5, 1, arms))

@@ -1,29 +1,37 @@
-"""Reward corruption: adversary kinds and the corruption ledger.
+"""Reward corruption: the adversary kinds.
 
-An adversary names, per agent and epoch, up to two target arms and a
-signed raw edit for each; the segment kernels (:mod:`draa.kernels`)
-apply the edits to the targets' clean rewards in every round of the
-epoch, whether or not the agent pulls a target.  Raw edits are clamped
-into [0, 1] and the ledger records the per-(round, agent) infinity norm
-of the *delivered* minus clean values (clamp then measure), so the
-ledger totals match what agents experienced.
+An adversary is a stateless policy.  At each epoch start it names, per
+agent, up to two target arms and a signed raw edit for each; the segment
+kernels (:mod:`draa.kernels`) apply the edits to the targets' clean
+rewards in every round of the epoch, whether or not the agent pulls a
+target.  Raw edits are clamped into [0, 1], and each (round, agent) cell
+is charged the infinity norm of the *delivered* minus clean values (clamp
+then measure), so the realized corruption matches what agents
+experienced.
 
-Budget semantics: the budget counts ledger contributions.  The first
-round-agent cell whose contribution would overrun the budget turns the
-adversary off permanently (silent degradation to Null behavior), which
-keeps the accounting a simple prefix rule that vectorizes.
+Budget semantics: the budget counts those charges.  The first
+round-agent cell whose charge would overrun the budget turns the
+adversary off for the rest of the run (silent degradation to Null
+behavior), which keeps the accounting a simple prefix rule that
+vectorizes.  The run's spend, whether the gate is still open and the
+per-epoch, per-agent charges belong to the run, not to the adversary:
+:func:`draa.engine.run_single` keeps them, so one adversary object can
+drive any number of runs.
 
 All implemented adversaries pick their targets once per epoch from
 information available before the epoch starts (previous-epoch estimates),
-never from the agents' current-round choices.
+never from the agents' current-round choices.  Their parameters are
+checked when they are built and, against the instance, by
+:meth:`Adversary.check`, so a bad config fails at load time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LedgerError
+from .errors import ConfigError
 from .model import BanditInstance
 
 
@@ -40,65 +48,18 @@ class HistoryView:
     arm_lists: tuple[tuple[int, ...], ...]
 
 
-class CorruptionLedger:
-    """Per-epoch, per-agent infinity-norm corruption accounting."""
-
-    def __init__(self, num_agents: int):
-        self.num_agents = num_agents
-        self._per_epoch: list[np.ndarray] = []  # finalized epochs
-        self._current = np.zeros(num_agents)
-        self._open = False
-
-    def begin_epoch(self) -> None:
-        if self._open:
-            raise LedgerError("previous epoch not finalized")
-        self._current = np.zeros(self.num_agents)
-        self._open = True
-
-    def add(self, agent: int, amount: float) -> None:
-        if amount < 0:
-            raise LedgerError("negative corruption amount")
-        self._current[agent] += amount
-
-    def add_bulk(self, per_agent: np.ndarray) -> None:
-        self._current += per_agent
-
-    def finalize_epoch(self) -> None:
-        if not self._open:
-            raise LedgerError("no epoch in progress")
-        self._per_epoch.append(self._current.copy())
-        self._open = False
-
-    def epoch_agent_matrix(self) -> np.ndarray:
-        """(M, L) matrix of finalized per-epoch per-agent contributions."""
-        if not self._per_epoch:
-            return np.zeros((0, self.num_agents))
-        return np.vstack(self._per_epoch)
-
-    def epoch_total(self, m: int) -> float:
-        """C^m for 1-based epoch m.  Raises on unfinished epochs."""
-        if m < 1 or m > len(self._per_epoch):
-            raise LedgerError(f"epoch {m} not finalized")
-        return float(self._per_epoch[m - 1].sum())
-
-    def running_total(self) -> float:
-        """C accumulated so far, including the open epoch."""
-        total = float(self.epoch_agent_matrix().sum())
-        if self._open:
-            total += float(self._current.sum())
-        return total
+def _amount(name: str, value) -> float:
+    """``value`` as a finite nonnegative float, else a ``ConfigError``."""
+    amount = float(value)
+    if not math.isfinite(amount) or amount < 0:
+        raise ConfigError(
+            f"adversary {name} must be finite and nonnegative, got {value!r}")
+    return amount
 
 
-def ledger_totals(ledger: CorruptionLedger) -> dict:
-    """Aggregate the finalized ledger into C, C_ell and C^m."""
-    matrix = ledger.epoch_agent_matrix()
-    per_agent = matrix.sum(axis=0)
-    per_epoch = matrix.sum(axis=1)
-    return {
-        "C": float(per_agent.sum()),
-        "C_per_agent": per_agent.tolist(),
-        "C_per_epoch": per_epoch.tolist(),
-    }
+def _check_index(name: str, value: int, bound: int) -> None:
+    if not 0 <= value < bound:
+        raise ConfigError(f"adversary {name} {value} outside [0, {bound})")
 
 
 class Adversary:
@@ -106,45 +67,26 @@ class Adversary:
 
     Subclasses override :meth:`epoch_edits` to name, per agent, up to two
     (arm, signed raw edit) targets for the upcoming epoch.  The edit is
-    added to the clean reward and clamped; everything else (budget,
-    ledger, delivery) is shared machinery.
+    added to the clean reward and clamped; the budget gate and the
+    delivery are shared machinery in the kernels.
     """
 
     kind = "null"
 
     def __init__(self, budget: float = 0.0):
-        self.budget = float(budget)
-        self.spent = 0.0
-        self.active = True
-        self._targets: np.ndarray | None = None  # (L, 2) arm ids, -1 pad
-        self._pushes: np.ndarray | None = None  # (L, 2) signed edits
+        self.budget = _amount("budget", budget)
 
-    # -- per-epoch targeting ------------------------------------------------
+    def check(self, instance: BanditInstance) -> None:
+        """Raise ``ConfigError`` if the parameters name an arm or agent
+        that ``instance`` lacks."""
+
     def epoch_edits(self, instance: BanditInstance, history: HistoryView):
         """Return ((L,2) target arms, (L,2) signed edits) or None."""
         return None
 
-    def begin_epoch(self, instance: BanditInstance, history: HistoryView) -> None:
-        edits = self.epoch_edits(instance, history)
-        if edits is None:
-            self._targets = None
-            self._pushes = None
-        else:
-            self._targets, self._pushes = edits
-
-    @property
-    def targets(self) -> np.ndarray | None:
-        return self._targets if self.active else None
-
-    @property
-    def pushes(self) -> np.ndarray | None:
-        return self._pushes if self.active else None
-
-    # -- budget -------------------------------------------------------------
-    def sync_spend(self, spent: float, active: bool) -> None:
-        """Adopt the budget state a segment kernel returned."""
-        self.spent = spent
-        self.active = active
+    def begin_epoch(self, instance: BanditInstance, history: HistoryView):
+        """The engine's one call per epoch: the edits of :meth:`epoch_edits`."""
+        return self.epoch_edits(instance, history)
 
 
 class BudgetedTargetedAdversary(Adversary):
@@ -159,11 +101,14 @@ class BudgetedTargetedAdversary(Adversary):
     def __init__(self, target_arm: int, magnitude: float, budget: float,
                  agents=None):
         super().__init__(budget)
-        if magnitude < 0 or budget < 0:
-            raise ConfigError("adversary magnitudes and budgets must be nonnegative")
         self.target_arm = int(target_arm)
-        self.magnitude = float(magnitude)
+        self.magnitude = _amount("magnitude", magnitude)
         self.agents = None if agents is None else tuple(int(a) for a in agents)
+
+    def check(self, instance):
+        _check_index("target_arm", self.target_arm, instance.num_arms)
+        for ell in self.agents or ():
+            _check_index("agent", ell, instance.num_agents)
 
     def epoch_edits(self, instance, history):
         L = instance.num_agents
@@ -191,14 +136,18 @@ class EpochFloodAdversary(Adversary):
     def __init__(self, target_arm: int, start_epoch: int, direction: str,
                  budget: float, magnitude: float = 1.0):
         super().__init__(budget)
-        if magnitude < 0 or budget < 0:
-            raise ConfigError("adversary magnitudes and budgets must be nonnegative")
         if direction not in ("up", "down"):
             raise ConfigError("direction must be 'up' or 'down'")
         self.target_arm = int(target_arm)
         self.start_epoch = int(start_epoch)
+        if self.start_epoch < 1:
+            raise ConfigError(
+                f"adversary start_epoch must be >= 1, got {start_epoch!r}")
         self.direction = direction
-        self.magnitude = float(magnitude)
+        self.magnitude = _amount("magnitude", magnitude)
+
+    def check(self, instance):
+        _check_index("target_arm", self.target_arm, instance.num_arms)
 
     def epoch_edits(self, instance, history):
         if history.epoch < self.start_epoch:
@@ -226,9 +175,7 @@ class GapFlipAdversary(Adversary):
 
     def __init__(self, magnitude: float, budget: float):
         super().__init__(budget)
-        if magnitude < 0 or budget < 0:
-            raise ConfigError("adversary magnitudes and budgets must be nonnegative")
-        self.magnitude = float(magnitude)
+        self.magnitude = _amount("magnitude", magnitude)
 
     def epoch_edits(self, instance, history):
         if history.epoch < 2:
@@ -249,22 +196,19 @@ class GapFlipAdversary(Adversary):
         return targets, pushes
 
 
+_KINDS = {cls.kind: cls for cls in (Adversary, BudgetedTargetedAdversary,
+                                    EpochFloodAdversary, GapFlipAdversary)}
+
+
 def make_adversary(config: dict | None) -> Adversary:
     """Build an adversary from its config section (None -> Null)."""
-    if not config:
-        return Adversary()
-    kind = config.get("kind") or "null"
-    kind = str(kind).lower()
+    config = config or {}
+    kind = str(config.get("kind") or "null").lower()
+    cls = _KINDS.get("null" if kind == "none" else kind)
+    if cls is None:
+        raise ConfigError(f"unknown adversary kind {kind!r}")
     params = {k: v for k, v in config.items() if k != "kind"}
     try:
-        if kind in ("null", "none"):
-            return Adversary()
-        if kind == "budgeted_targeted":
-            return BudgetedTargetedAdversary(**params)
-        if kind == "epoch_flood":
-            return EpochFloodAdversary(**params)
-        if kind == "gap_flip":
-            return GapFlipAdversary(**params)
-    except TypeError as exc:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for adversary {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown adversary kind {kind!r}")

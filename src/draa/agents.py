@@ -81,9 +81,6 @@ class EpochSchedule:
         start = self.starts[m - 1]
         return start, start + self.lengths[m - 1] - 1
 
-    def untruncated_length(self, m: int) -> int:
-        return raw_epoch_length(self.lam, self.num_arms, self.l_min, m)
-
 
 def raw_epoch_length(lam: float, num_arms: int, l_min: int, m: int) -> int:
     """ceil(lambda * K * 4^{m-1} / L_min), before horizon truncation."""

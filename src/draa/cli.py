@@ -47,8 +47,11 @@ def cmd_sweep(args) -> int:
 
 def _verify_reports(config, backend):
     reports = []
-    # determinism: run the first seed twice, diff the traces
-    reports.append(replay_check(config, config.seeds[0], backend=backend))
+    # determinism: run the first seed as `draa run` does, replay it, diff
+    seed = config.seeds[0]
+    reference = execute_run(config, seed, backend=backend, trace=True)
+    reports.append(replay_check(config, seed, reference=reference,
+                                backend=backend))
 
     # estimator expectation on an enumerable fixture (shared arm, 2 agents)
     fixture = build_instance({
@@ -62,9 +65,8 @@ def _verify_reports(config, backend):
     reports.append(compare("weighted estimator expectation", 0.5,
                            oracle_value, 1e-12))
 
-    # expected pulls versus realized counts in epoch 1 of a short run
-    result = execute_run(config, config.seeds[0], backend=backend)
-    epoch1 = result.epochs[0]
+    # expected pulls versus realized counts in epoch 1 of the reference run
+    epoch1 = reference.epochs[0]
     worst = 0.0
     for ell, counts in enumerate(epoch1.pull_counts):
         expect = expected_pulls(epoch1.probs[ell], epoch1.length)

@@ -74,9 +74,6 @@ class MessageLog:
         if posted_this_epoch == self.num_agents:
             self._completed_epochs = max(self._completed_epochs, broadcast.epoch)
 
-    def epoch_broadcasts(self, epoch: int) -> list[EpochBroadcast]:
-        return [b for b in self.entries if b.epoch == epoch]
-
     @property
     def completed_epochs(self) -> int:
         return self._completed_epochs

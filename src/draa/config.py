@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .adversary import Adversary, make_adversary
 from .errors import ConfigError
 from .model import BanditInstance, build_instance
 
@@ -55,7 +56,7 @@ class ExperimentConfig:
 
     name: str
     instance: BanditInstance
-    adversary: dict | None
+    adversary: Adversary
     estimator: str
     lam_scale: float
     delta: float
@@ -129,6 +130,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     adversary = data.get("adversary")
     if adversary is not None and not isinstance(adversary, dict):
         raise ConfigError("'adversary' must be a mapping or omitted")
+    adversary = make_adversary(adversary)
+    adversary.check(instance)
 
     return ExperimentConfig(
         name=str(data.get("name", "experiment")),

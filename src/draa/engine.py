@@ -2,12 +2,18 @@
 
 :func:`run_single` is the one epoch loop: it advances all agents epoch
 by epoch.  Within an epoch the pull distributions are frozen, so the
-rounds are delegated to a backend kernel in contiguous segments, split
+rounds are delegated to a backend kernel in contiguous segments, cut
 only at checkpoint rounds; the budget runs out at the same cell wherever
 they fall.  At each epoch boundary agents broadcast, re-estimate, and
 re-weight; the engine snapshots state, enforces hard invariants, and
 records soft invariant violations for the test harness.  Cross-checks
 run the same loop on both kernels (see :mod:`draa.kernels`).
+
+The engine owns the run's corruption state.  It asks the (stateless)
+adversary for each epoch's edits, threads the budget spend and whether
+the gate is still open through every segment, and adds each segment's
+per-agent charges into row m-1 of an (M, L) array, the run's corruption
+ledger.  ``RunResult.corruption`` and each epoch's C^m are sums of it.
 
 Hard invariants (raise): probability simplex to 1e-12, strictly
 positive probabilities, positive remainder for the active set.  Soft
@@ -21,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import (Adversary, CorruptionLedger, HistoryView,
-                        ledger_totals)
+from .adversary import Adversary, HistoryView
 from .agents import (GAP_CAP, GAP_FLOOR, AgentState, EpochSchedule,
                      advance_epoch, init_epoch1, make_broadcast,
                      pool_estimates)
@@ -81,7 +86,6 @@ class RunResult:
     comm_cost: int
     corruption: dict
     message_log: MessageLog
-    ledger: CorruptionLedger
     pulls: np.ndarray | None = None  # (T, L) when traced
     observed: np.ndarray | None = None
     clean: np.ndarray | None = None
@@ -178,8 +182,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     T = schedule.horizon
     if checkpoints is None:
         checkpoints = default_checkpoints(schedule)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if any(c < 1 or c > T for c in checkpoints):
+    marks = {int(c) for c in checkpoints}
+    if any(c < 1 or c > T for c in marks):
         raise ValueError("checkpoints must lie in [1, T]")
 
     env_prefix = stream_prefix(seed, ENV_STREAM)
@@ -191,19 +195,14 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
                   else np.zeros((0, 0)))
 
     states = [init_epoch1(instance, ell) for ell in range(L)]
-    ledger = CorruptionLedger(L)
     log = MessageLog(L)
-    history = HistoryView(
-        epoch=1,
-        estimates=tuple(s.estimates.copy() for s in states),
-        arm_lists=instance.arm_sets,
-    )
-    adversary.begin_epoch(instance, history)
+    # the run's corruption state: budget spend, gate, (M, L) charges
+    spent, active = 0.0, True
+    ledger = np.zeros((schedule.num_epochs, L))
+    no_edits = (np.full((L, 2), -1, dtype=np.int64), np.zeros((L, 2)))
 
     cum_regret = np.zeros(L)
     checkpoint_rows: list[CheckpointRow] = []
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter, None)
     epochs: list[EpochRecord] = []
 
     pulls_full = np.zeros((T, L), dtype=np.int64) if trace else None
@@ -224,28 +223,22 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         record.prob_bracket_violations = _check_probabilities(states, m, instance)
         record.gap_range_violations = _check_gap_range(states)
 
-        ledger.begin_epoch()
+        history = HistoryView(
+            epoch=m,
+            estimates=tuple(s.estimates.copy() for s in states),
+            arm_lists=instance.arm_sets,
+        )
+        targets, pushes = adversary.begin_epoch(instance, history) or no_edits
         cdf = _pad_cdf(states, kmax)
-        if adversary.targets is not None:
-            targets, pushes = adversary.targets, adversary.pushes
-        else:
-            targets = np.full((L, 2), -1, dtype=np.int64)
-            pushes = np.zeros((L, 2))
-
         seg_start = start
-        while seg_start <= end:
-            seg_end = end
-            if next_cp is not None and next_cp < seg_end:
-                seg_end = max(next_cp, seg_start)
-            if next_cp is not None and seg_start <= next_cp <= seg_end:
-                seg_end = next_cp
+        for seg_end in sorted({end} | {c for c in marks if start <= c <= end}):
             plan = SegmentPlan(
                 t_start=seg_start, t_end=seg_end, env_prefix=env_prefix,
                 pull_prefix=pull_prefix, arms=arms_pad, n_local=n_local,
                 cdf=cdf, means=instance.means, best_means=best_means,
                 reward_model=reward_model, beta_table=beta_table,
                 targets=targets, pushes=pushes, budget=adversary.budget,
-                spent=adversary.spent, adv_active=adversary.active,
+                spent=spent, adv_active=active,
             )
             result = run_segment(plan, backend=backend, trace=trace)
             for ell, state in enumerate(states):
@@ -253,26 +246,25 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
                 state.reward_sums += result.reward_sums[ell, :n]
                 state.pull_counts += result.pull_counts[ell, :n]
             cum_regret += result.regret
-            ledger.add_bulk(result.corruption)
-            adversary.sync_spend(result.spent, result.adv_active)
+            ledger[m - 1] += result.corruption
+            spent, active = result.spent, result.adv_active
             if trace:
                 pulls_full[seg_start - 1:seg_end] = result.pulls
                 observed_full[seg_start - 1:seg_end] = result.observed
                 clean_full[seg_start - 1:seg_end] = result.clean
-            if next_cp is not None and seg_end == next_cp:
+            if seg_end in marks:
                 checkpoint_rows.append(CheckpointRow(
                     t=seg_end,
                     total_regret=float(cum_regret.sum()),
                     per_agent_regret=cum_regret.copy(),
-                    corruption_so_far=ledger.running_total(),
+                    corruption_so_far=(float(ledger[:m - 1].sum())
+                                       + float(ledger[m - 1].sum())),
                     comm_cost=comm_cost(log),
                 ))
-                next_cp = next(cp_iter, None)
             seg_start = seg_end + 1
 
         record.pull_counts = [s.pull_counts.copy() for s in states]
-        ledger.finalize_epoch()
-        record.corruption = ledger.epoch_total(m)
+        record.corruption = float(ledger[m - 1].sum())
         epochs.append(record)
 
         broadcasts = [make_broadcast(s) for s in states]
@@ -286,19 +278,18 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             for state in states:
                 advance_epoch(state, broadcasts, instance, epoch_len,
                               estimator, pooled=pooled)
-            history = HistoryView(
-                epoch=m + 1,
-                estimates=tuple(s.estimates.copy() for s in states),
-                arm_lists=instance.arm_sets,
-            )
-            adversary.begin_epoch(instance, history)
 
+    per_agent = ledger.sum(axis=0)
+    corruption = {
+        "C": float(per_agent.sum()),
+        "C_per_agent": per_agent.tolist(),
+        "C_per_epoch": ledger.sum(axis=1).tolist(),
+    }
     return RunResult(
         seed=seed, estimator=estimator, backend=backend, instance=instance,
         schedule=schedule, epochs=epochs, checkpoints=checkpoint_rows,
         per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),
-        comm_cost=comm_cost(log), corruption=ledger_totals(ledger),
-        message_log=log, ledger=ledger,
+        comm_cost=comm_cost(log), corruption=corruption, message_log=log,
         pulls=pulls_full, observed=observed_full, clean=clean_full,
     )
 

@@ -18,9 +18,5 @@ class InvariantError(DraaError):
         super().__init__(msg)
 
 
-class LedgerError(DraaError):
-    """Invalid corruption-ledger query (e.g. an unfinished epoch)."""
-
-
 class DuplicateBroadcastError(DraaError):
     """An agent posted twice in the same epoch."""

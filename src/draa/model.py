@@ -43,19 +43,6 @@ class BanditInstance:
     best_arms: tuple[int, ...] = ()  # k*_ell per agent
     _beta_table: np.ndarray = field(default=None, repr=False)
 
-    def local_gaps(self, ell: int) -> np.ndarray:
-        """True gaps mu_{k*_ell} - mu_k over the agent's local arms."""
-        arms = np.asarray(self.arm_sets[ell])
-        return self.means[self.best_arms[ell]] - self.means[arms]
-
-    @property
-    def min_positive_gap(self) -> float:
-        gaps = np.concatenate([self.local_gaps(ell) for ell in range(self.num_agents)])
-        positive = gaps[gaps > 0]
-        if positive.size == 0:
-            raise ConfigError("all local gaps are zero; min positive gap undefined")
-        return float(positive.min())
-
     def beta_table(self) -> np.ndarray:
         """Per-arm inverse-CDF lookup tables, built lazily (Beta model only)."""
         if self._beta_table is None:

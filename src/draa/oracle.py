@@ -8,17 +8,14 @@ running a configuration twice and diffing the traces.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import make_adversary
-from .agents import build_schedule
 from .config import ExperimentConfig
-from .engine import run_single
 from .errors import ConfigError
 from .model import BanditInstance
+from .runner import execute_run
 
 #: refuse enumerations beyond this many (pulls x rewards) atoms
 _MAX_ATOMS = 2_000_000
@@ -121,24 +118,18 @@ def exhaustive_estimator_mean(instance: BanditInstance, probabilities,
     return total
 
 
-def _run_for_replay(config: ExperimentConfig, seed: int, backend=None):
-    schedule = build_schedule(config.instance, config.horizon, config.delta,
-                              config.lam_scale)
-    adversary = make_adversary(config.adversary)
-    return run_single(config.instance, schedule, adversary, seed,
-                      estimator=config.estimator, backend=backend, trace=True)
-
-
 def replay_check(config: ExperimentConfig, seed: int,
                  reference=None, backend=None) -> OracleReport:
     """Rerun a configuration and diff pulls bit for bit.
 
-    With no ``reference`` the config is run twice from scratch.  The
-    report's note is empty on a byte-identical replay.
+    Both runs are the traced :func:`draa.runner.execute_run` of the seed,
+    the run ``draa run`` executes.  With no ``reference`` the config is
+    run twice from scratch.  The report's note is empty on a
+    byte-identical replay.
     """
     if reference is None:
-        reference = _run_for_replay(config, seed, backend)
-    replay = _run_for_replay(config, seed, backend)
+        reference = execute_run(config, seed, backend, trace=True)
+    replay = execute_run(config, seed, backend, trace=True)
     same_pulls = bool(np.array_equal(reference.pulls, replay.pulls))
     same_obs = bool(np.array_equal(reference.observed, replay.observed))
     dev = abs(reference.total_regret - replay.total_regret)
@@ -156,41 +147,6 @@ def replay_check(config: ExperimentConfig, seed: int,
         samples=reference.pulls.size,
         note=note,
     )
-
-
-def monte_carlo_estimate_mean(instance: BanditInstance, probabilities,
-                              epoch_len: int, arm: int, estimator: str,
-                              n_epochs: int, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo mean and standard error of an estimator, independent path.
-
-    Simulates ``n_epochs`` isolated epochs with numpy's own generator
-    (not the engine RNG), pooling the holders' reward sums exactly as
-    the estimator definition prescribes.
-    """
-    rng = np.random.default_rng(seed)
-    L = instance.num_agents
-    probs = [np.asarray(p, dtype=np.float64) for p in probabilities]
-    holders = [ell for ell in range(L) if arm in instance.arm_sets[ell]]
-    values = np.empty(n_epochs)
-    for i in range(n_epochs):
-        sums = np.zeros(L)
-        for ell in range(L):
-            arms = instance.arm_sets[ell]
-            pulls = rng.choice(len(arms), size=epoch_len, p=probs[ell])
-            for local_idx in pulls:
-                k = arms[local_idx]
-                if k == arm:
-                    sums[ell] += float(rng.random() < instance.means[k])
-        if estimator == "weighted":
-            values[i] = sum(
-                sums[ell] / probs[ell][instance.arm_sets[ell].index(arm)]
-                for ell in holders
-            ) / (len(holders) * epoch_len)
-        else:
-            denom = sum(probs[ell][instance.arm_sets[ell].index(arm)]
-                        for ell in holders) * epoch_len
-            values[i] = sums[holders].sum() / denom
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_epochs))
 
 
 def compare(quantity: str, oracle_value: float, engine_value: float,

@@ -50,15 +50,6 @@ def stream_prefix(seed: int, stream: int) -> int:
     return mix64(mix64(seed & MASK64) ^ (stream & MASK64))
 
 
-def uniform(seed: int, stream: int, t: int, agent: int = 0, arm: int = 0) -> float:
-    """One uniform in [0, 1) for the given counter tuple."""
-    h = stream_prefix(seed, stream)
-    h = mix64(h ^ (t & MASK64))
-    h = mix64(h ^ (agent & MASK64))
-    h = mix64(h ^ (arm & MASK64))
-    return (h >> 11) * _INV_2_53
-
-
 def _mix64_np(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer applied in place to a uint64 ndarray; returns it.
 

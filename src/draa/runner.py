@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import make_adversary
 from .agents import build_schedule
 from .config import ExperimentConfig, SweepSpec, sweep_points, validate_config
 from .engine import RunResult, run_single
@@ -59,10 +58,9 @@ def execute_run(config: ExperimentConfig, seed: int,
     """One seeded end-to-end run of the configured experiment."""
     schedule = build_schedule(config.instance, config.horizon, config.delta,
                               config.lam_scale)
-    adversary = make_adversary(config.adversary)
     checkpoints = evenly_spaced_checkpoints(config.horizon,
                                             config.num_checkpoints)
-    return run_single(config.instance, schedule, adversary, seed,
+    return run_single(config.instance, schedule, config.adversary, seed,
                       estimator=config.estimator, backend=backend,
                       checkpoints=checkpoints, trace=trace)
 

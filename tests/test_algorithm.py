@@ -48,7 +48,8 @@ class TestEpochLength:
         assert sched.lengths[-1] == 5000 - sum(sched.lengths[:-1])
         # untruncated epochs quadruple exactly
         for m in range(1, sched.num_epochs - 1):
-            assert sched.lengths[m] == sched.untruncated_length(m + 1)
+            assert sched.lengths[m] == raw_epoch_length(
+                sched.lam, inst.num_arms, inst.l_min, m + 1)
 
     def test_boundaries_partition_horizon(self):
         inst = make_instance()
@@ -324,7 +325,8 @@ def test_engine_boundary_estimates_match_oracle(estimator):
     result = run_single(inst, sched, make_adversary(None), 3,
                         estimator=estimator, backend="numpy")
     for m in range(1, sched.num_epochs):
-        expected = per_arm_oracle(result.message_log.epoch_broadcasts(m),
+        broadcasts = [b for b in result.message_log.entries if b.epoch == m]
+        expected = per_arm_oracle(broadcasts,
                                   inst.num_arms, sched.epoch_length(m),
                                   estimator)
         for ell, estimates in enumerate(result.epochs[m].estimates):

@@ -62,15 +62,6 @@ def test_broadcasts_are_value_copies():
         b.reward_sums[0] = 5.0
 
 
-def test_epoch_broadcasts_filter():
-    log = MessageLog(2)
-    log.post(bcast(0, 1))
-    log.post(bcast(1, 1))
-    log.post(bcast(0, 2))
-    assert len(log.epoch_broadcasts(1)) == 2
-    assert len(log.epoch_broadcasts(2)) == 1
-
-
 def test_out_of_order_posts_complete_the_latest_full_epoch():
     log = MessageLog(2)
     log.post(bcast(0, 2))

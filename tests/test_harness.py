@@ -239,6 +239,40 @@ class TestCli:
         assert "numba is not importable" in capsys.readouterr().err
         assert not (tmp_path / "unit").exists()
 
+    @pytest.mark.parametrize("adversary,msg", [
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 0,
+                      "magnitude": float("nan"), "budget": 50.0},
+                     "magnitude", id="nan-magnitude"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 0,
+                      "magnitude": -0.5, "budget": 50.0},
+                     "magnitude", id="negative-magnitude"),
+        pytest.param({"kind": "gap_flip", "magnitude": 0.5,
+                      "budget": float("inf")}, "budget", id="inf-budget"),
+        pytest.param({"kind": "gap_flip", "magnitude": 0.5, "budget": -1.0},
+                     "budget", id="negative-budget"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 7,
+                      "magnitude": 0.5, "budget": 50.0},
+                     "target_arm 7", id="target-arm-past-K"),
+        pytest.param({"kind": "epoch_flood", "target_arm": -1,
+                      "start_epoch": 1, "direction": "up", "budget": 50.0},
+                     "target_arm -1", id="negative-target-arm"),
+        pytest.param({"kind": "epoch_flood", "target_arm": 0,
+                      "start_epoch": 0, "direction": "up", "budget": 50.0},
+                     "start_epoch", id="start-epoch-0"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 1,
+                      "magnitude": 0.5, "budget": 50.0, "agents": [0, 2]},
+                     "agent 2", id="agent-past-L"),
+        pytest.param({"kind": "gap_flip", "magnitude": 0.5, "budget": 50.0,
+                      "strength": 2}, "strength", id="unknown-key"),
+    ])
+    def test_invalid_adversary_exit_2(self, tmp_path, capsys, adversary,
+                                      msg):
+        path = self.write_config(tmp_path, adversary=adversary)
+        assert main(["run", str(path), "--backend", "numpy"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and msg in err
+        assert not (tmp_path / "unit").exists()
+
     def test_verify_passes(self, tmp_path, capsys):
         path = self.write_config(tmp_path, horizon=1500)
         assert main(["verify", str(path), "--backend", "numpy"]) == 0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from draa import kernels
 from draa.kernels import SegmentPlan, SegmentResult, run_segment_numpy
-from draa.rng import _mix64_np, stream_prefix, uniform, uniform_array
+from draa.rng import _mix64_np, stream_prefix, uniform_array
 
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _U64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -267,4 +267,4 @@ def test_scalar_mixing_is_warning_free():
         assert int(_mix64_np(x)) == int(_oracle_mix64(np.uint64(2**64 - 1)))
         prefix = stream_prefix(3, 0)
         drawn = float(uniform_array(prefix, 2**40, 5, 7))
-        assert drawn == uniform(3, 0, 2**40, 5, 7)
+        assert drawn == float(_oracle_uniform(prefix, np.uint64(2**40), 5, 7))

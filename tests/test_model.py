@@ -25,13 +25,6 @@ def test_valid_instance_derived_fields():
     assert inst.best_arms == (0, 1)
 
 
-def test_local_gaps():
-    inst = build_instance(small_descriptor())
-    np.testing.assert_allclose(inst.local_gaps(0), [0.0, 0.4])
-    np.testing.assert_allclose(inst.local_gaps(1), [0.0, 0.1])
-    assert inst.min_positive_gap == pytest.approx(0.1)
-
-
 def test_tie_break_lowest_index():
     inst = build_instance(small_descriptor(means=[0.5, 0.5, 0.2]))
     assert inst.best_arms[0] == 0

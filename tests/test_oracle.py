@@ -1,13 +1,16 @@
 """Brute-force oracles: expected pulls, exact estimator expectations,
 and the determinism replay check."""
+import math
+
 import numpy as np
 import pytest
 
 from draa.config import validate_config
 from draa.errors import ConfigError
 from draa.oracle import (exhaustive_estimator_mean, expected_pulls,
-                         monte_carlo_estimate_mean, replay_check)
+                         replay_check)
 from draa.model import build_instance
+from draa.runner import execute_run
 
 
 class TestExpectedPulls:
@@ -85,7 +88,43 @@ class TestExhaustiveEstimator:
             exhaustive_estimator_mean(inst, [[1.0]], 2, 0)
 
 
+def monte_carlo_estimate_mean(instance, probabilities, epoch_len, arm,
+                              estimator, n_epochs, seed=0):
+    """Monte-Carlo mean and standard error of an estimator.
+
+    Simulates ``n_epochs`` isolated epochs with numpy's own generator
+    (not the engine RNG), pooling the holders' reward sums exactly as
+    the estimator definition prescribes.
+    """
+    rng = np.random.default_rng(seed)
+    L = instance.num_agents
+    probs = [np.asarray(p, dtype=np.float64) for p in probabilities]
+    holders = [ell for ell in range(L) if arm in instance.arm_sets[ell]]
+    values = np.empty(n_epochs)
+    for i in range(n_epochs):
+        sums = np.zeros(L)
+        for ell in range(L):
+            arms = instance.arm_sets[ell]
+            pulls = rng.choice(len(arms), size=epoch_len, p=probs[ell])
+            for local_idx in pulls:
+                k = arms[local_idx]
+                if k == arm:
+                    sums[ell] += float(rng.random() < instance.means[k])
+        if estimator == "weighted":
+            values[i] = sum(
+                sums[ell] / probs[ell][instance.arm_sets[ell].index(arm)]
+                for ell in holders
+            ) / (len(holders) * epoch_len)
+        else:
+            denom = sum(probs[ell][instance.arm_sets[ell].index(arm)]
+                        for ell in holders) * epoch_len
+            values[i] = sums[holders].sum() / denom
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_epochs))
+
+
 class TestMonteCarloOracle:
+    """The exhaustive oracle agrees with an independent sampler."""
+
     def test_converges_to_exhaustive_value(self):
         inst = shared_arm_instance()
         probs = [[0.5, 0.5], [0.75, 0.25]]
@@ -95,18 +134,21 @@ class TestMonteCarloOracle:
         assert abs(mean - exact) <= 3 * se
 
 
-def replay_config(seed_list=(3,), adversary=None):
+def replay_config(seed_list=(3,), adversary=None, reward_model="bernoulli",
+                  num_checkpoints=64):
     return validate_config({
         "schema_version": 1,
         "instance": {
             "num_arms": 3, "num_agents": 2,
             "arm_sets": [[0, 1], [1, 2]],
-            "means": [0.9, 0.5, 0.4]},
+            "means": [0.9, 0.5, 0.4],
+            "reward_model": reward_model},
         "adversary": adversary,
         "algorithm": {"estimator": "weighted", "lam_scale": 16,
                       "delta": 0.05},
         "horizon": 2500,
         "seeds": list(seed_list),
+        "num_checkpoints": num_checkpoints,
     })
 
 
@@ -117,19 +159,25 @@ class TestReplay:
         assert report.abs_deviation == 0.0
 
     def test_different_seed_flagged_as_expected(self):
-        from draa.oracle import _run_for_replay
-
         config = replay_config()
-        ref = _run_for_replay(config, 3, backend="numpy")
-        other = _run_for_replay(config, 4, backend="numpy")
+        other = execute_run(config, 4, backend="numpy", trace=True)
         report = replay_check(config, 3, reference=other, backend="numpy")
         assert report.note == "different trace (expected)"
 
     def test_tampered_trace_detected(self):
-        from draa.oracle import _run_for_replay
-
         config = replay_config()
-        ref = _run_for_replay(config, 3, backend="numpy")
+        ref = execute_run(config, 3, backend="numpy", trace=True)
         ref.pulls[100, 0] = (ref.pulls[100, 0] + 1) % 2
         report = replay_check(config, 3, reference=ref, backend="numpy")
         assert "mismatch" in report.note
+
+    def test_replays_the_run_that_draa_run_executes(self):
+        # 7 checkpoints cut the kernel calls elsewhere than the epoch
+        # ends, which moves the last bits of regret and Beta estimates
+        config = replay_config(
+            adversary={"kind": "gap_flip", "magnitude": 0.7, "budget": 140.7},
+            reward_model="beta", num_checkpoints=7)
+        ref = execute_run(config, 3, backend="numpy", trace=True)
+        report = replay_check(config, 3, reference=ref, backend="numpy")
+        assert report.matches
+        assert report.abs_deviation == 0.0

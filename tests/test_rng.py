@@ -4,8 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draa.kernels import _uniform_nb
-from draa.rng import (ADV_STREAM, ENV_STREAM, PULL_STREAM, mix64,
-                      stream_prefix, uniform, uniform_array)
+from draa.rng import (_INV_2_53, ADV_STREAM, ENV_STREAM, MASK64, PULL_STREAM,
+                      mix64, stream_prefix, uniform_array)
+
+
+def uniform(seed, stream, t, agent=0, arm=0):
+    """One uniform in [0, 1) for the counter tuple, on plain ints: the
+    reference the numpy and loop-kernel draws must match."""
+    h = stream_prefix(seed, stream)
+    h = mix64(h ^ (t & MASK64))
+    h = mix64(h ^ (agent & MASK64))
+    h = mix64(h ^ (arm & MASK64))
+    return (h >> 11) * _INV_2_53
 
 
 def test_uniform_in_unit_interval():

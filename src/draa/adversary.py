@@ -26,12 +26,11 @@ checked when they are built and, against the instance, by
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .model import BanditInstance
 
 
@@ -48,20 +47,6 @@ class HistoryView:
     arm_lists: tuple[tuple[int, ...], ...]
 
 
-def _amount(name: str, value) -> float:
-    """``value`` as a finite nonnegative float, else a ``ConfigError``."""
-    amount = float(value)
-    if not math.isfinite(amount) or amount < 0:
-        raise ConfigError(
-            f"adversary {name} must be finite and nonnegative, got {value!r}")
-    return amount
-
-
-def _check_index(name: str, value: int, bound: int) -> None:
-    if not 0 <= value < bound:
-        raise ConfigError(f"adversary {name} {value} outside [0, {bound})")
-
-
 class Adversary:
     """Null adversary: delivers clean rewards; base class for the rest.
 
@@ -74,7 +59,7 @@ class Adversary:
     kind = "null"
 
     def __init__(self, budget: float = 0.0):
-        self.budget = _amount("budget", budget)
+        self.budget = checked("adversary budget", budget, float, 0)
 
     def check(self, instance: BanditInstance) -> None:
         """Raise ``ConfigError`` if the parameters name an arm or agent
@@ -101,14 +86,16 @@ class BudgetedTargetedAdversary(Adversary):
     def __init__(self, target_arm: int, magnitude: float, budget: float,
                  agents=None):
         super().__init__(budget)
-        self.target_arm = int(target_arm)
-        self.magnitude = _amount("magnitude", magnitude)
-        self.agents = None if agents is None else tuple(int(a) for a in agents)
+        self.target_arm = checked("adversary target_arm", target_arm, int)
+        self.magnitude = checked("adversary magnitude", magnitude, float, 0)
+        self.agents = None if agents is None else tuple(
+            checked("adversary agent", a, int) for a in agents)
 
     def check(self, instance):
-        _check_index("target_arm", self.target_arm, instance.num_arms)
+        checked("adversary target_arm", self.target_arm, int, 0,
+                instance.num_arms - 1)
         for ell in self.agents or ():
-            _check_index("agent", ell, instance.num_agents)
+            checked("adversary agent", ell, int, 0, instance.num_agents - 1)
 
     def epoch_edits(self, instance, history):
         L = instance.num_agents
@@ -138,16 +125,14 @@ class EpochFloodAdversary(Adversary):
         super().__init__(budget)
         if direction not in ("up", "down"):
             raise ConfigError("direction must be 'up' or 'down'")
-        self.target_arm = int(target_arm)
-        self.start_epoch = int(start_epoch)
-        if self.start_epoch < 1:
-            raise ConfigError(
-                f"adversary start_epoch must be >= 1, got {start_epoch!r}")
+        self.target_arm = checked("adversary target_arm", target_arm, int)
+        self.start_epoch = checked("adversary start_epoch", start_epoch, int, 1)
         self.direction = direction
-        self.magnitude = _amount("magnitude", magnitude)
+        self.magnitude = checked("adversary magnitude", magnitude, float, 0)
 
     def check(self, instance):
-        _check_index("target_arm", self.target_arm, instance.num_arms)
+        checked("adversary target_arm", self.target_arm, int, 0,
+                instance.num_arms - 1)
 
     def epoch_edits(self, instance, history):
         if history.epoch < self.start_epoch:
@@ -175,7 +160,7 @@ class GapFlipAdversary(Adversary):
 
     def __init__(self, magnitude: float, budget: float):
         super().__init__(budget)
-        self.magnitude = _amount("magnitude", magnitude)
+        self.magnitude = checked("adversary magnitude", magnitude, float, 0)
 
     def epoch_edits(self, instance, history):
         if history.epoch < 2:
@@ -210,5 +195,5 @@ def make_adversary(config: dict | None) -> Adversary:
     params = {k: v for k, v in config.items() if k != "kind"}
     try:
         return cls(**params)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad parameters for adversary {kind!r}: {exc}") from exc

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import EpochBroadcast, freeze_broadcast
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, checked
 from .model import BanditInstance
 
 #: smallest admissible gap estimate
@@ -44,13 +44,14 @@ def exploration_constant(num_arms: int, num_agents: int, horizon: int,
     the canonical value is 2**24 but desk-scale experiments run with
     much smaller multipliers (>= 16).
     """
-    if horizon < 3:
-        raise ConfigError("horizon too short: need T >= 3")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta must lie in (0,1)")
-    if lam_scale < 16:
-        raise ConfigError("lam_scale must be >= 16")
-    return lam_scale * math.log(8.0 * num_arms * num_agents * math.log(horizon) / delta)
+    checked("horizon", horizon, int, 3)
+    checked("delta", delta, float, 0, 1, strict=True)
+    checked("lam_scale", lam_scale, float, 16)
+    lam = lam_scale * math.log(8.0 * num_arms * num_agents * math.log(horizon) / delta)
+    if not math.isfinite(lam * num_arms):  # epoch lengths start from lam * K
+        raise ConfigError(f"lam_scale {lam_scale} with delta {delta} "
+                          "overflows the exploration constant")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,6 @@ def make_broadcast(state: AgentState) -> EpochBroadcast:
         arms=state.arms,
         reward_sums=state.reward_sums,
         probs=state.probs,
-        prev_gaps=state.gaps,
-        active=state.active_arms(),
     )
 
 

@@ -18,9 +18,8 @@ from .errors import DuplicateBroadcastError
 class EpochBroadcast:
     """One agent's end-of-epoch message (value-copied on post).
 
-    Carries reward sums, probabilities, previous gaps and the active
-    set over exactly the sender's local arms.  The estimators only read
-    ``reward_sums`` and ``probs``; the rest rides along for diagnostics.
+    Carries the reward sums and probabilities over exactly the sender's
+    local arms, which is what the estimators read.
     """
 
     sender: int
@@ -28,17 +27,14 @@ class EpochBroadcast:
     arms: tuple[int, ...]
     reward_sums: np.ndarray
     probs: np.ndarray
-    prev_gaps: np.ndarray
-    active: tuple[int, ...]
 
 
-def freeze_broadcast(sender: int, epoch: int, arms, reward_sums, probs,
-                     prev_gaps, active) -> EpochBroadcast:
+def freeze_broadcast(sender: int, epoch: int, arms, reward_sums,
+                     probs) -> EpochBroadcast:
     """Snapshot mutable agent state into an immutable broadcast."""
     r = np.array(reward_sums, dtype=np.float64)
     p = np.array(probs, dtype=np.float64)
-    g = np.array(prev_gaps, dtype=np.float64)
-    for a in (r, p, g):
+    for a in (r, p):
         a.flags.writeable = False
     return EpochBroadcast(
         sender=sender,
@@ -46,8 +42,6 @@ def freeze_broadcast(sender: int, epoch: int, arms, reward_sums, probs,
         arms=tuple(int(k) for k in arms),
         reward_sums=r,
         probs=p,
-        prev_gaps=g,
-        active=tuple(int(k) for k in active),
     )
 
 

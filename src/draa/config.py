@@ -1,5 +1,8 @@
 """Experiment configuration: YAML schema, validation and defaults.
 
+:func:`validate_config` checks a config once, when it loads, through the
+readers of :mod:`draa.errors`; the runner gets the built config.
+
 A config file is a single human-editable YAML document with a
 ``schema_version`` field.  Example:
 
@@ -29,12 +32,14 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import yaml
 
 from .adversary import Adversary, make_adversary
-from .errors import ConfigError
+from .agents import exploration_constant
+from .errors import ConfigError, checked, checked_as
 from .model import BanditInstance, build_instance
 
 SCHEMA_VERSION = 1
@@ -90,47 +95,38 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    if "instance" not in data:
-        raise ConfigError("config missing 'instance' section")
-    instance = build_instance(data["instance"])
+    instance = build_instance(
+        checked_as("'instance'", data.get("instance"), dict))
 
-    algo = data.get("algorithm") or {}
+    algo = checked_as("'algorithm'", data.get("algorithm") or {}, dict)
     estimator = str(algo.get("estimator", "weighted"))
     if estimator not in ("weighted", "naive"):
         raise ConfigError(f"estimator must be 'weighted' or 'naive', got {estimator!r}")
-    delta = float(algo.get("delta", 0.05))
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must lie in (0,1), got {delta}")
-    lam_scale = float(algo.get("lam_scale", 2.0 ** 24))
-    if lam_scale < 16:
-        raise ConfigError(f"lam_scale must be >= 16, got {lam_scale}")
+    delta = checked("delta", algo.get("delta", 0.05), float, 0, 1, strict=True)
+    lam_scale = checked("lam_scale", algo.get("lam_scale", 2**24), float, 16)
 
-    try:
-        horizon = int(data["horizon"])
-    except KeyError as exc:
-        raise ConfigError("config missing 'horizon'") from exc
-    if horizon < 3:
-        raise ConfigError("horizon must be >= 3")
+    horizon = checked("horizon", data.get("horizon"), int, 3, 2**53 - 1)
+    exploration_constant(instance.num_arms, instance.num_agents, horizon,
+                         delta, lam_scale)  # raises if it overflows
 
-    if "seeds" in data:
-        seeds = tuple(int(s) for s in data["seeds"])
+    if "seeds" in data:  # each seed is one 64-bit hash key
+        seeds = tuple(checked("seed", s, int, 0, 2**64 - 1)
+                      for s in checked_as("seeds", data["seeds"], list))
     else:
-        count = int(data.get("num_seeds", 0))
-        base = int(data.get("seed_base", 0))
+        count = checked("num_seeds", data.get("num_seeds", 0), int, 0, 10**6)
+        base = checked("seed_base", data.get("seed_base", 0), int, 0,
+                       2**64 - count)
         seeds = tuple(range(base, base + count))
     if not seeds:
         raise ConfigError("config must list at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
 
-    num_checkpoints = int(data.get("num_checkpoints", 64))
-    if num_checkpoints < 1:
-        raise ConfigError("num_checkpoints must be >= 1")
+    num_checkpoints = checked("num_checkpoints",
+                              data.get("num_checkpoints", 64), int, 1, horizon)
 
-    adversary = data.get("adversary")
-    if adversary is not None and not isinstance(adversary, dict):
-        raise ConfigError("'adversary' must be a mapping or omitted")
-    adversary = make_adversary(adversary)
+    adversary = make_adversary(
+        checked_as("'adversary'", data.get("adversary") or {}, dict))
     adversary.check(instance)
 
     return ExperimentConfig(
@@ -166,30 +162,27 @@ def _set_path(data: dict, dotted: str, value) -> None:
 class SweepSpec:
     """A base config crossed with one or two finite axes."""
 
-    base: dict
+    base: ExperimentConfig
     axes: list[dict]  # each: {"field": dotted path, "values": [...]}
     cap: int
 
 
 def validate_sweep(data: dict) -> SweepSpec:
-    if "base" not in data or not isinstance(data["base"], dict):
+    if not isinstance(data.get("base"), dict):
         raise ConfigError("sweep spec needs a 'base' config mapping")
-    axes = data.get("axes")
-    if not axes or not isinstance(axes, list):
-        raise ConfigError("sweep spec needs a nonempty 'axes' list")
-    if len(axes) > 2:
-        raise ConfigError("at most two sweep axes are supported")
+    axes = [checked_as("each sweep axis", ax, dict)
+            for ax in checked_as("sweep spec 'axes'", data.get("axes"), list)]
+    if not 1 <= len(axes) <= 2:
+        raise ConfigError("a sweep needs one or two axes")
     for ax in axes:
-        if "field" not in ax or "values" not in ax or not ax["values"]:
+        if not (isinstance(ax.get("field"), str) and ax.get("values")
+                and isinstance(ax["values"], list)):
             raise ConfigError("each axis needs 'field' and nonempty 'values'")
-    cap = int(data.get("cap", 64))
-    n_points = 1
-    for ax in axes:
-        n_points *= len(ax["values"])
+    cap = checked("cap", data.get("cap", 64), int, 0, strict=True)
+    n_points = math.prod(len(ax["values"]) for ax in axes)
     if n_points > cap:
         raise ConfigError(f"sweep has {n_points} points, exceeding cap {cap}")
-    validate_config(data["base"])  # fail fast on a broken base
-    return SweepSpec(base=data["base"], axes=list(axes), cap=cap)
+    return SweepSpec(base=validate_config(data["base"]), axes=axes, cap=cap)
 
 
 def load_sweep(path) -> SweepSpec:
@@ -201,7 +194,7 @@ def sweep_points(spec: SweepSpec):
     value_lists = [ax["values"] for ax in spec.axes]
     fields = [ax["field"] for ax in spec.axes]
     for combo in itertools.product(*value_lists):
-        data = copy.deepcopy(spec.base)
+        data = copy.deepcopy(spec.base.raw)
         label = {}
         for dotted, value in zip(fields, combo):
             _set_path(data, dotted, value)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the readers through which every config value is
+checked once, when the config loads (a bad value exits with code 2)."""
+import math
+import numbers
 
 
 class DraaError(Exception):
@@ -7,6 +10,39 @@ class DraaError(Exception):
 
 class ConfigError(DraaError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
+def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
+            strict: bool = False):
+    """``value`` as a ``kind`` (``int`` or ``float``) in [lo, hi], or in (lo,
+    hi) if ``strict``; booleans, strings, non-finite values, fractional
+    ints and values out of range raise :class:`ConfigError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = kind(value)
+    except (OverflowError, ValueError):  # int(nan), float(10**400)
+        number = math.nan
+    if not (number == value if kind is int else math.isfinite(number)):
+        what = "an integer" if kind is int else "finite"
+        raise ConfigError(f"{name} must be {what}, got {value}")
+    if (lo < number < hi) if strict else (lo <= number <= hi):
+        return number
+    if hi == math.inf:
+        op = ">" if strict else ">="
+        need = f"{op} {lo}" if lo else "positive" if strict else "nonnegative"
+        raise ConfigError(f"{name} must be {need}, got {number}")
+    span = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
+    raise ConfigError(f"{name} {number} out of range {span}" if kind is int
+                      else f"{name} outside {span}, got {number}")
+
+
+def checked_as(name: str, value, kind):
+    """``value`` if it is a ``kind``: ``dict`` (a section) or ``list``."""
+    if not isinstance(value, kind):
+        what = "mapping" if kind is dict else kind.__name__
+        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    return value
 
 
 class InvariantError(DraaError):

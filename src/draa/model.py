@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, checked, checked_as
 
 REWARD_MODELS = ("bernoulli", "beta")
 
@@ -70,24 +70,19 @@ def build_instance(config: dict) -> BanditInstance:
     (one arm list per agent), ``means`` and optionally ``reward_model``
     / ``beta_concentration``.
     """
-    try:
-        num_arms = int(config["num_arms"])
-        num_agents = int(config["num_agents"])
-        arm_sets_raw = config["arm_sets"]
-        means_raw = config["means"]
-    except KeyError as exc:
-        raise ConfigError(f"instance descriptor missing field {exc}") from exc
+    num_arms = checked("num_arms", config.get("num_arms"), int, 0, strict=True)
+    num_agents = checked("num_agents", config.get("num_agents"), int, 0,
+                         strict=True)
+    arm_sets_raw = checked_as("arm_sets", config.get("arm_sets"), list)
+    means_raw = checked_as("means", config.get("means"), list)
 
-    if num_arms < 1 or num_agents < 1:
-        raise ConfigError("num_arms and num_agents must be positive")
     if len(arm_sets_raw) != num_agents:
         raise ConfigError(f"expected {num_agents} arm-sets, got {len(arm_sets_raw)}")
     if len(means_raw) != num_arms:
         raise ConfigError(f"expected {num_arms} means, got {len(means_raw)}")
 
-    means = np.asarray(means_raw, dtype=np.float64)
-    if np.any(means < 0.0) or np.any(means > 1.0):
-        raise ConfigError("mean outside [0,1]")
+    means = np.array([checked(f"arm {k} mean", mu, float, 0, 1)
+                      for k, mu in enumerate(means_raw)])
 
     reward_model = str(config.get("reward_model", "bernoulli"))
     if reward_model not in REWARD_MODELS:
@@ -96,13 +91,12 @@ def build_instance(config: dict) -> BanditInstance:
     arm_sets = []
     coverage = np.zeros(num_arms, dtype=np.int64)
     for ell, raw in enumerate(arm_sets_raw):
-        arms = sorted(int(k) for k in raw)
+        arms = sorted(checked(f"agent {ell} arm", k, int, 0, num_arms - 1)
+                      for k in checked_as(f"arm-set of agent {ell}", raw, list))
         if not arms:
             raise ConfigError(f"empty arm-set for agent {ell}")
         if len(set(arms)) != len(arms):
             raise ConfigError(f"duplicate arms in arm-set of agent {ell}")
-        if arms[0] < 0 or arms[-1] >= num_arms:
-            raise ConfigError(f"arm index out of range in arm-set of agent {ell}")
         coverage[arms] += 1
         arm_sets.append(tuple(arms))
 
@@ -124,7 +118,9 @@ def build_instance(config: dict) -> BanditInstance:
         arm_sets=tuple(arm_sets),
         means=means,
         reward_model=reward_model,
-        beta_concentration=float(config.get("beta_concentration", 4.0)),
+        beta_concentration=checked("beta_concentration",
+                                   config.get("beta_concentration", 4.0),
+                                   float, 0, strict=True),
         agents_per_arm=coverage,
         l_min=int(coverage.min()),
         best_arms=tuple(best_arms),

@@ -8,6 +8,9 @@ Artifacts per experiment land in ``<output_dir>/<name>/``:
   README).
 * ``checkpoints.csv``: all seeds merged, written single-threaded.
 
+Configs arrive validated (:mod:`draa.config`); every seed runs from that
+one :class:`ExperimentConfig`, so one process builds one Beta table.
+
 Environment overrides: ``DRAA_OUTPUT_DIR`` replaces the config's output
 directory; ``DRAA_JOBS`` sets the number of worker processes (default
 1, sequential).
@@ -23,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .agents import build_schedule
-from .config import ExperimentConfig, SweepSpec, sweep_points, validate_config
+from .config import ExperimentConfig, SweepSpec, sweep_points
+from .config import validate_config  # noqa: F401 (perfbench rebinds it here)
 from .engine import RunResult, run_single
-from .errors import ConfigError
+from .errors import checked
 from .kernels import default_backend
 
 
@@ -37,13 +41,7 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 
 def resolve_jobs() -> int:
     raw = os.environ.get("DRAA_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DRAA_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ConfigError("DRAA_JOBS must be >= 1")
-    return jobs
+    return checked("DRAA_JOBS", int(raw) if raw.isdecimal() else raw, int, 1)
 
 
 def evenly_spaced_checkpoints(horizon: int, count: int) -> list[int]:
@@ -131,8 +129,7 @@ def summarize(result: RunResult, config: ExperimentConfig) -> dict:
     }
 
 
-def _worker(raw_config: dict, seed: int, backend: str | None):
-    config = validate_config(raw_config)
+def _worker(config: ExperimentConfig, seed: int, backend: str | None):
     result = execute_run(config, seed, backend=backend)
     return seed, checkpoint_rows(result), summarize(result, config)
 
@@ -148,10 +145,10 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
     outputs = []
     if jobs == 1:
         for seed in config.seeds:
-            outputs.append(_worker(config.raw, seed, backend))
+            outputs.append(_worker(config, seed, backend))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, config.raw, seed, backend)
+            futures = [pool.submit(_worker, config, seed, backend)
                        for seed in config.seeds]
             outputs = [f.result() for f in futures]
 
@@ -176,7 +173,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None,
               quiet: bool = False) -> list[dict]:
     """Run every sweep point and write one aggregated CSV."""
     aggregated = []
-    base_config = validate_config(spec.base)
+    base_config = spec.base
     out_root = resolve_output_dir(base_config).parent
     for label, config in sweep_points(spec):
         point_name = "_".join(

@@ -209,8 +209,8 @@ class TestRecordObservation:
 
 def two_agent_broadcasts(probs, sums):
     return [
-        freeze_broadcast(0, 1, [0], [sums[0]], [probs[0]], [1.0], [0]),
-        freeze_broadcast(1, 1, [0], [sums[1]], [probs[1]], [1.0], [0]),
+        freeze_broadcast(0, 1, [0], [sums[0]], [probs[0]]),
+        freeze_broadcast(1, 1, [0], [sums[1]], [probs[1]]),
     ]
 
 
@@ -232,7 +232,7 @@ class TestEstimators:
 
     def test_single_holder_estimators_coincide(self):
         bc = [freeze_broadcast(0, 1, [0, 1, 2, 3], [1.0, 2.0, 3.0, 12.0],
-                               [0.2, 0.2, 0.2, 0.4], [1.0] * 4, [3])]
+                               [0.2, 0.2, 0.2, 0.4])]
         w = pool_estimates(bc, 4, 50, "weighted")[3]
         n = pool_estimates(bc, 4, 50, "naive")[3]
         assert w == pytest.approx(n, abs=1e-12)
@@ -240,13 +240,12 @@ class TestEstimators:
 
     def test_weighted_not_clipped(self):
         # heavy reward sum with a tiny probability overshoots 1
-        bc = [freeze_broadcast(0, 1, [0], [10.0], [0.05], [1.0], [0])]
+        bc = [freeze_broadcast(0, 1, [0], [10.0], [0.05])]
         assert pool_estimates(bc, 1, 20, "weighted")[0] > 1.0
 
     def test_uncovered_arm_rejected(self):
-        bc = [freeze_broadcast(0, 1, [0, 3], [1.0, 2.0], [0.5, 0.5],
-                               [1.0, 1.0], [0]),
-              freeze_broadcast(1, 1, [2], [1.0], [1.0], [1.0], [2])]
+        bc = [freeze_broadcast(0, 1, [0, 3], [1.0, 2.0], [0.5, 0.5]),
+              freeze_broadcast(1, 1, [2], [1.0], [1.0])]
         for estimator in ("weighted", "naive"):
             with pytest.raises(ValueError, match="arm 1$"):
                 pool_estimates(bc, 4, 10, estimator)
@@ -294,8 +293,7 @@ def epoch_broadcasts(draw):
         n = len(arms)
         sums = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
         probs = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
-        broadcasts.append(freeze_broadcast(ell, 1, arms, sums, probs,
-                                           [1.0] * n, arms[:1]))
+        broadcasts.append(freeze_broadcast(ell, 1, arms, sums, probs))
     return broadcasts, num_arms
 
 

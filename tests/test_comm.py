@@ -7,8 +7,7 @@ from draa.errors import DuplicateBroadcastError
 
 
 def bcast(sender, epoch):
-    return freeze_broadcast(sender, epoch, [0, 1], [1.0, 2.0], [0.5, 0.5],
-                            [1.0, 1.0], [0])
+    return freeze_broadcast(sender, epoch, [0, 1], [1.0, 2.0], [0.5, 0.5])
 
 
 def test_each_agent_posting_adds_l_messages():
@@ -55,7 +54,7 @@ def test_mid_epoch_query_counts_completed_only():
 
 def test_broadcasts_are_value_copies():
     sums = np.array([1.0, 2.0])
-    b = freeze_broadcast(0, 1, [0, 1], sums, [0.5, 0.5], [1.0, 1.0], [0])
+    b = freeze_broadcast(0, 1, [0, 1], sums, [0.5, 0.5])
     sums[0] = 99.0
     assert b.reward_sums[0] == 1.0
     with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
 """Every function, class and method in ``src/draa`` is reached by the
-package, the benchmark or the benchmark scripts, not only by tests.
+package or the benchmark, not only by tests.
 
 A name counts as used where it is read (a name or an attribute) or
 spelled as a string (``getattr`` and the benchmark's rebinding by name),
-in ``src/draa``, ``perfbench`` or ``benchmarks``.  Imports and
+in ``src/draa`` or ``perfbench``.  Imports and
 ``__all__`` do not count, and names are matched regardless of their
 owner, so the scan is conservative: it only reports a name that occurs
 nowhere but at its own definition.
@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "draa"
-CALLER_DIRS = (PACKAGE, ROOT / "perfbench", ROOT / "benchmarks")
+CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

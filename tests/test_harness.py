@@ -1,14 +1,17 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
-import importlib.util
+import copy
 import json
-import sys
-from pathlib import Path
+import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draa import config as config_module
 from draa import kernels
+from draa.agents import build_schedule
 from draa.cli import main
 from draa.config import (load_config, load_yaml, validate_config,
                          validate_sweep, sweep_points)
@@ -36,6 +39,93 @@ def base_config(**overrides):
     return data
 
 
+def instance(**overrides):
+    """``base_config``'s instance section with ``overrides`` applied."""
+    return dict(base_config()["instance"], **overrides)
+
+
+def write_config(tmp_path, **overrides):
+    path = tmp_path / "config.yaml"
+    with open(path, "w") as fh:
+        yaml.safe_dump(base_config(output_dir=str(tmp_path), **overrides), fh)
+    return path
+
+
+#: Rows whose values make a run allocate in proportion to them; they are
+#: checked through ``validate_config`` only, so that a build which wrongly
+#: accepts them fails fast instead of trying to run them.
+_VALIDATE_ONLY = ({"horizon": 1e30}, {"horizon": 50, "num_checkpoints": 1e9})
+
+
+def assert_well_formed(config):
+    """Every numeric field of ``config`` is finite, in range and typed."""
+    def number(x, kind, lo=-math.inf, hi=math.inf):
+        assert type(x) is kind and math.isfinite(x) and lo <= x <= hi, x
+
+    number(config.horizon, int, 3, 2**53 - 1)
+    number(config.num_checkpoints, int, 1, config.horizon)
+    number(config.delta, float, 0, 1)
+    assert 0 < config.delta < 1
+    number(config.lam_scale, float, 16)
+    assert config.seeds
+    for seed in config.seeds:
+        number(seed, int, 0, 2**64 - 1)
+    inst = config.instance
+    number(inst.num_arms, int, 1)
+    number(inst.num_agents, int, 1)
+    assert inst.means.dtype == np.float64 and inst.means.shape == (
+        inst.num_arms,)
+    assert np.all((inst.means >= 0) & (inst.means <= 1))
+    for arms in inst.arm_sets:
+        for k in arms:
+            number(k, int, 0, inst.num_arms - 1)
+    number(inst.beta_concentration, float, 0)
+    assert inst.beta_concentration > 0
+    assert build_schedule(inst, config.horizon, config.delta,
+                          config.lam_scale).num_epochs >= 1
+    adv = config.adversary
+    number(adv.budget, float, 0)
+    if hasattr(adv, "magnitude"):
+        number(adv.magnitude, float, 0)
+    if hasattr(adv, "target_arm"):
+        number(adv.target_arm, int, 0, inst.num_arms - 1)
+    if hasattr(adv, "start_epoch"):
+        number(adv.start_epoch, int, 1)
+    for ell in getattr(adv, "agents", None) or ():
+        number(ell, int, 0, inst.num_agents - 1)
+
+
+#: the fuzz mutates one field, named by its path, of a config holding one
+#: of these adversaries; ``num_seeds`` and ``seed_base`` replace ``seeds``
+_FUZZ_ADVERSARIES = [
+    {"kind": "budgeted_targeted", "target_arm": 1, "magnitude": 0.5,
+     "budget": 50.0, "agents": [0, 1]},
+    {"kind": "epoch_flood", "target_arm": 2, "start_epoch": 2,
+     "direction": "up", "budget": 50.0, "magnitude": 0.7},
+]
+_FUZZ_FIELDS = [
+    ("instance",), ("algorithm",), ("adversary",), ("horizon",),
+    ("seeds",), ("seeds", 0), ("num_seeds",), ("seed_base",),
+    ("num_checkpoints",), ("algorithm", "delta"), ("algorithm", "lam_scale"),
+    ("instance", "num_arms"), ("instance", "num_agents"),
+    ("instance", "means"), ("instance", "means", 1), ("instance", "arm_sets"),
+    ("instance", "arm_sets", 0), ("instance", "arm_sets", 1, 0),
+    ("instance", "beta_concentration"), ("adversary", "budget"),
+    ("adversary", "magnitude"), ("adversary", "target_arm"),
+    ("adversary", "start_epoch"), ("adversary", "agents"),
+    ("adversary", "agents", 0),
+]
+_FUZZ_CASES = [(adv, path) for adv in _FUZZ_ADVERSARIES
+               for path in _FUZZ_FIELDS
+               if path[0] != "adversary" or len(path) == 1 or path[1] in adv]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "3", "abc",
+                     2.5, 1.0, -1, -2.5, 0, 1e30, 10**30, 2**64, 10**400,
+                     None, {}, [1], [0.5, 0.5, 0.5], {"a": 1}]),
+    st.integers(-3, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
 class TestConfigValidation:
     def test_valid(self):
         config = validate_config(base_config())
@@ -52,10 +142,56 @@ class TestConfigValidation:
         ({"horizon": 1}, "horizon"),
         ({"bogus_key": 1}, "unknown top-level"),
         ({"adversary": "loud"}, "mapping"),
+        ({"instance": instance(means=[math.nan, 0.5, 0.4])}, "arm 0 mean"),
+        ({"algorithm": {"lam_scale": math.nan}}, "lam_scale"),
+        ({"algorithm": {"lam_scale": math.inf}}, "lam_scale"),
+        ({"seeds": "abc"}, "seeds"),
+        ({"seeds": [1.7]}, "seed"),
+        ({"seeds": [True]}, "seed"),
+        ({"horizon": 2000.9}, "horizon"),
+        ({"horizon": "3000"}, "horizon"),
+        ({"num_checkpoints": 3.5}, "num_checkpoints"),
+        ({"instance": instance(num_arms=4.9)}, "num_arms"),
+        ({"instance": instance(arm_sets=[[0, 1.5], [1, 2]])}, "agent 0 arm"),
+        ({"instance": instance(beta_concentration=math.nan)},
+         "beta_concentration"),
+        ({"instance": instance(beta_concentration=-1)}, "beta_concentration"),
+        ({"instance": 5}, "mapping"),
+        ({"algorithm": [1]}, "mapping"),
+        ({"algorithm": {"lam_scale": 1e308}}, "exploration constant"),
+        ({"algorithm": {"delta": 1e-320}}, "exploration constant"),
+        (_VALIDATE_ONLY[0], "horizon"),
+        (_VALIDATE_ONLY[1], "num_checkpoints"),
     ])
-    def test_invalid(self, patch, msg):
+    def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
             validate_config(base_config(**patch))
+        if patch in _VALIDATE_ONLY:
+            return
+        assert main(["run", str(write_config(tmp_path, **patch))]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and msg in err
+        assert not (tmp_path / "unit").exists()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.sampled_from(_FUZZ_CASES), value=_FUZZ_VALUES)
+    def test_mutated_field_rejected_or_well_formed(self, case, value):
+        adversary, path = case
+        data = base_config(instance=instance(reward_model="beta",
+                                             beta_concentration=4.0),
+                           adversary=copy.deepcopy(adversary))
+        if path[0] in ("num_seeds", "seed_base"):
+            data.update(num_seeds=2, seed_base=3)
+            del data["seeds"]
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            config = validate_config(data)
+        except ConfigError:
+            return
+        assert_well_formed(config)
 
     def test_missing_horizon(self):
         data = base_config()
@@ -130,6 +266,21 @@ class TestRunPersistence:
         b = (tmp_path / "b" / "unit" / "checkpoints.csv").read_bytes()
         assert a == b
 
+    def test_one_beta_table_per_experiment(self, tmp_path, monkeypatch):
+        from scipy.stats import beta
+
+        calls = []
+        ppf = beta.ppf
+        monkeypatch.setattr(beta, "ppf",
+                            lambda *args: calls.append(1) or ppf(*args))
+        monkeypatch.setenv("DRAA_JOBS", "1")
+        config = validate_config(base_config(
+            output_dir=str(tmp_path), seeds=[1, 2, 3],
+            instance=instance(reward_model="beta")))
+        run_experiment(config, backend="numpy", quiet=True)
+        # one table holds one ppf evaluation per arm
+        assert len(calls) == config.instance.num_arms
+
     def test_bad_jobs_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DRAA_JOBS", "many")
         config = validate_config(base_config(output_dir=str(tmp_path)))
@@ -157,6 +308,15 @@ class TestSweep:
         assert [r["adversary.budget"] for r in rows] == [0, 50, 100]
         assert (tmp_path / "unit_sweep.csv").exists()
 
+    def test_point_summaries_name_their_point(self, tmp_path):
+        spec = validate_sweep(self.sweep_data(
+            tmp_path, [{"field": "algorithm.estimator",
+                        "values": ["weighted", "naive"]}]))
+        run_sweep(spec, backend="numpy", quiet=True)
+        path = tmp_path / "unit_estimator=naive" / "seed_7_summary.json"
+        with open(path) as fh:
+            assert json.load(fh)["name"] == "unit_estimator=naive"
+
     def test_estimator_axis_rows(self, tmp_path):
         spec = validate_sweep(self.sweep_data(
             tmp_path, [{"field": "algorithm.estimator",
@@ -181,20 +341,13 @@ class TestSweep:
 
 
 class TestCli:
-    def write_config(self, tmp_path, **overrides):
-        path = tmp_path / "config.yaml"
-        with open(path, "w") as fh:
-            yaml.safe_dump(base_config(output_dir=str(tmp_path), **overrides),
-                           fh)
-        return path
-
     def test_run_success(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         assert main(["run", str(path), "--backend", "numpy"]) == 0
         assert (tmp_path / "unit" / "checkpoints.csv").exists()
 
     def test_invalid_config_exit_2(self, tmp_path):
-        path = self.write_config(tmp_path, algorithm={"delta": 1.5})
+        path = write_config(tmp_path, algorithm={"delta": 1.5})
         assert main(["run", str(path)]) == 2
 
     @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
@@ -217,7 +370,7 @@ class TestCli:
     def test_yaml_loaders_agree(self, tmp_path, monkeypatch, overrides):
         if yaml.__with_libyaml__:
             assert config_module.YAML_LOADER is yaml.CSafeLoader
-        path = self.write_config(tmp_path, **overrides)
+        path = write_config(tmp_path, **overrides)
         default = load_yaml(path)
         monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
         assert load_yaml(path) == default
@@ -233,7 +386,7 @@ class TestCli:
             monkeypatch.delenv("DRAA_BACKEND", raising=False)
         else:
             monkeypatch.setenv("DRAA_BACKEND", "numba")
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         argv = [command, str(path)] + (["--backend", "numba"] if flag else [])
         assert main(argv) == 2
         assert "numba is not importable" in capsys.readouterr().err
@@ -264,23 +417,50 @@ class TestCli:
                      "agent 2", id="agent-past-L"),
         pytest.param({"kind": "gap_flip", "magnitude": 0.5, "budget": 50.0,
                       "strength": 2}, "strength", id="unknown-key"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 1.7,
+                      "magnitude": 0.5, "budget": 50.0},
+                     "target_arm", id="fractional-target-arm"),
+        pytest.param({"kind": "epoch_flood", "target_arm": 0,
+                      "start_epoch": 2.5, "direction": "up", "budget": 50.0},
+                     "start_epoch", id="fractional-start-epoch"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 1,
+                      "magnitude": 0.5, "budget": 50.0, "agents": [0.9]},
+                     "agent", id="fractional-agent"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 0,
+                      "magnitude": True, "budget": 50.0},
+                     "magnitude", id="bool-magnitude"),
     ])
     def test_invalid_adversary_exit_2(self, tmp_path, capsys, adversary,
                                       msg):
-        path = self.write_config(tmp_path, adversary=adversary)
+        path = write_config(tmp_path, adversary=adversary)
         assert main(["run", str(path), "--backend", "numpy"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and msg in err
         assert not (tmp_path / "unit").exists()
 
+    @pytest.mark.parametrize("patch,msg", [
+        ({"axes": [1]}, "sweep axis"),
+        ({"cap": "x"}, "cap"),
+    ])
+    def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
+        spec = {"base": base_config(output_dir=str(tmp_path)),
+                "axes": [{"field": "horizon", "values": [1500, 2000]}]}
+        spec.update(patch)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        assert main(["sweep", str(path), "--backend", "numpy"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and msg in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.yaml"]
+
     def test_verify_passes(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, horizon=1500)
+        path = write_config(tmp_path, horizon=1500)
         assert main(["verify", str(path), "--backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "replay" in out and "ok" in out
 
     def test_show_summary(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         main(["run", str(path), "--backend", "numpy"])
         summary = tmp_path / "unit" / "seed_7_summary.json"
         assert main(["show", str(summary)]) == 0
@@ -289,16 +469,3 @@ class TestCli:
 
     def test_show_missing_file_exit_2(self, tmp_path):
         assert main(["show", str(tmp_path / "nope.json")]) == 2
-
-
-def test_benchmark_backends_script_runs(monkeypatch, capsys):
-    root = Path(__file__).resolve().parents[1]
-    path = root / "benchmarks" / "benchmark_backends.py"
-    spec = importlib.util.spec_from_file_location("benchmark_backends", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv",
-                        [str(path), "--horizon", "4000", "--seeds", "1"])
-    script.main()
-    out = capsys.readouterr().out
-    assert " numpy: " in out and "M agent-rounds/s" in out

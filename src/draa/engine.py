@@ -1,17 +1,19 @@
 """Single-run simulation engine tying the algorithm to the kernels.
 
 :func:`run_single` is the one epoch loop: it advances all agents epoch
-by epoch.  Within an epoch the pull distributions are frozen, so the
-rounds are delegated to a backend kernel in contiguous segments, cut
-only at checkpoint rounds; the budget runs out at the same cell wherever
-they fall.  At each epoch boundary agents broadcast, re-estimate, and
-re-weight; the engine snapshots state, enforces hard invariants, and
-records soft invariant violations for the test harness.  Cross-checks
-run the same loop on both kernels (see :mod:`draa.kernels`).
+by epoch.  Within an epoch the pull distributions are frozen, so each
+epoch's rounds are one backend kernel call, cut at the checkpoint
+rounds inside it; the engine folds the call's per-segment regret and
+charges in order and reads each checkpoint row from them.  The budget
+runs out at the same cell wherever checkpoints fall.  At each epoch
+boundary agents broadcast, re-estimate, and re-weight; the engine
+snapshots state, enforces hard invariants, and records soft invariant
+violations for the test harness.  Cross-checks run the same loop on both
+kernels (see :mod:`draa.kernels`).
 
 The engine owns the run's corruption state.  It asks the (stateless)
 adversary for each epoch's edits, threads the budget spend and whether
-the gate is still open through every segment, and adds each segment's
+the gate is still open from epoch to epoch, and adds each segment's
 per-agent charges into row m-1 of an (M, L) array, the run's corruption
 ledger.  ``RunResult.corruption`` and each epoch's C^m are sums of it.
 
@@ -182,8 +184,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     T = schedule.horizon
     if checkpoints is None:
         checkpoints = default_checkpoints(schedule)
-    marks = {int(c) for c in checkpoints}
-    if any(c < 1 or c > T for c in marks):
+    marks = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
+    if marks.size and (marks[0] < 1 or marks[-1] > T):
         raise ValueError("checkpoints must lie in [1, T]")
 
     env_prefix = stream_prefix(seed, ENV_STREAM)
@@ -229,39 +231,47 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             arm_lists=instance.arm_sets,
         )
         targets, pushes = adversary.begin_epoch(instance, history) or no_edits
-        cdf = _pad_cdf(states, kmax)
-        seg_start = start
-        for seg_end in sorted({end} | {c for c in marks if start <= c <= end}):
-            plan = SegmentPlan(
-                t_start=seg_start, t_end=seg_end, env_prefix=env_prefix,
-                pull_prefix=pull_prefix, arms=arms_pad, n_local=n_local,
-                cdf=cdf, means=instance.means, best_means=best_means,
-                reward_model=reward_model, beta_table=beta_table,
-                targets=targets, pushes=pushes, budget=adversary.budget,
-                spent=spent, adv_active=active,
-            )
-            result = run_segment(plan, backend=backend, trace=trace)
-            for ell, state in enumerate(states):
-                n = int(n_local[ell])
-                state.reward_sums += result.reward_sums[ell, :n]
-                state.pull_counts += result.pull_counts[ell, :n]
-            cum_regret += result.regret
-            ledger[m - 1] += result.corruption
-            spent, active = result.spent, result.adv_active
-            if trace:
-                pulls_full[seg_start - 1:seg_end] = result.pulls
-                observed_full[seg_start - 1:seg_end] = result.observed
-                clean_full[seg_start - 1:seg_end] = result.clean
-            if seg_end in marks:
+        in_epoch = marks[np.searchsorted(marks, start):
+                         np.searchsorted(marks, end, "right")]
+        if in_epoch.size and in_epoch[-1] == end:
+            cuts = in_epoch
+        else:
+            cuts = np.append(in_epoch, end)
+        plan = SegmentPlan(
+            t_start=start, t_end=end, cuts=cuts, env_prefix=env_prefix,
+            pull_prefix=pull_prefix, arms=arms_pad, n_local=n_local,
+            cdf=_pad_cdf(states, kmax), means=instance.means,
+            best_means=best_means, reward_model=reward_model,
+            beta_table=beta_table, targets=targets, pushes=pushes,
+            budget=adversary.budget, spent=spent, adv_active=active,
+        )
+        result = run_segment(plan, backend=backend, trace=trace)
+        for ell, state in enumerate(states):
+            n = int(n_local[ell])
+            state.reward_sums += result.reward_sums[ell, :n]
+            state.pull_counts += result.pull_counts[ell, :n]
+        spent, active = result.spent, result.adv_active
+        if trace:
+            pulls_full[start - 1:end] = result.pulls
+            observed_full[start - 1:end] = result.observed
+            clean_full[start - 1:end] = result.clean
+        # fold the cut segments in order; every cut is a checkpoint but
+        # the epoch's end when only that ends a segment
+        charged_before = float(ledger[:m - 1].sum())
+        cost = comm_cost(log)
+        for i, (cut, regret, charges) in enumerate(zip(
+                cuts.tolist(), result.regret, result.corruption)):
+            cum_regret += regret
+            ledger[m - 1] += charges
+            if i < in_epoch.size:
                 checkpoint_rows.append(CheckpointRow(
-                    t=seg_end,
+                    t=cut,
                     total_regret=float(cum_regret.sum()),
                     per_agent_regret=cum_regret.copy(),
-                    corruption_so_far=(float(ledger[:m - 1].sum())
+                    corruption_so_far=(charged_before
                                        + float(ledger[m - 1].sum())),
-                    comm_cost=comm_cost(log),
+                    comm_cost=cost,
                 ))
-            seg_start = seg_end + 1
 
         record.pull_counts = [s.pull_counts.copy() for s in states]
         record.corruption = float(ledger[m - 1].sum())

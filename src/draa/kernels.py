@@ -1,11 +1,15 @@
-"""Epoch-segment simulation kernels: a scalar loop and a vectorized numpy pass.
+"""Epoch simulation kernels: a scalar loop and a vectorized numpy pass.
 
-Within an epoch every agent's pull distribution is frozen, so a whole
-contiguous block of rounds ("segment") can be simulated in one call.
-Rewards are materialized lazily: since each reward is a pure function of
-(seed, t, agent, arm), the kernels only draw the entries they touch
-(the pulled arm plus any adversary-targeted arms), which is exactly
-equivalent to drawing the full matrix and discarding the rest.
+Within an epoch every agent's pull distribution is frozen, so the engine
+simulates a whole epoch in one call.  The call's ``cuts`` split it into
+segments that end at the checkpoints inside the epoch and at its end;
+each segment's regret and corruption come back as one row, and its
+reward sums are added into the epoch's totals in segment order.  (Those
+per-segment partial sums keep the results bit-identical to one call per
+segment.)  Rewards are materialized lazily: since each reward is a pure
+function of (seed, t, agent, arm), the kernels only draw the entries
+they touch (the pulled arm plus any adversary-targeted arms), which is
+exactly equivalent to drawing the full matrix and discarding the rest.
 
 Two backends implement the same contract:
 
@@ -18,18 +22,21 @@ Two backends implement the same contract:
   ``--backend`` gets a ``ConfigError`` instead (:func:`default_backend`).
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
-The numpy kernel works on a segment's (rounds x agents) grid at once.
-Each stream's ``(t)`` hash prefix is mixed once per segment and the
-``(t, ell)`` prefix once per cell; the pull draw (arm field 0), the
-pulled arm's reward draw and the adversary-target draws all continue
-from those prefixes.  The elementwise work runs in blocks of
-``_BLOCK_CELLS`` cells, so its scratch memory is bounded; only the
-search in each agent's CDF and each agent's regret sum run per agent.
-Reward sums and pull counts come from one ``bincount`` over the slots
-``ell * kmax + i``, which adds each slot's rewards in round order.
+The numpy kernel walks the epoch in groups of whole consecutive segments
+of at most ``_BLOCK_CELLS`` (round, agent) cells; a longer segment is a
+group of its own.  It works on a group's (rounds x agents) grid at once
+and drops it before drawing the next.  Each stream's ``(t)`` hash prefix
+is mixed once per group and the ``(t, ell)`` prefix once per cell; the
+pull draw (arm field 0), the pulled arm's reward draw and the
+adversary-target draws all continue from those prefixes.  The
+elementwise work runs in blocks of ``_BLOCK_CELLS`` cells, so its
+scratch memory is bounded; only the search in each agent's CDF and each
+agent's regret sums run per agent.  A segment's reward sums come from
+one ``bincount`` over the slots ``ell * kmax + i``, which adds each
+slot's rewards in round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
-or ``numpy``), overridable per call.  For the same segment, pulls, clean
+or ``numpy``), overridable per call.  For the same plan, pulls, clean
 and delivered rewards, reward sums, pull counts and the budget state are
 bit-identical across backends.  Regret and the per-agent corruption sums
 may differ in the last ulps because their accumulation order differs,
@@ -39,9 +46,11 @@ Budget rule shared by both backends: (round, agent) cells are processed
 round-major, agent-minor; a cell is delivered only if the running spend
 stays within budget, and the first overrun disables corruption for the
 rest of the run.  The loop kernel keeps the running spend as
-``spent += c``; the numpy kernel folds the segment's starting spend into
-the first cell before its ``cumsum``, which performs the same additions
-in the same order, so both gates close at the same cell.
+``spent += c``; the numpy kernel folds each group's starting spend into
+its first cell before its ``cumsum``, which performs the same additions
+in the same order, so both gates close at the same cell.  When both of
+an agent's adversary slots target the arm it pulls, slot 0's edit is
+delivered.
 """
 from __future__ import annotations
 
@@ -103,11 +112,14 @@ class SegmentPlan:
 
     Arrays are padded to the widest local arm count; ``n_local`` gives
     each agent's true arm count.  ``targets``/``pushes`` are (L, 2)
-    adversary edits with -1 padding for unused slots.
+    adversary edits with -1 padding for unused slots.  ``cuts`` splits
+    the block into segments: segment s ends at round ``cuts[s]`` and the
+    next one starts after it.
     """
 
     t_start: int  # first round, 1-based, inclusive
     t_end: int  # last round, inclusive
+    cuts: np.ndarray  # (S,) int64 ascending segment ends, cuts[-1] == t_end
     env_prefix: int
     pull_prefix: int
     arms: np.ndarray  # (L, Kmax) int64, -1 padded
@@ -126,19 +138,22 @@ class SegmentPlan:
 
 @dataclass
 class SegmentResult:
-    """Aggregates produced by a kernel for one segment."""
+    """Aggregates produced by a kernel for one plan, row s of the (S, L)
+    arrays covering segment s.
+
+    ``reward_sums`` adds each segment's sums, themselves added in round
+    order from zero, into the total in segment order.
+    """
 
     reward_sums: np.ndarray  # (L, Kmax) delivered-reward sums per local slot
     pull_counts: np.ndarray  # (L, Kmax) int64
-    regret: np.ndarray  # (L,) pseudo-regret accumulated in the segment
-    corruption: np.ndarray  # (L,) accepted ledger contributions
-    spent: float  # budget spend after the segment
+    regret: np.ndarray  # (S, L) pseudo-regret accumulated per segment
+    corruption: np.ndarray  # (S, L) accepted ledger contributions
+    spent: float  # budget spend after the last segment
     adv_active: bool
-    pulls: np.ndarray | None = None  # (Tseg, L) arm ids when traced
-    # (Tseg, L) delivered pulled rewards; the numpy kernel returns its
-    # `clean` array itself when no adversary slot was live
-    observed: np.ndarray | None = None
-    clean: np.ndarray | None = None  # (Tseg, L) clean pulled rewards
+    pulls: np.ndarray | None = None  # (T, L) arm ids when traced
+    observed: np.ndarray | None = None  # (T, L) delivered pulled rewards
+    clean: np.ndarray | None = None  # (T, L) clean pulled rewards
 
 
 @njit(cache=True)
@@ -173,12 +188,14 @@ def _reward_nb(model, mu, u, table, arm):
 
 
 @njit(cache=True)
-def _segment_nb(t_start, t_end, env_prefix, pull_prefix, arms, n_local, cdf,
+def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
                 means, best_means, reward_model, beta_table, targets, pushes,
                 budget, spent, adv_active, reward_sums, pull_counts, regret,
                 corruption, pulls, observed, clean_out, trace):
     L = arms.shape[0]
-    for t in range(t_start, t_end + 1):
+    seg_sums = np.zeros_like(reward_sums)
+    s = 0
+    for t in range(t_start, cuts[-1] + 1):
         row = t - t_start
         for ell in range(L):
             u_pull = _uniform_nb(pull_prefix, t, ell, 0)
@@ -231,30 +248,34 @@ def _segment_nb(t_start, t_end, env_prefix, pull_prefix, arms, n_local, cdf,
                         adv_active = False
                     else:
                         spent += contribution
-                        corruption[ell] += contribution
+                        corruption[s, ell] += contribution
                         if c0 > 0.0 and arm == targets[ell, 0]:
                             delivered = d0
                         elif c1 > 0.0 and arm == targets[ell, 1]:
                             delivered = d1
 
-            reward_sums[ell, idx] += delivered
+            seg_sums[ell, idx] += delivered
             pull_counts[ell, idx] += 1
-            regret[ell] += best_means[ell] - means[arm]
+            regret[s, ell] += best_means[ell] - means[arm]
             if trace:
                 pulls[row, ell] = arm
                 observed[row, ell] = delivered
                 clean_out[row, ell] = clean
+        if t == cuts[s]:
+            reward_sums += seg_sums
+            seg_sums[:] = 0.0
+            s += 1
     return spent, adv_active
 
 
 def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
-    """Execute one segment with the per-round loop (uncompiled without numba)."""
+    """Execute a plan with the per-round loop (uncompiled without numba)."""
     L, kmax = plan.arms.shape
     t_len = plan.t_end - plan.t_start + 1
     reward_sums = np.zeros((L, kmax))
     pull_counts = np.zeros((L, kmax), dtype=np.int64)
-    regret = np.zeros(L)
-    corruption = np.zeros(L)
+    regret = np.zeros((plan.cuts.size, L))
+    corruption = np.zeros((plan.cuts.size, L))
     shape = (t_len, L) if trace else (0, L)
     pulls = np.zeros(shape, dtype=np.int64)
     observed = np.zeros(shape)
@@ -264,7 +285,7 @@ def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     # intended wraparound; compiled, it wraps silently
     with np.errstate(over="ignore"):
         spent, active = _segment_nb(
-            plan.t_start, plan.t_end, np.uint64(plan.env_prefix),
+            plan.t_start, plan.cuts, np.uint64(plan.env_prefix),
             np.uint64(plan.pull_prefix), plan.arms, plan.n_local, plan.cdf,
             plan.means, plan.best_means, plan.reward_model, beta_table,
             plan.targets, plan.pushes, plan.budget, plan.spent,
@@ -308,18 +329,19 @@ def _pull_slots(plan: SegmentPlan, t: np.ndarray, rows: int,
 
 
 def _live_targets(plan: SegmentPlan):
-    """Which adversary slots act, and the local slot of each target arm.
+    """Which adversary slots can act, and the local slot of each target arm.
 
-    Target j of agent ell is live when the adversary is active and the
-    target is one of the agent's first ``n_local`` arms.  The slots are
-    ``None`` when no target can be live.
+    Target j of agent ell is live when it is one of the agent's first
+    ``n_local`` arms.  Both are ``None`` when no target is live.
     """
     L, kmax = plan.arms.shape
-    if not plan.adv_active or (plan.targets < 0).all():
-        return np.zeros((L, 2), dtype=bool), None
+    if (plan.targets < 0).all():
+        return None, None
     local = plan.arms[:, None, :] == plan.targets[:, :, None]
     local &= (np.arange(kmax) < plan.n_local[:, None])[:, None, :]
     live = local.any(axis=2)
+    if not live.any():
+        return None, None
     target_slot = np.arange(L)[:, None] * kmax + local.argmax(axis=2)
     return live, target_slot
 
@@ -349,18 +371,23 @@ def _target_draws(plan: SegmentPlan, g: np.ndarray, live: np.ndarray,
     return delivered
 
 
-def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
-    """Execute one segment with vectorized numpy (fallback backend)."""
-    L, kmax = plan.arms.shape
-    t_len = plan.t_end - plan.t_start + 1
-    rows = max(1, _BLOCK_CELLS // L)
-    arms_flat = plan.arms.reshape(-1)
+def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int, live,
+                target_slot):
+    """Pulled slots and rewards of rounds ``t0..t1``, drawn in blocks of
+    ``rows`` rounds.
 
-    t = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
+    Returns (slot, clean, observed, contrib) as (rounds, L) arrays.  With
+    ``live`` None no target is drawn: ``observed`` is ``clean`` itself and
+    ``contrib`` is None.  Otherwise ``contrib`` holds each cell's charge
+    before the budget gate.
+    """
+    L = plan.arms.shape[0]
+    t_len = t1 - t0 + 1
+    arms_flat = plan.arms.reshape(-1)
+    t = np.arange(t0, t1 + 1, dtype=np.uint64)
     clean = np.empty((t_len, L))
     slot = _pull_slots(plan, t, rows, scratch=clean)
-    live, target_slot = _live_targets(plan)
-    attack = bool(live.any())
+    attack = live is not None
     observed = np.empty((t_len, L)) if attack else clean
     contrib = np.zeros((t_len, L)) if attack else None
 
@@ -382,46 +409,107 @@ def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
                      plan.beta_table, out=block)
         if attack:
             observed[r0:r1] = block
-            for hit, corrupted in delivered:
+            # slot 0 wins when both slots target the pulled arm
+            for hit, corrupted in reversed(delivered):
                 np.copyto(observed[r0:r1], corrupted, where=hit)
+    return slot, clean, observed, contrib
 
-    spent, adv_active = plan.spent, plan.adv_active
-    corruption = np.zeros(L)
-    if attack:
-        # round-major, agent-minor prefix budget rule.  Starting the cumsum
-        # at spent + c[0] makes cum[i] the loop kernel's `spent += c` chain
-        flat = contrib.reshape(-1)
-        first = flat[0]
-        flat[0] += plan.spent
-        cum = np.cumsum(flat)
-        flat[0] = first
-        accepted = cum <= plan.budget
-        first_reject = (flat.size if accepted.all()
-                        else int(np.argmin(accepted)))
-        if first_reject > 0:
-            spent = float(cum[first_reject - 1])
-        adv_active = first_reject == flat.size
-        flat[first_reject:] = 0.0
-        observed.reshape(-1)[first_reject:] = clean.reshape(-1)[first_reject:]
-        corruption = contrib.sum(axis=0)
 
-    bins = slot.reshape(-1)
-    reward_sums = np.bincount(bins, weights=observed.reshape(-1),
-                              minlength=L * kmax).reshape(L, kmax)
-    pull_counts = np.bincount(bins, minlength=L * kmax).reshape(L, kmax)
+def _gate(contrib: np.ndarray, observed: np.ndarray, clean: np.ndarray,
+          spent: float, budget: float):
+    """Apply the budget rule to a group's cells, round-major and
+    agent-minor, in place: from the first cell whose charge would overrun
+    the budget on, charges are zeroed and clean rewards delivered.
+
+    Returns the spend after the group and whether the gate is still open.
+    Starting the cumsum at spent + c[0] makes cum[i] the loop kernel's
+    ``spent += c`` chain, carried from group to group.
+    """
+    flat = contrib.reshape(-1)
+    first = flat[0]
+    flat[0] += spent
+    cum = np.cumsum(flat)
+    flat[0] = first
+    accepted = cum <= budget
+    first_reject = flat.size if accepted.all() else int(np.argmin(accepted))
+    if first_reject > 0:
+        spent = float(cum[first_reject - 1])
+    flat[first_reject:] = 0.0
+    observed.reshape(-1)[first_reject:] = clean.reshape(-1)[first_reject:]
+    return spent, first_reject == flat.size
+
+
+def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
+    """Execute a plan with vectorized numpy (fallback backend).
+
+    The rounds are drawn in groups of whole consecutive segments holding
+    at most ``_BLOCK_CELLS`` cells; a longer segment is a group of its
+    own.  Each group's arrays are dropped before the next one is drawn.
+    The budget spend carries from group to group, and every sum is
+    reduced per segment, so the grouping changes no result bit.
+    """
+    L, kmax = plan.arms.shape
+    rows = max(1, _BLOCK_CELLS // L)
+    arms_flat = plan.arms.reshape(-1)
     slot_means = plan.means[arms_flat]  # -1 pads read means[-1], never pulled
-    # one 1-D sum per agent: summing the grid along an axis rounds differently
-    regret = plan.best_means * t_len - np.array(
-        [slot_means[slot[:, ell]].sum() for ell in range(L)])
+    cuts = plan.cuts
+    reward_sums = np.zeros(L * kmax)
+    pull_counts = np.zeros(L * kmax, dtype=np.int64)
+    regret = np.empty((cuts.size, L))
+    corruption = np.zeros((cuts.size, L))
+    live, target_slot = _live_targets(plan)
+    spent, adv_active = plan.spent, plan.adv_active
+    if trace:
+        t_len = plan.t_end - plan.t_start + 1
+        pulls = np.empty((t_len, L), dtype=np.int64)
+        observed_all, clean_all = np.empty((t_len, L)), np.empty((t_len, L))
+
+    s0, t0 = 0, plan.t_start
+    while s0 < cuts.size:
+        s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + rows - 1, "right")))
+        t1 = int(cuts[s1 - 1])
+        attack = adv_active and live is not None
+        slot, clean, observed, contrib = _draw_group(
+            plan, t0, t1, rows, live if attack else None, target_slot)
+        if attack:
+            spent, adv_active = _gate(contrib, observed, clean, spent,
+                                      plan.budget)
+
+        ends = (cuts[s0:s1] - (t0 - 1)).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))  # segments' group rows
+        bins = slot.reshape(-1)
+        pull_counts += np.bincount(bins, minlength=L * kmax)
+        for s, (a, b) in enumerate(bounds, start=s0):
+            reward_sums += np.bincount(bins[a * L:b * L],
+                                       weights=observed[a:b].reshape(-1),
+                                       minlength=L * kmax)
+            if attack:
+                corruption[s] = contrib[a:b].sum(axis=0)
+        # one 1-D sum per agent and segment: summing the grid along an
+        # axis rounds differently
+        pulled = np.empty((s1 - s0, L))
+        for ell in range(L):
+            means = slot_means[slot[:, ell]]
+            pulled[:, ell] = [means[a:b].sum() for a, b in bounds]
+        lengths = np.array([b - a for a, b in bounds])[:, None]
+        regret[s0:s1] = plan.best_means * lengths - pulled
+
+        if trace:
+            r0, r1 = t0 - plan.t_start, t1 - plan.t_start + 1
+            pulls[r0:r1] = arms_flat[slot]
+            observed_all[r0:r1] = observed
+            clean_all[r0:r1] = clean
+        del slot, clean, observed, contrib, bins, means
+        s0, t0 = s1, t1 + 1
 
     return SegmentResult(
-        reward_sums=reward_sums,
-        pull_counts=pull_counts.astype(np.int64, copy=False),
+        reward_sums=reward_sums.reshape(L, kmax),
+        pull_counts=pull_counts.reshape(L, kmax),
         regret=regret, corruption=corruption, spent=float(spent),
         adv_active=bool(adv_active),
-        pulls=arms_flat[slot] if trace else None,
-        observed=observed if trace else None,
-        clean=clean if trace else None,
+        pulls=pulls if trace else None,
+        observed=observed_all if trace else None,
+        clean=clean_all if trace else None,
     )
 
 

@@ -91,8 +91,13 @@ def build_instance(config: dict) -> BanditInstance:
     arm_sets = []
     coverage = np.zeros(num_arms, dtype=np.int64)
     for ell, raw in enumerate(arm_sets_raw):
-        arms = sorted(checked(f"agent {ell} arm", k, int, 0, num_arms - 1)
-                      for k in checked_as(f"arm-set of agent {ell}", raw, list))
+        arms = checked_as(f"arm-set of agent {ell}", raw, list)
+        if (set(map(type, arms)) != {int} or min(arms) < 0
+                or max(arms) >= num_arms):
+            # read one at a time: the first bad arm names itself
+            arms = [checked(f"agent {ell} arm", k, int, 0, num_arms - 1)
+                    for k in arms]
+        arms = sorted(arms)
         if not arms:
             raise ConfigError(f"empty arm-set for agent {ell}")
         if len(set(arms)) != len(arms):

@@ -7,9 +7,11 @@ numba, as plain Python; it is the reference the numpy kernel must match.
 import numpy as np
 import pytest
 
+from draa import engine
 from draa.adversary import make_adversary
 from draa.agents import build_schedule
 from draa.engine import default_checkpoints, run_single
+from draa.kernels import run_segment
 from draa.model import build_instance
 
 ADVERSARIES = [
@@ -219,3 +221,25 @@ def test_trace_shapes():
     # pulls are always local arms
     for ell in range(2):
         assert set(np.unique(result.pulls[:, ell])) <= set(inst.arm_sets[ell])
+
+
+@pytest.mark.parametrize("backend", ["numpy", "numba"])
+def test_one_kernel_call_per_epoch(monkeypatch, backend):
+    """Checkpoints are read out of the epoch's one call, never a reason
+    for another."""
+    inst = small_instance()
+    sched = small_schedule(inst, horizon=1500)
+    plans = []
+
+    def spy(plan, *args, **kwargs):
+        plans.append(plan)
+        return run_segment(plan, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_segment", spy)
+    marks = [1, 2, 3, 100, 307, 308, 999, 1500]
+    result = run_single(inst, sched, make_adversary(None), 4,
+                        backend=backend, checkpoints=marks)
+    assert len(plans) == sched.num_epochs
+    assert [(p.t_start, p.t_end) for p in plans] == [
+        sched.epoch_bounds(m) for m in range(1, sched.num_epochs + 1)]
+    assert [cp.t for cp in result.checkpoints] == marks

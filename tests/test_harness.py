@@ -1,5 +1,6 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
 import copy
+import hashlib
 import json
 import math
 
@@ -469,3 +470,77 @@ class TestCli:
 
     def test_show_missing_file_exit_2(self, tmp_path):
         assert main(["show", str(tmp_path / "nope.json")]) == 2
+
+
+def _pin_config(**overrides):
+    data = base_config(
+        name="pin", output_dir="results", horizon=6000, seeds=[3, 11],
+        num_checkpoints=64,
+        instance={"num_arms": 4, "num_agents": 3,
+                  "arm_sets": [[0, 1, 2], [1, 2, 3], [0, 3]],
+                  "means": [0.9, 0.7, 0.55, 0.3]})
+    data.update(overrides)
+    return data
+
+
+#: sha256 of every per-seed file ``draa run --backend numpy`` writes for
+#: three configs; the summaries embed the config, so its ``output_dir``
+#: stays fixed and ``DRAA_OUTPUT_DIR`` redirects the files.  The Beta case's
+#: inverse-CDF table comes from scipy, so a scipy whose ``beta.ppf`` rounds
+#: differently changes those two hashes.
+_PINNED_OUTPUTS = [
+    pytest.param(_pin_config(), {
+        "seed_3_checkpoints.csv":
+            "51bf41636789c63f338890e9ae2640486854ad0303c0dff29b108192e6a251d4",
+        "seed_3_summary.json":
+            "b4753533e3deb1337e7702386ba38e9b7633f396f2a8a98f7877baba35cfbaea",
+        "seed_11_checkpoints.csv":
+            "714bf94cb8960d9378a8b11d806876cea0efe5b3af91b057fc0dc6eb1f6a01e3",
+        "seed_11_summary.json":
+            "23e4a734b4a10dd954c35498b7a7119ca1bbd2ffb3934cb3c07699da8c3e8d8f",
+    }, id="bernoulli-64-checkpoints"),
+    # the budget of 140.7 closes inside epoch 2, between two checkpoints
+    pytest.param(_pin_config(
+        horizon=7000, num_checkpoints=13,
+        instance=dict(_pin_config()["instance"], reward_model="beta",
+                      beta_concentration=3.0),
+        adversary={"kind": "gap_flip", "magnitude": 0.7, "budget": 140.7}), {
+        "seed_3_checkpoints.csv":
+            "96f17e1db2c5d074735a30b2bb692a27f29afc61c4f649159eacb676d2c2ad1c",
+        "seed_3_summary.json":
+            "5419a1df074b280f51af9473ab374ba2a9fd0d6c78a02132bf58bc89d50f5471",
+        "seed_11_checkpoints.csv":
+            "cc98f2a37499f9775b448d890d34108eefa9342ac809f501749227950ac50855",
+        "seed_11_summary.json":
+            "d70784d49cb99bf5166ecacf1896d25e44b87f7ddd25064845f30d4f25afa0a6",
+    }, id="beta-gap-flip-13-checkpoints"),
+    pytest.param(_pin_config(
+        horizon=1500, num_checkpoints=1500, seeds=[5],
+        adversary={"kind": "budgeted_targeted", "target_arm": 1,
+                   "magnitude": 0.5, "budget": 30.9}), {
+        "seed_5_checkpoints.csv":
+            "90e0446740362a235b3385088325d6b4d284de53b6d6f11d6b15ea5532a24b11",
+        "seed_5_summary.json":
+            "d2ba747db40cc1d173edd599daf84162bc0cc9daa9f621e1642103db8c40bd3f",
+    }, id="checkpoint-every-round"),
+]
+
+
+@pytest.mark.parametrize("data,digests", _PINNED_OUTPUTS)
+def test_run_output_bytes_pinned(tmp_path, monkeypatch, data, digests):
+    """Checkpoint placement and kernel call structure leave every output
+    byte as it was recorded."""
+    monkeypatch.setenv("DRAA_OUTPUT_DIR", str(tmp_path / "out"))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path), "--backend", "numpy"]) == 0
+    out = tmp_path / "out" / "pin"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests
+    if "adversary" in data:
+        with open(out / f"seed_{data['seeds'][0]}_summary.json") as fh:
+            corruption = json.load(fh)["corruption"]
+        # the gate closed short of the budget, with epochs left to run
+        assert 0 < corruption["C"] < data["adversary"]["budget"]
+        assert corruption["C_per_epoch"][-1] == 0.0

@@ -1,10 +1,12 @@
-"""The numpy segment kernel against its per-agent predecessor, bit for bit.
+"""The numpy segment kernel against its per-agent predecessor, bit for bit,
+and both kernels against themselves cut anywhere.
 
 ``_oracle_segment`` is the numpy kernel as it was before it drew all
 agents in one pass: one agent at a time, every draw hashed from the
 stream prefix.  Its budget gate is a cumsum over ``[spent, *c]``, the
-loop kernel's running sum.  The vectorized kernel must reproduce every
-field of its ``SegmentResult`` exactly, traced arrays included.
+loop kernel's running sum, and it reduces each cut segment on its own.
+The vectorized kernel must reproduce every field of its
+``SegmentResult`` exactly, traced arrays included.
 """
 import dataclasses
 import warnings
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 from draa import kernels
 from draa.kernels import SegmentPlan, SegmentResult, run_segment_numpy
 from draa.rng import _mix64_np, stream_prefix, uniform_array
+
+from conftest import assert_identical, run_plan
 
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _U64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -58,8 +62,8 @@ def _oracle_segment(plan, trace=False):
     ts = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
     reward_sums = np.zeros((L, kmax))
     pull_counts = np.zeros((L, kmax), dtype=np.int64)
-    regret = np.zeros(L)
-    corruption = np.zeros(L)
+    regret = np.zeros((plan.cuts.size, L))
+    charges = np.zeros((t_len, L))
 
     pulled_idx = np.empty((t_len, L), dtype=np.int64)
     pulled_arm = np.empty((t_len, L), dtype=np.int64)
@@ -112,19 +116,25 @@ def _oracle_segment(plan, trace=False):
             applied = accepted & targeted
             spent = float(cum[first_reject - 1]) if first_reject > 0 else plan.spent
             adv_active = bool(first_reject == flat.size)
-            corruption += np.where(applied, contrib, 0.0).sum(axis=0)
-            for j in range(2):
+            charges = np.where(applied, contrib, 0.0)
+            for j in (1, 0):  # slot 0 wins when both target the arm
                 hit = applied & (pulled_arm == plan.targets[:, j][np.newaxis, :]) \
                     & has_slot[:, j][np.newaxis, :]
                 observed = np.where(hit, delivered[:, :, j], observed)
 
+    ends = plan.cuts - plan.t_start + 1
+    bounds = list(zip([0, *ends[:-1]], ends))
     for ell in range(L):
         n = int(plan.n_local[ell])
-        reward_sums[ell, :n] = np.bincount(pulled_idx[:, ell],
-                                           weights=observed[:, ell],
-                                           minlength=n)[:n]
+        for a, b in bounds:
+            reward_sums[ell, :n] += np.bincount(
+                pulled_idx[a:b, ell], weights=observed[a:b, ell],
+                minlength=n)[:n]
         pull_counts[ell, :n] = np.bincount(pulled_idx[:, ell], minlength=n)[:n]
-        regret[ell] = plan.best_means[ell] * t_len - plan.means[pulled_arm[:, ell]].sum()
+        regret[:, ell] = [plan.best_means[ell] * (b - a)
+                          - plan.means[pulled_arm[a:b, ell]].sum()
+                          for a, b in bounds]
+    corruption = np.array([charges[a:b].sum(axis=0) for a, b in bounds])
 
     return SegmentResult(
         reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
@@ -136,9 +146,11 @@ def _oracle_segment(plan, trace=False):
 
 
 def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
-              adv_active=True, num_arms=9, max_local=9, pad=0, means=None):
-    """A random segment plan; the budget is ``spent`` plus ``budget_frac``
-    of what the adversary would spend over the segment without a budget."""
+              adv_active=True, num_arms=9, max_local=9, pad=0, means=None,
+              num_cuts=1):
+    """A random plan cut at ``num_cuts`` random rounds, the last one
+    ``t_end``; the budget is ``spent`` plus ``budget_frac`` of what the
+    adversary would spend over the plan without a budget."""
     sizes = rng.integers(1, max_local + 1, size=L)
     kmax = int(sizes.max()) + pad
     arms = np.full((L, kmax), -1, dtype=np.int64)
@@ -166,8 +178,9 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
     own = rng.random((L, 2)) < 0.5
     for ell, j in zip(*np.nonzero(own)):
         targets[ell, j] = arms[ell, rng.integers(sizes[ell])]
+    t_end = t_start + t_len - 1
     plan = SegmentPlan(
-        t_start=t_start, t_end=t_start + t_len - 1,
+        t_start=t_start, t_end=t_end, cuts=np.array([t_end]),
         env_prefix=stream_prefix(int(rng.integers(2**63)), 0),
         pull_prefix=stream_prefix(int(rng.integers(2**63)), 2),
         arms=arms, n_local=sizes.astype(np.int64), cdf=cdf, means=means,
@@ -177,17 +190,17 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
         pushes=rng.uniform(-1.0, 1.0, size=(L, 2)) * 0.7,
         budget=np.inf, spent=spent, adv_active=adv_active,
     )
+    if num_cuts > 1 and t_len > 1:
+        inner = rng.choice(t_len - 1, size=min(num_cuts, t_len) - 1,
+                           replace=False)
+        plan.cuts = np.append(np.sort(inner) + t_start, t_end)
     unbudgeted = _oracle_segment(plan).corruption.sum()
     return dataclasses.replace(plan, budget=spent + budget_frac * unbudgeted)
 
 
 def assert_same(plan):
-    new = run_segment_numpy(plan, trace=True)
     old = _oracle_segment(plan, trace=True)
-    for field in dataclasses.fields(SegmentResult):
-        a, b = getattr(new, field.name), getattr(old, field.name)
-        assert np.array_equal(a, b), field.name
-        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+    assert_identical(run_segment_numpy(plan, trace=True), old)
     return old
 
 
@@ -196,14 +209,15 @@ def assert_same(plan):
        t_len=st.integers(1, 300), beta=st.booleans(),
        spent=st.sampled_from([0.0, 0.1, 3.7, 41.3]),
        budget_frac=st.floats(0.0, 1.2), adv_active=st.booleans(),
-       pad=st.integers(0, 2),
+       pad=st.integers(0, 2), num_cuts=st.integers(1, 40),
        block_cells=st.sampled_from([kernels._BLOCK_CELLS, 1, 37, 256]))
 @settings(max_examples=150, deadline=None)
 def test_matches_per_agent_oracle(seed, L, t_start, t_len, beta, spent,
-                                  budget_frac, adv_active, pad, block_cells):
+                                  budget_frac, adv_active, pad, num_cuts,
+                                  block_cells):
     rng = np.random.default_rng(seed)
     plan = make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
-                     adv_active=adv_active, pad=pad)
+                     adv_active=adv_active, pad=pad, num_cuts=num_cuts)
     with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
         assert_same(plan)
 
@@ -246,6 +260,75 @@ def test_rounds_beyond_block_and_default_block():
     plan = make_plan(rng, 4, 1, 3 * kernels._BLOCK_CELLS // 4 + 5, True,
                      spent=0.0, budget_frac=0.4)
     assert_same(plan)
+
+
+@given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([1, 3, 64]),
+       t_len=st.integers(1, 150), beta=st.booleans(),
+       spent=st.sampled_from([0.0, 2.9]), budget_frac=st.floats(0.0, 1.2),
+       num_cuts=st.integers(1, 150),
+       block_cells=st.sampled_from([kernels._BLOCK_CELLS, 1, 37]))
+@settings(max_examples=40, deadline=None)
+def test_cuts_change_no_bit(seed, L, t_len, beta, spent, budget_frac,
+                            num_cuts, block_cells):
+    """Both kernels: one call over random cuts equals its chain of
+    one-cut calls (``conftest.run_plan``)."""
+    rng = np.random.default_rng(seed)
+    plan = make_plan(rng, L, 1 + seed % 5000, t_len, beta, spent,
+                     budget_frac, num_cuts=num_cuts)
+    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+        run_plan(plan)
+
+
+def _cell_charges(plan):
+    """Each (round, agent) cell's charge with no budget, from the oracle
+    cut at every round."""
+    every_round = np.arange(plan.t_start, plan.t_end + 1)
+    return _oracle_segment(dataclasses.replace(
+        plan, cuts=every_round, budget=np.inf, spent=0.0)).corruption
+
+
+@pytest.mark.parametrize("where", ["short", "long", "cut"])
+@pytest.mark.parametrize("block_cells", [1, 37, kernels._BLOCK_CELLS])
+@pytest.mark.parametrize("beta", [False, True])
+@pytest.mark.parametrize("L", [1, 3, 64])
+def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
+                                                   where):
+    """Cuts make 1-round segments, segments sharing a group and segments
+    longer than a group.  The budget closes inside the 3-round segment
+    (which shares its group when a group holds 5 rounds), inside the
+    segment longer than a group, or exactly at a cut: spent then equals
+    the budget, and the next cell's charge overruns it."""
+    rows = max(1, block_cells // L)
+    lengths = [1, 1, 3, rows + 2, 1, 2, 5, 1, 4, 1]
+    rng = np.random.default_rng(97 + L)
+    plan = make_plan(rng, L, 2**32 + 5, sum(lengths), beta, spent=3.7,
+                     budget_frac=1.0, num_arms=12, max_local=8, pad=1,
+                     means=np.linspace(0.1, 0.9, 12))
+    plan.cuts = plan.t_start - 1 + np.cumsum(lengths)
+    # as gap_flip: each agent's best arm pushed down, its worst pushed up
+    plan.targets[:, 0] = plan.arms[np.arange(L), plan.n_local - 1]
+    plan.targets[:, 1] = plan.arms[:, 0]
+    plan.pushes[:] = [-0.3719, 0.2903]
+    flat = _cell_charges(plan).reshape(-1)
+    cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
+    seg_start = np.concatenate(([0], np.cumsum(lengths)[:-1])) * L
+    if where == "cut":
+        # the first cut from the fourth on whose next cell is charged
+        seg = next(k for k in range(3, len(lengths)) if flat[seg_start[k]])
+        cell = seg_start[seg]
+        budget = cum[cell - 1]
+    else:
+        seg = 2 if where == "short" else 3
+        cell = next(c for c in range(seg_start[seg] + L, seg_start[seg + 1])
+                    if flat[c])
+        budget = cum[cell - 1] + 0.5 * flat[cell]
+    plan = dataclasses.replace(plan, budget=budget)
+    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+        result = run_plan(plan)
+    assert result.spent == cum[cell - 1] and not result.adv_active
+    assert (result.corruption[seg + 1:] == 0).all()
+    assert result.corruption[:seg].sum() > 0
+    assert budget % 2.0**-20 != 0  # not a dyadic rational of small scale
 
 
 def test_untraced_result_matches_traced():

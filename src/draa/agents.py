@@ -136,9 +136,7 @@ class AgentState:
 
     def __post_init__(self):
         if self.reward_sums is None:
-            self.reward_sums = np.zeros(len(self.arms))
-        if self.pull_counts is None:
-            self.pull_counts = np.zeros(len(self.arms), dtype=np.int64)
+            self.reset_accumulators()
 
     def active_arms(self) -> tuple[int, ...]:
         return tuple(int(k) for k in self.arms[self.active])

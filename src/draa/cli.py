@@ -14,23 +14,19 @@ invariant (the message names the invariant), 1 anything else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .config import load_config, load_sweep
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, checked, checked_as
 from .kernels import BACKENDS, default_backend
 from .model import build_instance
 from .oracle import (compare, exhaustive_estimator_mean, expected_pulls,
                      replay_check)
 from .runner import execute_run, run_experiment, run_sweep
-
-
-def _add_backend_arg(parser):
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="simulation backend (default: DRAA_BACKEND or numba)")
 
 
 def cmd_run(args) -> int:
@@ -89,7 +85,7 @@ def cmd_verify(args) -> int:
         ok = ok and r.matches
         print(f"{r.quantity:<40} {r.oracle_value:>12.6g} "
               f"{r.engine_value:>12.6g} {r.abs_deviation:>10.3g}  {status}")
-    print(json.dumps([r.as_dict() for r in reports], indent=2))
+    print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
     return 0 if ok else 1
 
 
@@ -99,22 +95,42 @@ def cmd_show(args) -> int:
             summary = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"could not read summary: {exc}") from exc
-    print(f"experiment : {summary.get('name')}")
-    print(f"seed       : {summary.get('seed')}")
-    print(f"estimator  : {summary.get('estimator')}  "
-          f"backend: {summary.get('backend')}")
-    print(f"horizon    : {summary.get('horizon')}  "
-          f"epochs: {summary.get('num_epochs')}  "
-          f"lambda: {summary.get('lambda'):.4g}")
-    print(f"regret     : total {summary.get('regret_total'):.4f}  "
-          f"per agent {['%.2f' % r for r in summary.get('regret_per_agent', [])]}")
-    corr = summary.get("corruption", {})
-    print(f"corruption : C = {corr.get('C', 0.0):.4f}  "
-          f"per epoch {['%.1f' % c for c in corr.get('C_per_epoch', [])]}")
-    print(f"comm cost  : {summary.get('comm_cost')}")
-    print(f"fallbacks  : {summary.get('fallback_epochs')}  "
-          f"bracket violations: {summary.get('prob_bracket_violations')}  "
-          f"gap-range violations: {summary.get('gap_range_violations')}")
+    what = f"{args.summary} is not a run summary"
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{what}: its top level is a JSON "
+                          f"{type(summary).__name__}, not an object")
+    corr = {"C": 0.0, "C_per_epoch": [],
+            **checked_as("summary field 'corruption'",
+                         summary.get("corruption", {}), dict)}
+
+    def number(key, spec, section=summary):
+        """``section[key]``, or each item of a list there, as a number."""
+        value, name = section[key], f"summary field {key!r}"
+        if isinstance(value, list):
+            return [format(checked(name, v), spec) for v in value]
+        return format(checked(name, value), spec)
+
+    try:
+        lines = [
+            f"experiment : {summary['name']}",
+            f"seed       : {summary['seed']}",
+            f"estimator  : {summary['estimator']}  "
+            f"backend: {summary['backend']}",
+            f"horizon    : {summary['horizon']}  "
+            f"epochs: {summary['num_epochs']}  "
+            f"lambda: {number('lambda', '.4g')}",
+            f"regret     : total {number('regret_total', '.4f')}  "
+            f"per agent {number('regret_per_agent', '.2f')}",
+            f"corruption : C = {number('C', '.4f', corr)}  "
+            f"per epoch {number('C_per_epoch', '.1f', corr)}",
+            f"comm cost  : {summary['comm_cost']}",
+            f"fallbacks  : {summary['fallback_epochs']}  "
+            f"bracket violations: {summary['prob_bracket_violations']}  "
+            f"gap-range violations: {summary['gap_range_violations']}",
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing {exc}") from None
+    print("\n".join(lines))
     return 0
 
 
@@ -125,25 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "adversarial reward corruption.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    _add_backend_arg(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep spec")
-    p_sweep.add_argument("spec")
-    _add_backend_arg(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="oracle cross-checks")
-    p_verify.add_argument("config")
-    _add_backend_arg(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_show = sub.add_parser("show", help="print a run summary")
-    p_show.add_argument("summary")
-    p_show.set_defaults(func=cmd_show)
+    for name, arg, func, text in (
+            ("run", "config", cmd_run, "run an experiment config"),
+            ("sweep", "spec", cmd_sweep, "run a sweep spec"),
+            ("verify", "config", cmd_verify, "oracle cross-checks"),
+            ("show", "summary", cmd_show, "print a run summary")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument(arg)
+        if func is not cmd_show:
+            command.add_argument(
+                "--backend", choices=BACKENDS, default=None,
+                help="simulation backend (default: DRAA_BACKEND or numba)")
+        command.set_defaults(func=func)
     return parser
 
 

@@ -86,7 +86,11 @@ def load_yaml(path) -> dict:
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    """Check the schema and build the validated config object."""
+    """Check the schema and build the validated config object.
+
+    ``raw`` is ``data`` itself, uncopied, so callers must not edit it
+    later: ``load_yaml`` returns a fresh dict and :func:`sweep_points`
+    edits a copy."""
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
@@ -140,7 +144,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         seeds=seeds,
         output_dir=str(data.get("output_dir", "results")),
         num_checkpoints=num_checkpoints,
-        raw=copy.deepcopy(data),
+        raw=data,
     )
 
 

@@ -5,11 +5,13 @@ by epoch.  Within an epoch the pull distributions are frozen, so each
 epoch's rounds are one backend kernel call, cut at the checkpoint
 rounds inside it; the engine folds the call's per-segment regret and
 charges in order and reads each checkpoint row from them.  The budget
-runs out at the same cell wherever checkpoints fall.  At each epoch
-boundary agents broadcast, re-estimate, and re-weight; the engine
-snapshots state, enforces hard invariants, and records soft invariant
-violations for the test harness.  Cross-checks run the same loop on both
-kernels (see :mod:`draa.kernels`).
+runs out at the same cell wherever checkpoints fall.  A traced run
+allocates its (T, L) pulls, delivered and clean arrays once and hands
+each call the epoch's rows of them, which the kernel fills in place.  At
+each epoch boundary agents broadcast, re-estimate, and re-weight; the
+engine snapshots state, enforces hard invariants, and records soft
+invariant violations for the test harness.  Cross-checks run the same
+loop on both kernels (see :mod:`draa.kernels`).
 
 The engine owns the run's corruption state.  It asks the (stateless)
 adversary for each epoch's edits, threads the budget spend and whether
@@ -207,9 +209,9 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     checkpoint_rows: list[CheckpointRow] = []
     epochs: list[EpochRecord] = []
 
-    pulls_full = np.zeros((T, L), dtype=np.int64) if trace else None
-    observed_full = np.zeros((T, L)) if trace else None
-    clean_full = np.zeros((T, L)) if trace else None
+    # (pulls, observed, clean), filled epoch by epoch by the kernels
+    traced = ((np.zeros((T, L), dtype=np.int64), np.zeros((T, L)),
+               np.zeros((T, L))) if trace else None)
 
     for m in range(1, schedule.num_epochs + 1):
         start, end = schedule.epoch_bounds(m)
@@ -238,23 +240,20 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         else:
             cuts = np.append(in_epoch, end)
         plan = SegmentPlan(
-            t_start=start, t_end=end, cuts=cuts, env_prefix=env_prefix,
+            t_start=start, cuts=cuts, env_prefix=env_prefix,
             pull_prefix=pull_prefix, arms=arms_pad, n_local=n_local,
             cdf=_pad_cdf(states, kmax), means=instance.means,
             best_means=best_means, reward_model=reward_model,
             beta_table=beta_table, targets=targets, pushes=pushes,
             budget=adversary.budget, spent=spent, adv_active=active,
         )
-        result = run_segment(plan, backend=backend, trace=trace)
+        rows = traced and tuple(a[start - 1:end] for a in traced)
+        result = run_segment(plan, backend=backend, trace=rows)
         for ell, state in enumerate(states):
             n = int(n_local[ell])
             state.reward_sums += result.reward_sums[ell, :n]
             state.pull_counts += result.pull_counts[ell, :n]
         spent, active = result.spent, result.adv_active
-        if trace:
-            pulls_full[start - 1:end] = result.pulls
-            observed_full[start - 1:end] = result.observed
-            clean_full[start - 1:end] = result.clean
         # fold the cut segments in order; every cut is a checkpoint but
         # the epoch's end when only that ends a segment
         charged_before = float(ledger[:m - 1].sum())
@@ -295,11 +294,12 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         "C_per_agent": per_agent.tolist(),
         "C_per_epoch": ledger.sum(axis=1).tolist(),
     }
+    pulls, observed, clean = traced or (None, None, None)
     return RunResult(
         seed=seed, estimator=estimator, backend=backend, instance=instance,
         schedule=schedule, epochs=epochs, checkpoints=checkpoint_rows,
         per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),
         comm_cost=comm_cost(log), corruption=corruption, message_log=log,
-        pulls=pulls_full, observed=observed_full, clean=clean_full,
+        pulls=pulls, observed=observed, clean=clean,
     )
 

@@ -6,10 +6,14 @@ segments that end at the checkpoints inside the epoch and at its end;
 each segment's regret and corruption come back as one row, and its
 reward sums are added into the epoch's totals in segment order.  (Those
 per-segment partial sums keep the results bit-identical to one call per
-segment.)  Rewards are materialized lazily: since each reward is a pure
-function of (seed, t, agent, arm), the kernels only draw the entries
-they touch (the pulled arm plus any adversary-targeted arms), which is
-exactly equivalent to drawing the full matrix and discarding the rest.
+segment.)  A traced call writes each round's pulled arm, delivered
+reward and clean reward into caller-owned (rounds, L) arrays, typically
+row slices of the run's own; an untraced call writes nothing.
+
+Rewards are materialized lazily: since each reward is a pure function
+of (seed, t, agent, arm), the kernels only draw the entries they touch
+(the pulled arm plus any adversary-targeted arms), which is exactly
+equivalent to drawing the full matrix and discarding the rest.
 
 Two backends implement the same contract:
 
@@ -78,13 +82,8 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     _HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+    def njit(**_):
+        return lambda fn: fn
 
 
 def default_backend(requested: str | None = None) -> str:
@@ -114,12 +113,11 @@ class SegmentPlan:
     each agent's true arm count.  ``targets``/``pushes`` are (L, 2)
     adversary edits with -1 padding for unused slots.  ``cuts`` splits
     the block into segments: segment s ends at round ``cuts[s]`` and the
-    next one starts after it.
+    next one starts after it, so the last cut ends the block.
     """
 
     t_start: int  # first round, 1-based, inclusive
-    t_end: int  # last round, inclusive
-    cuts: np.ndarray  # (S,) int64 ascending segment ends, cuts[-1] == t_end
+    cuts: np.ndarray  # (S,) int64 ascending segment ends
     env_prefix: int
     pull_prefix: int
     arms: np.ndarray  # (L, Kmax) int64, -1 padded
@@ -135,6 +133,11 @@ class SegmentPlan:
     spent: float
     adv_active: bool
 
+    @property
+    def t_end(self) -> int:
+        """Last round, inclusive: the last cut."""
+        return int(self.cuts[-1])
+
 
 @dataclass
 class SegmentResult:
@@ -142,7 +145,8 @@ class SegmentResult:
     arrays covering segment s.
 
     ``reward_sums`` adds each segment's sums, themselves added in round
-    order from zero, into the total in segment order.
+    order from zero, into the total in segment order.  The traced rows
+    are not part of it: they go to the arrays the caller passed.
     """
 
     reward_sums: np.ndarray  # (L, Kmax) delivered-reward sums per local slot
@@ -151,9 +155,6 @@ class SegmentResult:
     corruption: np.ndarray  # (S, L) accepted ledger contributions
     spent: float  # budget spend after the last segment
     adv_active: bool
-    pulls: np.ndarray | None = None  # (T, L) arm ids when traced
-    observed: np.ndarray | None = None  # (T, L) delivered pulled rewards
-    clean: np.ndarray | None = None  # (T, L) clean pulled rewards
 
 
 @njit(cache=True)
@@ -268,18 +269,17 @@ def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
     return spent, adv_active
 
 
-def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
+def run_segment_numba(plan: SegmentPlan,
+                      trace: tuple | None = None) -> SegmentResult:
     """Execute a plan with the per-round loop (uncompiled without numba)."""
     L, kmax = plan.arms.shape
-    t_len = plan.t_end - plan.t_start + 1
     reward_sums = np.zeros((L, kmax))
     pull_counts = np.zeros((L, kmax), dtype=np.int64)
     regret = np.zeros((plan.cuts.size, L))
     corruption = np.zeros((plan.cuts.size, L))
-    shape = (t_len, L) if trace else (0, L)
-    pulls = np.zeros(shape, dtype=np.int64)
-    observed = np.zeros(shape)
-    clean = np.zeros(shape)
+    # untraced, the loop gets empty rows it never writes
+    pulls, observed, clean = trace or (np.empty((0, L), dtype=np.int64),
+                                       np.empty((0, L)), np.empty((0, L)))
     beta_table = plan.beta_table if plan.beta_table.size else np.zeros((1, 2))
     # as plain Python the loop's uint64 scalar arithmetic warns on the
     # intended wraparound; compiled, it wraps silently
@@ -290,14 +290,11 @@ def run_segment_numba(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
             plan.means, plan.best_means, plan.reward_model, beta_table,
             plan.targets, plan.pushes, plan.budget, plan.spent,
             plan.adv_active, reward_sums, pull_counts, regret, corruption,
-            pulls, observed, clean, trace,
+            pulls, observed, clean, trace is not None,
         )
     return SegmentResult(
         reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
         corruption=corruption, spent=float(spent), adv_active=bool(active),
-        pulls=pulls if trace else None,
-        observed=observed if trace else None,
-        clean=clean if trace else None,
     )
 
 
@@ -439,7 +436,8 @@ def _gate(contrib: np.ndarray, observed: np.ndarray, clean: np.ndarray,
     return spent, first_reject == flat.size
 
 
-def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
+def run_segment_numpy(plan: SegmentPlan,
+                      trace: tuple | None = None) -> SegmentResult:
     """Execute a plan with vectorized numpy (fallback backend).
 
     The rounds are drawn in groups of whole consecutive segments holding
@@ -459,10 +457,6 @@ def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
     corruption = np.zeros((cuts.size, L))
     live, target_slot = _live_targets(plan)
     spent, adv_active = plan.spent, plan.adv_active
-    if trace:
-        t_len = plan.t_end - plan.t_start + 1
-        pulls = np.empty((t_len, L), dtype=np.int64)
-        observed_all, clean_all = np.empty((t_len, L)), np.empty((t_len, L))
 
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
@@ -494,11 +488,10 @@ def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
         lengths = np.array([b - a for a, b in bounds])[:, None]
         regret[s0:s1] = plan.best_means * lengths - pulled
 
-        if trace:
-            r0, r1 = t0 - plan.t_start, t1 - plan.t_start + 1
-            pulls[r0:r1] = arms_flat[slot]
-            observed_all[r0:r1] = observed
-            clean_all[r0:r1] = clean
+        if trace is not None:
+            span = slice(t0 - plan.t_start, t1 - plan.t_start + 1)
+            for out, group in zip(trace, (arms_flat[slot], observed, clean)):
+                out[span] = group
         del slot, clean, observed, contrib, bins, means
         s0, t0 = s1, t1 + 1
 
@@ -507,15 +500,18 @@ def run_segment_numpy(plan: SegmentPlan, trace: bool = False) -> SegmentResult:
         pull_counts=pull_counts.reshape(L, kmax),
         regret=regret, corruption=corruption, spent=float(spent),
         adv_active=bool(adv_active),
-        pulls=pulls if trace else None,
-        observed=observed_all if trace else None,
-        clean=clean_all if trace else None,
     )
 
 
 def run_segment(plan: SegmentPlan, backend: str | None = None,
-                trace: bool = False) -> SegmentResult:
-    """Dispatch a segment to the requested (or default) backend."""
+                trace: tuple | None = None) -> SegmentResult:
+    """Dispatch a plan to the requested (or default) backend.
+
+    ``trace``, if given, is a (pulls, observed, clean) triple of
+    (rounds, L) int64, float64 and float64 arrays; the kernel writes
+    each round's pulled arm ids, delivered rewards and clean rewards
+    into its rows.
+    """
     backend = backend or default_backend()
     if backend == "numba":
         return run_segment_numba(plan, trace)

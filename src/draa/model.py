@@ -21,6 +21,11 @@ _BETA_TABLE_SIZE = 4097
 #: means closer than this are considered tied when picking local best arms
 _TIE_EPS = 1e-12
 
+#: largest accepted ``beta_concentration``: scipy's ``beta.ppf`` slows
+#: from about 1e12 on and returns NaN near 1e18; at 1e6 a Beta reward's
+#: standard deviation is already below 5e-4
+_MAX_BETA_CONCENTRATION = 1e6
+
 
 @dataclass
 class BanditInstance:
@@ -115,6 +120,16 @@ def build_instance(config: dict) -> BanditInstance:
         local_means = means[list(arms)]
         best_arms.append(arms[int(np.argmax(local_means > local_means.max() - _TIE_EPS))])
 
+    nu = checked("beta_concentration", config.get("beta_concentration", 4.0),
+                 float, 0, _MAX_BETA_CONCENTRATION, strict=True)
+    if reward_model == "beta":
+        tiny = np.finfo(float).tiny  # beta.ppf overflows on a subnormal shape
+        for k, mu in enumerate(means.tolist()):
+            if 0 < mu < 1 and min(mu, 1 - mu) * nu < tiny:
+                raise ConfigError(f"arm {k} mean {mu!r} at beta_concentration "
+                                  f"{nu} gives a Beta shape parameter below "
+                                  f"{tiny:g}")
+
     means.flags.writeable = False
     coverage.flags.writeable = False
     return BanditInstance(
@@ -123,9 +138,7 @@ def build_instance(config: dict) -> BanditInstance:
         arm_sets=tuple(arm_sets),
         means=means,
         reward_model=reward_model,
-        beta_concentration=checked("beta_concentration",
-                                   config.get("beta_concentration", 4.0),
-                                   float, 0, strict=True),
+        beta_concentration=nu,
         agents_per_arm=coverage,
         l_min=int(coverage.min()),
         best_arms=tuple(best_arms),

@@ -37,17 +37,6 @@ class OracleReport:
     def matches(self) -> bool:
         return self.note in ("", "exact")
 
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "oracle_value": self.oracle_value,
-            "engine_value": self.engine_value,
-            "abs_deviation": self.abs_deviation,
-            "rel_deviation": self.rel_deviation,
-            "samples": self.samples,
-            "note": self.note,
-        }
-
 
 def expected_pulls(probabilities, epoch_len: int) -> np.ndarray:
     """Per-arm expected pull counts p * T^m for one agent's epoch."""
@@ -130,23 +119,15 @@ def replay_check(config: ExperimentConfig, seed: int,
     if reference is None:
         reference = execute_run(config, seed, backend, trace=True)
     replay = execute_run(config, seed, backend, trace=True)
-    same_pulls = bool(np.array_equal(reference.pulls, replay.pulls))
-    same_obs = bool(np.array_equal(reference.observed, replay.observed))
-    dev = abs(reference.total_regret - replay.total_regret)
-    note = ""
+    report = compare(f"replay(seed={seed})", reference.total_regret,
+                     replay.total_regret, 0.0, samples=reference.pulls.size)
     if reference.seed != replay.seed:
-        note = "different trace (expected)"
-    elif not (same_pulls and same_obs and dev == 0.0):
-        note = "trace mismatch: determinism regression"
-    return OracleReport(
-        quantity=f"replay(seed={seed})",
-        oracle_value=reference.total_regret,
-        engine_value=replay.total_regret,
-        abs_deviation=dev,
-        rel_deviation=dev / max(abs(reference.total_regret), 1e-12),
-        samples=reference.pulls.size,
-        note=note,
-    )
+        report.note = "different trace (expected)"
+    elif not (np.array_equal(reference.pulls, replay.pulls)
+              and np.array_equal(reference.observed, replay.observed)
+              and report.abs_deviation == 0.0):
+        report.note = "trace mismatch: determinism regression"
+    return report
 
 
 def compare(quantity: str, oracle_value: float, engine_value: float,

@@ -85,26 +85,19 @@ def write_checkpoint_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+#: the per-agent array fields of an ``EpochRecord``
+_EPOCH_ARRAYS = ("probs", "gaps", "estimates", "pull_counts")
+
+
 def summarize(result: RunResult, config: ExperimentConfig) -> dict:
-    """JSON-ready run summary including per-epoch probability snapshots."""
-    epochs = []
-    for e in result.epochs:
-        epochs.append({
-            "m": e.m,
-            "start": e.start,
-            "end": e.end,
-            "length": e.length,
-            "probs": [p.tolist() for p in e.probs],
-            "active_sets": [list(a) for a in e.active_sets],
-            "fallback": list(e.fallback),
-            "gaps": [g.tolist() for g in e.gaps],
-            "estimates": [r.tolist() for r in e.estimates],
-            "r_max": [float(r) for r in e.r_max],
-            "pull_counts": [c.tolist() for c in e.pull_counts],
-            "corruption": e.corruption,
-            "prob_bracket_violations": e.prob_bracket_violations,
-            "gap_range_violations": e.gap_range_violations,
-        })
+    """JSON-ready run summary including per-epoch probability snapshots.
+
+    Each epoch's entry holds every :class:`EpochRecord` field, its
+    per-agent arrays as lists (``json`` writes tuples as lists too).
+    """
+    epochs = [dict(vars(e), **{key: [a.tolist() for a in getattr(e, key)]
+                               for key in _EPOCH_ARRAYS})
+              for e in result.epochs]
     return {
         "schema_version": 1,
         "name": config.name,

@@ -11,17 +11,47 @@ from draa.model import REWARD_MODELS
 from draa.rng import ENV_STREAM, PULL_STREAM, stream_prefix
 
 
+@dataclasses.dataclass
+class Traced(SegmentResult):
+    """A kernel's result together with the rows it traced."""
+
+    pulls: np.ndarray = None  # (rounds, L) arm ids
+    observed: np.ndarray = None  # (rounds, L) delivered pulled rewards
+    clean: np.ndarray = None  # (rounds, L) clean pulled rewards
+
+
+def trace_rows(plan):
+    """Fresh (pulls, observed, clean) arrays for the rounds of ``plan``,
+    filled with -1 and NaN so that a row the kernel skips never compares
+    equal."""
+    shape = (plan.t_end - plan.t_start + 1, plan.arms.shape[0])
+    return (np.full(shape, -1, dtype=np.int64), np.full(shape, np.nan),
+            np.full(shape, np.nan))
+
+
+def traced(plan, backend):
+    """``plan`` run in one call that fills fresh trace arrays."""
+    rows = trace_rows(plan)
+    result = run_segment(plan, backend=backend, trace=rows)
+    return Traced(**vars(result), pulls=rows[0], observed=rows[1],
+                  clean=rows[2])
+
+
 def chained(plan, backend):
     """``plan`` run as one call per segment, each cut once, with the
     spend and the gate carried from call to call, reward sums and pull
-    counts added in segment order and the per-segment rows stacked."""
+    counts added in segment order, the per-segment rows stacked and each
+    call tracing into its slice of one shared set of arrays."""
     spent, active = plan.spent, plan.adv_active
+    rows = trace_rows(plan)
     parts = []
     t_start = plan.t_start
     for cut in plan.cuts.tolist():
+        span = slice(t_start - plan.t_start, cut - plan.t_start + 1)
         part = run_segment(dataclasses.replace(
-            plan, t_start=t_start, t_end=cut, cuts=np.array([cut]),
-            spent=spent, adv_active=active), backend=backend, trace=True)
+            plan, t_start=t_start, cuts=np.array([cut]), spent=spent,
+            adv_active=active), backend=backend,
+            trace=tuple(a[span] for a in rows))
         spent, active = part.spent, part.adv_active
         parts.append(part)
         t_start = cut + 1
@@ -30,20 +60,17 @@ def chained(plan, backend):
     for part in parts:
         reward_sums += part.reward_sums
         pull_counts += part.pull_counts
-
-    def stack(name):
-        return np.concatenate([getattr(part, name) for part in parts])
-
-    return SegmentResult(
+    return Traced(
         reward_sums=reward_sums, pull_counts=pull_counts,
-        regret=stack("regret"), corruption=stack("corruption"),
-        spent=spent, adv_active=active, pulls=stack("pulls"),
-        observed=stack("observed"), clean=stack("clean"))
+        regret=np.concatenate([part.regret for part in parts]),
+        corruption=np.concatenate([part.corruption for part in parts]),
+        spent=spent, adv_active=active, pulls=rows[0], observed=rows[1],
+        clean=rows[2])
 
 
 def assert_identical(a, b):
-    """Every ``SegmentResult`` field equal bit for bit, dtypes included."""
-    for field in dataclasses.fields(SegmentResult):
+    """Every ``Traced`` field equal bit for bit, dtypes included."""
+    for field in dataclasses.fields(Traced):
         x, y = getattr(a, field.name), getattr(b, field.name)
         assert np.array_equal(x, y), field.name
         assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
@@ -57,10 +84,10 @@ def run_plan(plan):
     other exactly, except regret and corruption, whose accumulation order
     differs between them (compared at 1e-9).
     """
-    loop, vec = (run_segment(plan, backend=b, trace=True) for b in BACKENDS)
+    loop, vec = (traced(plan, b) for b in BACKENDS)
     for backend, result in zip(BACKENDS, (loop, vec)):
         assert_identical(result, chained(plan, backend))
-    for field in dataclasses.fields(SegmentResult):
+    for field in dataclasses.fields(Traced):
         a, b = getattr(loop, field.name), getattr(vec, field.name)
         if field.name in ("regret", "corruption"):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
@@ -99,7 +126,7 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
     L = inst.num_agents
     targets, pushes = edits or (np.full((L, 2), -1), np.zeros((L, 2)))
     plan = SegmentPlan(
-        t_start=1, t_end=rounds, cuts=np.array([rounds]),
+        t_start=1, cuts=np.array([rounds]),
         env_prefix=stream_prefix(seed, ENV_STREAM),
         pull_prefix=stream_prefix(seed, PULL_STREAM),
         arms=arms, n_local=n_local, cdf=cdf, means=inst.means,

@@ -4,15 +4,19 @@ checkpoint placement, invariant bookkeeping, and structural reductions.
 ``backend="numba"`` runs the scalar loop kernel, compiled or, without
 numba, as plain Python; it is the reference the numpy kernel must match.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from draa import engine
 from draa.adversary import make_adversary
 from draa.agents import build_schedule
+from draa.config import validate_config
 from draa.engine import default_checkpoints, run_single
 from draa.kernels import run_segment
 from draa.model import build_instance
+from draa.runner import execute_run
 
 ADVERSARIES = [
     None,
@@ -243,3 +247,31 @@ def test_one_kernel_call_per_epoch(monkeypatch, backend):
     assert [(p.t_start, p.t_end) for p in plans] == [
         sched.epoch_bounds(m) for m in range(1, sched.num_epochs + 1)]
     assert [cp.t for cp in result.checkpoints] == marks
+
+
+def test_traced_run_holds_its_trace_once():
+    """A traced run's peak memory is its three (T, L) trace arrays, 24 B
+    per agent-round, plus little: the kernel fills the epoch's rows in
+    place rather than returning them for a copy.  The largest epoch
+    spans most of the horizon, so a second copy of it would show."""
+    horizon = 200_000
+    config = validate_config({
+        "schema_version": 1, "horizon": horizon, "seeds": [0],
+        "instance": {
+            "num_arms": 8, "num_agents": 4,
+            "arm_sets": [[0, 2, 3, 6], [0, 3, 4, 7], [1, 4, 5, 6],
+                         [1, 2, 5, 7]],
+            "means": [0.9, 0.85, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1]},
+        "adversary": {"kind": "gap_flip", "magnitude": 0.5,
+                      "budget": 10000.3},
+        "algorithm": {"lam_scale": 64}})
+    agent_rounds = horizon * config.instance.num_agents
+    tracemalloc.start()
+    try:
+        result = execute_run(config, 0, backend="numpy", trace=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(e.length for e in result.epochs) >= horizon / 2
+    assert result.pulls.shape == (horizon, config.instance.num_agents)
+    assert peak / agent_rounds <= 28

@@ -1,8 +1,12 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,81 @@ _FUZZ_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True))
 
 
+#: the run-level fuzz keeps every accepted run small: a drawn config has
+#: at most 5 arms, 4 agents, 3 seeds and 2000 rounds; a mutation writes
+#: integers up to 40, and its larger values (1e30, 10**30, 2**64, 10**400)
+#: are out of range for the horizon and the seed fields, so no accepted run
+#: exceeds 2000 rounds or 40 seeds
+_RUN_FUZZ_CAP = {"horizon": 2000, "int": 40}
+_RUN_FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "3",
+                     "abc", "up", "beta", {}, [], [1], [0, 1], {"a": 1},
+                     1e30, 10**30, 2**64, 10**400, 2.5, 0.5, -2.5]),
+    st.integers(-3, _RUN_FUZZ_CAP["int"]),
+    st.floats(-2.0, 2.0))
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into the nested dicts and lists of ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A whole valid config, then up to four edits anywhere in it: a
+    replaced value or a deleted key (never its name or output_dir)."""
+    K, L = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    arm_sets = [draw(st.lists(st.integers(0, K - 1), min_size=1,
+                              max_size=K, unique=True)) for _ in range(L)]
+    arm_sets[0] = sorted(set(arm_sets[0]) | set(range(K)))  # cover every arm
+    budget, magnitude = draw(st.floats(0, 300)), draw(st.floats(0, 1.5))
+    arm = draw(st.integers(0, K - 1))
+    adversary = draw(st.sampled_from([
+        None,
+        {"kind": "gap_flip", "magnitude": magnitude, "budget": budget},
+        {"kind": "budgeted_targeted", "target_arm": arm,
+         "magnitude": magnitude, "budget": budget, "agents": [0]},
+        {"kind": "epoch_flood", "target_arm": arm, "start_epoch": 2,
+         "direction": "down", "budget": budget, "magnitude": magnitude},
+    ]))
+    horizon = draw(st.integers(3, _RUN_FUZZ_CAP["horizon"]))
+    data = {
+        "schema_version": 1,
+        "instance": {
+            "num_arms": K, "num_agents": L, "arm_sets": arm_sets,
+            "means": draw(st.lists(st.floats(0, 1), min_size=K, max_size=K)),
+            "reward_model": draw(st.sampled_from(["bernoulli", "beta"])),
+            "beta_concentration": draw(st.floats(0.1, 50))},
+        "adversary": adversary,
+        "algorithm": {"estimator": draw(st.sampled_from(["weighted",
+                                                         "naive"])),
+                      "lam_scale": draw(st.floats(16, 512)),
+                      "delta": draw(st.floats(0.001, 0.5))},
+        "horizon": horizon,
+        "num_checkpoints": draw(st.integers(1, horizon)),
+    }
+    if draw(st.booleans()):
+        data["seeds"] = draw(st.lists(st.integers(0, 2**64 - 1),
+                                      min_size=1, max_size=3, unique=True))
+    else:
+        data.update(num_seeds=draw(st.integers(1, 3)),
+                    seed_base=draw(st.integers(0, 2**40)))
+    for _ in range(draw(st.integers(0, 4))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(draw(_RUN_FUZZ_VALUES))
+    return dict(data, name="fuzz")
+
+
 class TestConfigValidation:
     def test_valid(self):
         config = validate_config(base_config())
@@ -163,6 +242,13 @@ class TestConfigValidation:
         ({"algorithm": {"delta": 1e-320}}, "exploration constant"),
         (_VALIDATE_ONLY[0], "horizon"),
         (_VALIDATE_ONLY[1], "num_checkpoints"),
+        ({"instance": instance(beta_concentration=1e18)},
+         "beta_concentration"),
+        ({"instance": instance(reward_model="beta", means=[0.9, 5e-324, 0.4])},
+         "arm 1 mean 5e-324"),
+        ({"instance": instance(reward_model="beta", beta_concentration=1e-300,
+                               means=[0.9, 0.5, 1 - 2**-53])},
+         "arm 2 mean"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -193,6 +279,37 @@ class TestConfigValidation:
         except ConfigError:
             return
         assert_well_formed(config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_mutated_configs())
+    def test_mutated_config_runs_or_exits_2(self, data):
+        """``draa run`` on a mutated whole config exits 2 with a message
+        and writes nothing, or finishes with sound totals; any other exit
+        or an exception fails."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            path = Path(tmp) / "config.yaml"
+            path.write_text(yaml.safe_dump(dict(data, output_dir=str(out))))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", str(path), "--backend", "numpy"])
+            if code == 2:
+                assert "configuration error" in stderr.getvalue()
+                assert not out.exists()
+                return
+            assert code == 0
+            config = load_config(path)
+            assert config.horizon <= _RUN_FUZZ_CAP["horizon"]
+            for seed in config.seeds:
+                with open(out / "fuzz" / f"seed_{seed}_summary.json") as fh:
+                    summary = json.load(fh)
+                assert math.isfinite(summary["regret_total"])
+                assert all(map(math.isfinite, summary["regret_per_agent"]))
+                budget = config.adversary.budget
+                assert 0 <= summary["corruption"]["C"] <= budget
+                assert summary["comm_cost"] == (config.instance.num_agents
+                                                * summary["num_epochs"])
 
     def test_missing_horizon(self):
         data = base_config()
@@ -341,6 +458,15 @@ class TestSweep:
             validate_sweep(data)
 
 
+#: a stored run summary's fields, as ``draa show`` reads them
+_SUMMARY = {"name": "x", "seed": 0, "estimator": "weighted",
+            "backend": "numpy", "horizon": 3, "num_epochs": 1, "lambda": 2.0,
+            "regret_total": 1.0, "regret_per_agent": [1.0],
+            "corruption": {"C": 0.0, "C_per_epoch": [0.0]}, "comm_cost": 1,
+            "fallback_epochs": 0, "prob_bracket_violations": 0,
+            "gap_range_violations": 0}
+
+
 class TestCli:
     def test_run_success(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -470,6 +596,23 @@ class TestCli:
 
     def test_show_missing_file_exit_2(self, tmp_path):
         assert main(["show", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("content,msg", [
+        ({"name": "x"}, "missing 'seed'"),
+        ([], "top level is a JSON list"),
+        ({"name": "x", "corruption": []}, "'corruption' must be a mapping"),
+        (dict(_SUMMARY, regret_total=None),
+         "'regret_total' must be a number, got None"),
+        (dict(_SUMMARY, regret_per_agent=[1.5, "x"]),
+         "'regret_per_agent' must be a number, got 'x'"),
+    ])
+    def test_show_non_summary_exit_2(self, tmp_path, capsys, content, msg):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(content))
+        assert main(["show", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and msg in err
+        assert "Traceback" not in err
 
 
 def _pin_config(**overrides):

@@ -6,7 +6,7 @@ agents in one pass: one agent at a time, every draw hashed from the
 stream prefix.  Its budget gate is a cumsum over ``[spent, *c]``, the
 loop kernel's running sum, and it reduces each cut segment on its own.
 The vectorized kernel must reproduce every field of its
-``SegmentResult`` exactly, traced arrays included.
+``SegmentResult`` and every traced row exactly.
 """
 import dataclasses
 import warnings
@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draa import kernels
-from draa.kernels import SegmentPlan, SegmentResult, run_segment_numpy
+from draa.kernels import BACKENDS, SegmentPlan, run_segment
 from draa.rng import _mix64_np, stream_prefix, uniform_array
 
-from conftest import assert_identical, run_plan
+from conftest import Traced, assert_identical, run_plan, traced
 
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _U64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -56,7 +56,7 @@ def _oracle_reward(model, means, arms, u, table):
     return lo + (hi - lo) * frac
 
 
-def _oracle_segment(plan, trace=False):
+def _oracle_segment(plan):
     L, kmax = plan.arms.shape
     t_len = plan.t_end - plan.t_start + 1
     ts = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
@@ -136,20 +136,18 @@ def _oracle_segment(plan, trace=False):
                           for a, b in bounds]
     corruption = np.array([charges[a:b].sum(axis=0) for a, b in bounds])
 
-    return SegmentResult(
+    return Traced(
         reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
         corruption=corruption, spent=float(spent), adv_active=adv_active,
-        pulls=pulled_arm if trace else None,
-        observed=observed if trace else None,
-        clean=clean if trace else None,
+        pulls=pulled_arm, observed=observed, clean=clean,
     )
 
 
 def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
               adv_active=True, num_arms=9, max_local=9, pad=0, means=None,
               num_cuts=1):
-    """A random plan cut at ``num_cuts`` random rounds, the last one
-    ``t_end``; the budget is ``spent`` plus ``budget_frac`` of what the
+    """A random plan over ``t_len`` rounds cut at ``num_cuts`` random
+    rounds, the last one its end; the budget is ``spent`` plus ``budget_frac`` of what the
     adversary would spend over the plan without a budget."""
     sizes = rng.integers(1, max_local + 1, size=L)
     kmax = int(sizes.max()) + pad
@@ -180,7 +178,7 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
         targets[ell, j] = arms[ell, rng.integers(sizes[ell])]
     t_end = t_start + t_len - 1
     plan = SegmentPlan(
-        t_start=t_start, t_end=t_end, cuts=np.array([t_end]),
+        t_start=t_start, cuts=np.array([t_end]),
         env_prefix=stream_prefix(int(rng.integers(2**63)), 0),
         pull_prefix=stream_prefix(int(rng.integers(2**63)), 2),
         arms=arms, n_local=sizes.astype(np.int64), cdf=cdf, means=means,
@@ -199,8 +197,8 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
 
 
 def assert_same(plan):
-    old = _oracle_segment(plan, trace=True)
-    assert_identical(run_segment_numpy(plan, trace=True), old)
+    old = _oracle_segment(plan)
+    assert_identical(traced(plan, "numpy"), old)
     return old
 
 
@@ -334,13 +332,11 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
 def test_untraced_result_matches_traced():
     rng = np.random.default_rng(11)
     plan = make_plan(rng, 6, 100, 50, False, spent=1.0, budget_frac=0.5)
-    traced = run_segment_numpy(plan, trace=True)
-    plain = run_segment_numpy(plan)
-    assert plain.pulls is None and plain.observed is None
-    assert plain.clean is None
-    for name in ("reward_sums", "pull_counts", "regret", "corruption",
-                 "spent", "adv_active"):
-        assert np.array_equal(getattr(plain, name), getattr(traced, name))
+    for backend in BACKENDS:
+        with_rows = traced(plan, backend)
+        plain = run_segment(plan, backend=backend)
+        for name, value in vars(plain).items():
+            assert np.array_equal(value, getattr(with_rows, name)), name
 
 
 def test_scalar_mixing_is_warning_free():

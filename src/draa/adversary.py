@@ -1,4 +1,4 @@
-"""Reward corruption: the adversary kinds.
+"""Reward corruption: the adversary kinds and their edit contract.
 
 An adversary is a stateless policy.  At each epoch start it names, per
 agent, up to two target arms and a signed raw edit for each; the segment
@@ -9,14 +9,23 @@ is charged the infinity norm of the *delivered* minus clean values (clamp
 then measure), so the realized corruption matches what agents
 experienced.
 
-Budget semantics: the budget counts those charges.  The first
-round-agent cell whose charge would overrun the budget turns the
-adversary off for the rest of the run (silent degradation to Null
-behavior), which keeps the accounting a simple prefix rule that
-vectorizes.  The run's spend, whether the gate is still open and the
-per-epoch, per-agent charges belong to the run, not to the adversary:
-:func:`draa.engine.run_single` keeps them, so one adversary object can
-drive any number of runs.
+The edit contract follows the heterogeneous model: agent ell pulls, and
+can be corrupted on, only the arms of its own set K_ell.  Each of an
+agent's two target slots is -1 (unused) or one of its arms, the two
+slots never name the same arm, and every edit is finite.
+:meth:`Adversary.begin_epoch`, the engine's one call per epoch, checks
+the edits of :meth:`epoch_edits` against it and raises
+:class:`~draa.errors.InvariantError` (exit 3) naming the agent and the
+arm; the kernels rely on it and check nothing.  Every built-in kind
+keeps it, so only a library subclass can break it.
+
+Budget semantics: the budget counts the charges.  The first round-agent
+cell whose charge would overrun the budget turns the adversary off for
+the rest of the run (silent degradation to Null behavior), which keeps
+the accounting a simple prefix rule that vectorizes.  The run's spend,
+whether the gate is still open and the per-epoch, per-agent charges
+belong to the run, not to the adversary: :func:`draa.engine.run_single`
+keeps them, so one adversary object can drive any number of runs.
 
 All implemented adversaries pick their targets once per epoch from
 information available before the epoch starts (previous-epoch estimates),
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, checked
+from .errors import ConfigError, InvariantError, checked
 from .model import BanditInstance
 
 
@@ -44,7 +53,6 @@ class HistoryView:
 
     epoch: int
     estimates: tuple[np.ndarray, ...]  # r^{m-1} per agent, over local arms
-    arm_lists: tuple[tuple[int, ...], ...]
 
 
 class Adversary:
@@ -66,12 +74,50 @@ class Adversary:
         that ``instance`` lacks."""
 
     def epoch_edits(self, instance: BanditInstance, history: HistoryView):
-        """Return ((L,2) target arms, (L,2) signed edits) or None."""
+        """Return ((L,2) int target arms, (L,2) signed edits) or None,
+        keeping the module's edit contract."""
         return None
 
     def begin_epoch(self, instance: BanditInstance, history: HistoryView):
-        """The engine's one call per epoch: the edits of :meth:`epoch_edits`."""
-        return self.epoch_edits(instance, history)
+        """The engine's one call per epoch: the edits of :meth:`epoch_edits`,
+        checked against the edit contract."""
+        edits = self.epoch_edits(instance, history)
+        if edits is not None:
+            _check_edits(instance, *edits)
+        return edits
+
+
+def _check_edits(instance: BanditInstance, targets, pushes) -> None:
+    """Raise ``InvariantError`` unless each agent's two targets are -1 or
+    arms of its own, and differ, and every push is finite."""
+    L = instance.num_agents
+    if not (isinstance(targets, np.ndarray) and targets.shape == (L, 2)
+            and targets.dtype.kind in "iu" and np.shape(pushes) == (L, 2)
+            and np.isfinite(pushes).all()):
+        raise InvariantError("adversary edits", f"targets and pushes must be "
+                             f"({L}, 2) arrays of integers and finite floats")
+    for ell, (k0, k1) in enumerate(targets.tolist()):
+        for k in (k0, k1):
+            if k != -1 and k not in instance.arm_sets[ell]:
+                raise InvariantError("adversary edits", f"agent {ell} "
+                                     f"targets arm {k}, not one of its arms")
+        if k0 == k1 != -1:
+            raise InvariantError("adversary edits", f"agent {ell} "
+                                 f"targets arm {k0} in both slots")
+
+
+def _one_arm_edits(instance: BanditInstance, arm: int, push: float,
+                   agents=None):
+    """Slot 0 of every agent (in ``agents``, if given) that holds ``arm``
+    edits it by ``push``."""
+    L = instance.num_agents
+    targets = np.full((L, 2), -1, dtype=np.int64)
+    pushes = np.zeros((L, 2))
+    for ell, own in enumerate(instance.arm_sets):
+        if arm in own and (agents is None or ell in agents):
+            targets[ell, 0] = arm
+            pushes[ell, 0] = push
+    return targets, pushes
 
 
 class BudgetedTargetedAdversary(Adversary):
@@ -98,16 +144,8 @@ class BudgetedTargetedAdversary(Adversary):
             checked("adversary agent", ell, int, 0, instance.num_agents - 1)
 
     def epoch_edits(self, instance, history):
-        L = instance.num_agents
-        targets = np.full((L, 2), -1, dtype=np.int64)
-        pushes = np.zeros((L, 2))
-        for ell in range(L):
-            if self.agents is not None and ell not in self.agents:
-                continue
-            if self.target_arm in instance.arm_sets[ell]:
-                targets[ell, 0] = self.target_arm
-                pushes[ell, 0] = -self.magnitude
-        return targets, pushes
+        return _one_arm_edits(instance, self.target_arm, -self.magnitude,
+                              self.agents)
 
 
 class EpochFloodAdversary(Adversary):
@@ -138,14 +176,8 @@ class EpochFloodAdversary(Adversary):
         if history.epoch < self.start_epoch:
             return None
         sign = 1.0 if self.direction == "up" else -1.0
-        L = instance.num_agents
-        targets = np.full((L, 2), -1, dtype=np.int64)
-        pushes = np.zeros((L, 2))
-        for ell in range(L):
-            if self.target_arm in instance.arm_sets[ell]:
-                targets[ell, 0] = self.target_arm
-                pushes[ell, 0] = sign * self.magnitude
-        return targets, pushes
+        return _one_arm_edits(instance, self.target_arm,
+                              sign * self.magnitude)
 
 
 class GapFlipAdversary(Adversary):
@@ -169,7 +201,7 @@ class GapFlipAdversary(Adversary):
         targets = np.full((L, 2), -1, dtype=np.int64)
         pushes = np.zeros((L, 2))
         for ell in range(L):
-            arms = history.arm_lists[ell]
+            arms = instance.arm_sets[ell]
             est = history.estimates[ell]
             best = arms[int(np.argmax(est))]
             worst = arms[int(np.argmin(est))]

@@ -16,7 +16,7 @@ clipping would bias it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,8 @@ class AgentState:
 
     ``gaps`` and ``estimates`` refer to the previous epoch (superscript
     m-1 quantities); ``probs`` and the accumulators belong to the
-    current epoch ``epoch``.
+    current epoch ``epoch``; the engine sets the accumulators from its
+    kernel call.  Updates rebind fields and never write into an array.
     """
 
     ell: int
@@ -131,19 +132,8 @@ class AgentState:
     active: np.ndarray  # bool mask over local arms
     fallback: bool  # True if the active set came from the empty-A fallback
     probs: np.ndarray
-    reward_sums: np.ndarray = field(default=None)
-    pull_counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.reward_sums is None:
-            self.reset_accumulators()
-
-    def active_arms(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in self.arms[self.active])
-
-    def reset_accumulators(self) -> None:
-        self.reward_sums = np.zeros(len(self.arms))
-        self.pull_counts = np.zeros(len(self.arms), dtype=np.int64)
+    reward_sums: np.ndarray | None = None  # delivered-reward sums per arm
+    pull_counts: np.ndarray | None = None  # int64 pulls per arm
 
 
 def init_epoch1(instance: BanditInstance, ell: int) -> AgentState:
@@ -237,13 +227,12 @@ def pool_estimates(broadcasts: list[EpochBroadcast], num_arms: int,
     prob_totals = np.zeros(num_arms)
     holders = np.zeros(num_arms, dtype=np.int64)
     for b in broadcasts:
-        arms = np.asarray(b.arms, dtype=np.int64)
-        holders[arms] += 1
+        holders[b.arms] += 1
         if weighted:
-            num[arms] += b.reward_sums / b.probs
+            num[b.arms] += b.reward_sums / b.probs
         else:
-            num[arms] += b.reward_sums
-            prob_totals[arms] += b.probs
+            num[b.arms] += b.reward_sums
+            prob_totals[b.arms] += b.probs
     uncovered = np.flatnonzero(holders == 0)
     if uncovered.size:
         raise ValueError(f"no broadcast covers arm {int(uncovered[0])}")
@@ -264,20 +253,15 @@ def update_gaps(r_max: float, estimates: np.ndarray) -> np.ndarray:
 
 def make_broadcast(state: AgentState) -> EpochBroadcast:
     """Freeze this epoch's accumulators and metadata for posting."""
-    return freeze_broadcast(
-        sender=state.ell,
-        epoch=state.epoch,
-        arms=state.arms,
-        reward_sums=state.reward_sums,
-        probs=state.probs,
-    )
+    return freeze_broadcast(state.ell, state.epoch, state.arms,
+                            state.reward_sums, state.probs)
 
 
 def advance_epoch(state: AgentState, broadcasts: list[EpochBroadcast],
                   instance: BanditInstance, epoch_len: int,
                   estimator: str = "weighted", *,
                   pooled: np.ndarray | None = None) -> None:
-    """Epoch-boundary update: estimate, re-split, re-weight, reset.
+    """Epoch-boundary update: estimate, re-split, re-weight.
 
     Mutates ``state`` into its next-epoch configuration using this
     epoch's pooled broadcasts.  ``epoch_len`` is the length of the
@@ -304,4 +288,3 @@ def advance_epoch(state: AgentState, broadcasts: list[EpochBroadcast],
     state.active = active
     state.fallback = fallback
     state.probs = probs
-    state.reset_accumulators()

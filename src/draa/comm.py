@@ -24,7 +24,7 @@ class EpochBroadcast:
 
     sender: int
     epoch: int
-    arms: tuple[int, ...]
+    arms: np.ndarray  # int64
     reward_sums: np.ndarray
     probs: np.ndarray
 
@@ -32,17 +32,13 @@ class EpochBroadcast:
 def freeze_broadcast(sender: int, epoch: int, arms, reward_sums,
                      probs) -> EpochBroadcast:
     """Snapshot mutable agent state into an immutable broadcast."""
+    k = np.array(arms, dtype=np.int64)
     r = np.array(reward_sums, dtype=np.float64)
     p = np.array(probs, dtype=np.float64)
-    for a in (r, p):
+    for a in (k, r, p):
         a.flags.writeable = False
-    return EpochBroadcast(
-        sender=sender,
-        epoch=epoch,
-        arms=tuple(int(k) for k in arms),
-        reward_sums=r,
-        probs=p,
-    )
+    return EpochBroadcast(sender=sender, epoch=epoch, arms=k, reward_sums=r,
+                          probs=p)
 
 
 class MessageLog:

@@ -89,7 +89,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     """Check the schema and build the validated config object.
 
     ``raw`` is ``data`` itself, uncopied, so callers must not edit it
-    later: ``load_yaml`` returns a fresh dict and :func:`sweep_points`
+    later: ``load_yaml`` returns a fresh dict and :func:`validate_sweep`
     edits a copy."""
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
@@ -164,14 +164,16 @@ def _set_path(data: dict, dotted: str, value) -> None:
 
 @dataclass
 class SweepSpec:
-    """A base config crossed with one or two finite axes."""
+    """A base config crossed with one or two finite axes, every point
+    built and validated."""
 
     base: ExperimentConfig
-    axes: list[dict]  # each: {"field": dotted path, "values": [...]}
-    cap: int
+    points: list[tuple[dict, ExperimentConfig]]  # (label, config) per point
 
 
 def validate_sweep(data: dict) -> SweepSpec:
+    """Check the spec and build every point's config, so that any bad
+    point fails before a sweep writes anything."""
     if not isinstance(data.get("base"), dict):
         raise ConfigError("sweep spec needs a 'base' config mapping")
     axes = [checked_as("each sweep axis", ax, dict)
@@ -186,21 +188,21 @@ def validate_sweep(data: dict) -> SweepSpec:
     n_points = math.prod(len(ax["values"]) for ax in axes)
     if n_points > cap:
         raise ConfigError(f"sweep has {n_points} points, exceeding cap {cap}")
-    return SweepSpec(base=validate_config(data["base"]), axes=axes, cap=cap)
+    base = validate_config(data["base"])
+    fields = [ax["field"] for ax in axes]
+    points = []
+    for combo in itertools.product(*(ax["values"] for ax in axes)):
+        label = dict(zip(fields, combo))
+        point = copy.deepcopy(base.raw)
+        for dotted, value in label.items():
+            _set_path(point, dotted, value)
+        config = validate_config(point)
+        config.name = base.name + "_" + "_".join(
+            f"{dotted.split('.')[-1]}={value}"
+            for dotted, value in label.items())
+        points.append((label, config))
+    return SweepSpec(base=base, points=points)
 
 
 def load_sweep(path) -> SweepSpec:
     return validate_sweep(load_yaml(path))
-
-
-def sweep_points(spec: SweepSpec):
-    """Yield (point label dict, validated config) per axis combination."""
-    value_lists = [ax["values"] for ax in spec.axes]
-    fields = [ax["field"] for ax in spec.axes]
-    for combo in itertools.product(*value_lists):
-        data = copy.deepcopy(spec.base.raw)
-        label = {}
-        for dotted, value in zip(fields, combo):
-            _set_path(data, dotted, value)
-            label[dotted] = value
-        yield label, validate_config(data)

@@ -54,7 +54,7 @@ class EpochRecord:
     end: int
     length: int
     probs: list  # per-agent probability vectors
-    active_sets: list  # per-agent tuples of active arm ids
+    active_sets: list  # per-agent lists of active arm ids
     fallback: list  # per-agent bool
     gaps: list  # per-agent previous-epoch gap estimates
     estimates: list  # per-agent previous-epoch reward estimates
@@ -217,21 +217,18 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         start, end = schedule.epoch_bounds(m)
         record = EpochRecord(
             m=m, start=start, end=end, length=schedule.epoch_length(m),
-            probs=[s.probs.copy() for s in states],
-            active_sets=[s.active_arms() for s in states],
+            probs=[s.probs for s in states],
+            active_sets=[s.arms[s.active].tolist() for s in states],
             fallback=[s.fallback for s in states],
-            gaps=[s.gaps.copy() for s in states],
-            estimates=[s.estimates.copy() for s in states],
+            gaps=[s.gaps for s in states],
+            estimates=[s.estimates for s in states],
             r_max=[s.r_max for s in states],
         )
         record.prob_bracket_violations = _check_probabilities(states, m, instance)
         record.gap_range_violations = _check_gap_range(states)
 
-        history = HistoryView(
-            epoch=m,
-            estimates=tuple(s.estimates.copy() for s in states),
-            arm_lists=instance.arm_sets,
-        )
+        history = HistoryView(epoch=m,
+                              estimates=tuple(s.estimates for s in states))
         targets, pushes = adversary.begin_epoch(instance, history) or no_edits
         in_epoch = marks[np.searchsorted(marks, start):
                          np.searchsorted(marks, end, "right")]
@@ -251,8 +248,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         result = run_segment(plan, backend=backend, trace=rows)
         for ell, state in enumerate(states):
             n = int(n_local[ell])
-            state.reward_sums += result.reward_sums[ell, :n]
-            state.pull_counts += result.pull_counts[ell, :n]
+            state.reward_sums = result.reward_sums[ell, :n]
+            state.pull_counts = result.pull_counts[ell, :n]
         spent, active = result.spent, result.adv_active
         # fold the cut segments in order; every cut is a checkpoint but
         # the epoch's end when only that ends a segment
@@ -272,7 +269,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
                     comm_cost=cost,
                 ))
 
-        record.pull_counts = [s.pull_counts.copy() for s in states]
+        record.pull_counts = [s.pull_counts for s in states]
         record.corruption = float(ledger[m - 1].sum())
         epochs.append(record)
 

@@ -52,9 +52,11 @@ stays within budget, and the first overrun disables corruption for the
 rest of the run.  The loop kernel keeps the running spend as
 ``spent += c``; the numpy kernel folds each group's starting spend into
 its first cell before its ``cumsum``, which performs the same additions
-in the same order, so both gates close at the same cell.  When both of
-an agent's adversary slots target the arm it pulls, slot 0's edit is
-delivered.
+in the same order, so both gates close at the same cell.  The kernels
+rely on the edit contract that :meth:`draa.adversary.Adversary.begin_epoch`
+checks once per epoch: an agent's targets are its own arms and differ,
+so a cell is charged the largest edit over its named targets and its
+pulled arm matches at most one of them.
 """
 from __future__ import annotations
 
@@ -111,9 +113,11 @@ class SegmentPlan:
 
     Arrays are padded to the widest local arm count; ``n_local`` gives
     each agent's true arm count.  ``targets``/``pushes`` are (L, 2)
-    adversary edits with -1 padding for unused slots.  ``cuts`` splits
-    the block into segments: segment s ends at round ``cuts[s]`` and the
-    next one starts after it, so the last cut ends the block.
+    adversary edits: each of agent ell's two targets is -1 (unused) or
+    one of its arms ``arms[ell, :n_local[ell]]``, and the two differ (the
+    adversary's edit contract, which the kernels do not check).  ``cuts``
+    splits the block into segments: segment s ends at round ``cuts[s]``
+    and the next one starts after it, so the last cut ends the block.
     """
 
     t_start: int  # first round, 1-based, inclusive
@@ -211,20 +215,10 @@ def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
 
             if adv_active and (targets[ell, 0] >= 0 or targets[ell, 1] >= 0):
                 contribution = 0.0
-                d0 = 0.0
-                d1 = 0.0
-                c0 = 0.0
-                c1 = 0.0
+                edited = clean
                 for j in range(2):
                     k = targets[ell, j]
                     if k < 0:
-                        continue
-                    local = False
-                    for i in range(n):
-                        if arms[ell, i] == k:
-                            local = True
-                            break
-                    if not local:
                         continue
                     uj = _uniform_nb(env_prefix, t, ell, k)
                     cj = _reward_nb(reward_model, means[k], uj, beta_table, k)
@@ -233,27 +227,15 @@ def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
                         dj = 0.0
                     elif dj > 1.0:
                         dj = 1.0
-                    diff = dj - cj
-                    if diff < 0.0:
-                        diff = -diff
-                    if diff > contribution:
-                        contribution = diff
-                    if j == 0:
-                        d0 = dj
-                        c0 = 1.0
-                    else:
-                        d1 = dj
-                        c1 = 1.0
-                if c0 > 0.0 or c1 > 0.0:
-                    if spent + contribution > budget:
-                        adv_active = False
-                    else:
-                        spent += contribution
-                        corruption[s, ell] += contribution
-                        if c0 > 0.0 and arm == targets[ell, 0]:
-                            delivered = d0
-                        elif c1 > 0.0 and arm == targets[ell, 1]:
-                            delivered = d1
+                    contribution = max(contribution, abs(dj - cj))
+                    if k == arm:
+                        edited = dj
+                if spent + contribution > budget:
+                    adv_active = False
+                else:
+                    spent += contribution
+                    corruption[s, ell] += contribution
+                    delivered = edited
 
             seg_sums[ell, idx] += delivered
             pull_counts[ell, idx] += 1
@@ -325,58 +307,39 @@ def _pull_slots(plan: SegmentPlan, t: np.ndarray, rows: int,
     return slot
 
 
-def _live_targets(plan: SegmentPlan):
-    """Which adversary slots can act, and the local slot of each target arm.
+def _target_draws(plan: SegmentPlan, g: np.ndarray, arm: np.ndarray,
+                  contrib: np.ndarray, observed: np.ndarray) -> None:
+    """Corrupt the targets over one block of rounds, in place.
 
-    Target j of agent ell is live when it is one of the agent's first
-    ``n_local`` arms.  Both are ``None`` when no target is live.
+    ``g`` holds the block's (t, ell) env prefixes and ``arm`` its pulled
+    arms.  Raises ``contrib`` to each cell's largest |corrupted - clean|
+    over its targets, and writes the corrupted reward into ``observed``
+    where the pulled arm is a target (an agent's targets differ, so at
+    most one matches).
     """
-    L, kmax = plan.arms.shape
-    if (plan.targets < 0).all():
-        return None, None
-    local = plan.arms[:, None, :] == plan.targets[:, :, None]
-    local &= (np.arange(kmax) < plan.n_local[:, None])[:, None, :]
-    live = local.any(axis=2)
-    if not live.any():
-        return None, None
-    target_slot = np.arange(L)[:, None] * kmax + local.argmax(axis=2)
-    return live, target_slot
-
-
-def _target_draws(plan: SegmentPlan, g: np.ndarray, live: np.ndarray,
-                  target_slot: np.ndarray, slot: np.ndarray,
-                  contrib: np.ndarray) -> list:
-    """Corrupted rewards of the live targets over one block of rounds.
-
-    ``g`` holds the block's (t, ell) env prefixes and ``slot`` its pulled
-    slots.  Returns one (pulled-the-target mask, corrupted values) pair per
-    slot j with a live target, in slot order, and raises ``contrib`` in
-    place to each cell's largest |corrupted - clean| over its live targets.
-    """
-    delivered = []
     for j in range(2):
-        if not live[:, j].any():
+        named = plan.targets[:, j] >= 0
+        if not named.any():
             continue
-        arm = np.where(live[:, j], plan.targets[:, j], 0)
-        u = _unit(_mix64_np(g ^ arm.astype(np.uint64)), np.empty(g.shape))
-        clean = reward_array(plan.reward_model, plan.means, arm, u,
+        target = np.where(named, plan.targets[:, j], 0)
+        u = _unit(_mix64_np(g ^ target.astype(np.uint64)), np.empty(g.shape))
+        clean = reward_array(plan.reward_model, plan.means, target, u,
                              plan.beta_table)
         corrupted = np.clip(clean + plan.pushes[:, j], 0.0, 1.0)
         np.maximum(contrib, np.abs(corrupted - clean), out=contrib,
-                   where=live[:, j])
-        delivered.append((live[:, j] & (slot == target_slot[:, j]), corrupted))
-    return delivered
+                   where=named)
+        np.copyto(observed, corrupted, where=arm == plan.targets[:, j])
 
 
-def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int, live,
-                target_slot):
+def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int,
+                attack: bool):
     """Pulled slots and rewards of rounds ``t0..t1``, drawn in blocks of
     ``rows`` rounds.
 
-    Returns (slot, clean, observed, contrib) as (rounds, L) arrays.  With
-    ``live`` None no target is drawn: ``observed`` is ``clean`` itself and
-    ``contrib`` is None.  Otherwise ``contrib`` holds each cell's charge
-    before the budget gate.
+    Returns (slot, clean, observed, contrib) as (rounds, L) arrays.
+    Without ``attack`` no target is drawn: ``observed`` is ``clean``
+    itself and ``contrib`` is None.  Otherwise ``contrib`` holds each
+    cell's charge before the budget gate.
     """
     L = plan.arms.shape[0]
     t_len = t1 - t0 + 1
@@ -384,7 +347,6 @@ def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int, live,
     t = np.arange(t0, t1 + 1, dtype=np.uint64)
     clean = np.empty((t_len, L))
     slot = _pull_slots(plan, t, rows, scratch=clean)
-    attack = live is not None
     observed = np.empty((t_len, L)) if attack else clean
     contrib = np.zeros((t_len, L)) if attack else None
 
@@ -395,20 +357,13 @@ def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int, live,
         r1 = min(r0 + rows, t_len)
         # the (t, ell) env prefix, shared by the pulled arm and the targets
         g = _mix64_np(env_t[r0:r1, None] ^ agents)
-        if attack:
-            delivered = _target_draws(plan, g, live, target_slot,
-                                      slot[r0:r1], contrib[r0:r1])
         arm = arms_flat[slot[r0:r1]]
-        g ^= arm.view(np.uint64)
-        block = _unit(_mix64_np(g), clean[r0:r1])
-        del g  # keep the block's scratch small while the rewards are mapped
+        block = _unit(_mix64_np(g ^ arm.view(np.uint64)), clean[r0:r1])
         reward_array(plan.reward_model, plan.means, arm, block,
                      plan.beta_table, out=block)
         if attack:
             observed[r0:r1] = block
-            # slot 0 wins when both slots target the pulled arm
-            for hit, corrupted in reversed(delivered):
-                np.copyto(observed[r0:r1], corrupted, where=hit)
+            _target_draws(plan, g, arm, contrib[r0:r1], observed[r0:r1])
     return slot, clean, observed, contrib
 
 
@@ -455,16 +410,15 @@ def run_segment_numpy(plan: SegmentPlan,
     pull_counts = np.zeros(L * kmax, dtype=np.int64)
     regret = np.empty((cuts.size, L))
     corruption = np.zeros((cuts.size, L))
-    live, target_slot = _live_targets(plan)
     spent, adv_active = plan.spent, plan.adv_active
 
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
         s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + rows - 1, "right")))
         t1 = int(cuts[s1 - 1])
-        attack = adv_active and live is not None
-        slot, clean, observed, contrib = _draw_group(
-            plan, t0, t1, rows, live if attack else None, target_slot)
+        attack = adv_active and (plan.targets >= 0).any()
+        slot, clean, observed, contrib = _draw_group(plan, t0, t1, rows,
+                                                     attack)
         if attack:
             spent, adv_active = _gate(contrib, observed, clean, spent,
                                       plan.budget)

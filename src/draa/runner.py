@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import build_schedule
-from .config import ExperimentConfig, SweepSpec, sweep_points
+from .config import ExperimentConfig, SweepSpec
 from .config import validate_config  # noqa: F401 (perfbench rebinds it here)
 from .engine import RunResult, run_single
 from .errors import checked
@@ -168,10 +168,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None,
     aggregated = []
     base_config = spec.base
     out_root = resolve_output_dir(base_config).parent
-    for label, config in sweep_points(spec):
-        point_name = "_".join(
-            f"{field.split('.')[-1]}={value}" for field, value in label.items())
-        config.name = f"{base_config.name}_{point_name}"
+    for label, config in spec.points:
         summaries = run_experiment(config, backend=backend, quiet=True)
         regrets = np.array([s["regret_total"] for s in summaries])
         comms = np.array([s["comm_cost"] for s in summaries])

@@ -1,18 +1,23 @@
-"""Corruption accounting and adversary behavior.
+"""Corruption accounting, adversary behavior and the edit contract.
 
 Corruption is delivered by the segment kernels; the ``rounds`` fixture
 (conftest.py) runs rounds through both of them with fixed pulls and
 constant clean rewards.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from draa import engine
 from draa.adversary import (Adversary, BudgetedTargetedAdversary,
                             EpochFloodAdversary, GapFlipAdversary,
                             HistoryView, make_adversary)
 from draa.agents import build_schedule
 from draa.engine import run_single
-from draa.errors import ConfigError
+from draa.errors import ConfigError, InvariantError
 from draa.model import build_instance
 
 
@@ -34,7 +39,6 @@ def history(inst, epoch=1):
     return HistoryView(
         epoch=epoch,
         estimates=tuple(np.ones(len(a)) for a in inst.arm_sets),
-        arm_lists=inst.arm_sets,
     )
 
 
@@ -153,7 +157,6 @@ class TestGapFlip:
         hist = HistoryView(
             epoch=2,
             estimates=(np.array([0.8, 0.2]), np.array([0.3, 0.7])),
-            arm_lists=inst.arm_sets,
         )
         targets, pushes = adv.begin_epoch(inst, hist)
         # agent 0 holds arms (0, 1): best-estimate 0 down, worst 1 up
@@ -162,6 +165,86 @@ class TestGapFlip:
         # agent 1 holds arms (1, 2): best-estimate 2 down, worst 1 up
         assert targets[1, 0] == 2 and pushes[1, 0] == -0.5
         assert targets[1, 1] == 1 and pushes[1, 1] == 0.5
+
+
+@st.composite
+def built_in_case(draw):
+    """A built-in adversary with random parameters, a ragged instance and
+    an epoch's estimates, drawn from a few values so that ties are common."""
+    num_arms = draw(st.integers(1, 8))
+    num_agents = draw(st.integers(1, 5))
+    arm_sets = [draw(st.lists(st.integers(0, num_arms - 1), min_size=1,
+                              max_size=num_arms, unique=True))
+                for _ in range(num_agents)]
+    for k in set(range(num_arms)) - set().union(*arm_sets):
+        arm_sets[k % num_agents].append(k)
+    inst = build_instance({
+        "num_arms": num_arms, "num_agents": num_agents,
+        "arm_sets": arm_sets,
+        "means": draw(st.lists(st.floats(0.0, 1.0), min_size=num_arms,
+                               max_size=num_arms))})
+    magnitude = draw(st.floats(0.0, 2.0))
+    budget = draw(st.floats(0.0, 1e3))
+    target_arm = draw(st.integers(0, num_arms - 1))
+    adv = draw(st.sampled_from([
+        BudgetedTargetedAdversary(
+            target_arm, magnitude, budget,
+            agents=draw(st.none() | st.lists(
+                st.integers(0, num_agents - 1), max_size=num_agents))),
+        EpochFloodAdversary(target_arm, draw(st.integers(1, 5)),
+                            draw(st.sampled_from(["up", "down"])), budget,
+                            magnitude),
+        GapFlipAdversary(magnitude, budget),
+    ]))
+    adv.check(inst)
+    estimates = tuple(
+        np.array(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                               min_size=len(a), max_size=len(a))))
+        for a in inst.arm_sets)
+    return adv, inst, HistoryView(epoch=draw(st.integers(1, 5)),
+                                  estimates=estimates)
+
+
+class TestEditContract:
+    """Each target is -1 or one of its agent's arms, and an agent's two
+    targets differ; ``begin_epoch`` rejects edits that break this."""
+
+    @given(case=built_in_case())
+    @settings(max_examples=200, deadline=None)
+    def test_built_in_kinds_keep_it(self, case):
+        adv, inst, hist = case
+        edits = adv.epoch_edits(inst, hist)
+        if edits is None:
+            return
+        targets, pushes = edits
+        assert targets.shape == pushes.shape == (inst.num_agents, 2)
+        for ell, (k0, k1) in enumerate(targets.tolist()):
+            for k in (k0, k1):
+                assert k == -1 or k in inst.arm_sets[ell]
+            assert k0 == -1 or k0 != k1
+        assert adv.begin_epoch(inst, hist) is not None
+
+    @pytest.mark.parametrize("targets,push,msg", [
+        ([[2, -1], [-1, -1]], 0.5,
+         "agent 0 targets arm 2, not one of its arms"),
+        ([[-1, -1], [1, 1]], 0.5, "agent 1 targets arm 1 in both slots"),
+        ([[0, 1], [1, -1], [2, -1]], 0.5, r"\(2, 2\) arrays"),
+        ([[0.0, -1.0], [-1.0, -1.0]], 0.5, "arrays of integers"),
+        ([[0, -1], [-1, -1]], np.nan, "finite floats"),
+    ], ids=["arm-outside-set", "one-arm-twice", "wrong-shape", "float-arms",
+            "nan-push"])
+    def test_broken_edits_raise_before_any_kernel_call(self, inst, targets,
+                                                       push, msg):
+        class Broken(Adversary):
+            def epoch_edits(self, instance, history):
+                t = np.array(targets)
+                return t, np.full(t.shape, push)
+
+        sched = build_schedule(inst, 3000, delta=0.05, lam_scale=16)
+        with mock.patch.object(engine, "run_segment") as kernel, \
+                pytest.raises(InvariantError, match=msg):
+            run_single(inst, sched, Broken(budget=10.0), 0, backend="numpy")
+        kernel.assert_not_called()
 
 
 class TestFactory:

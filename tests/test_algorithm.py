@@ -201,8 +201,6 @@ class TestRecordObservation:
 
     def test_zero_observations_contribute_zero(self, rounds):
         inst = make_instance()
-        state = init_epoch1(inst, 0)
-        assert state.reward_sums[0] == 0.0
         out = rounds(inst, [1, 0], rewards=(0.9, 0.25, 0.6, 0.4), rounds=4)
         assert out.reward_sums[0, 0] == 0.0
 
@@ -266,7 +264,7 @@ def per_arm_oracle(broadcasts, num_arms, epoch_len, estimator):
         den = 0.0 if estimator == "naive" else 0
         for b in broadcasts:
             if arm in b.arms:
-                idx = b.arms.index(arm)
+                idx = b.arms.tolist().index(arm)
                 if estimator == "weighted":
                     num += b.reward_sums[idx] / b.probs[idx]
                     den += 1

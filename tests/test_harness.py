@@ -19,7 +19,7 @@ from draa import kernels
 from draa.agents import build_schedule
 from draa.cli import main
 from draa.config import (load_config, load_yaml, validate_config,
-                         validate_sweep, sweep_points)
+                         validate_sweep)
 from draa.errors import ConfigError
 from draa.runner import (evenly_spaced_checkpoints, run_experiment,
                          run_sweep)
@@ -439,8 +439,9 @@ class TestSweep:
         spec = validate_sweep(self.sweep_data(
             tmp_path, [{"field": "algorithm.estimator",
                         "values": ["weighted", "naive"]}]))
-        labels = [label for label, _ in sweep_points(spec)]
-        assert len(labels) == 2
+        labels = [label for label, _ in spec.points]
+        assert labels == [{"algorithm.estimator": "weighted"},
+                          {"algorithm.estimator": "naive"}]
 
     def test_two_axes_cross_product(self, tmp_path):
         spec = validate_sweep(self.sweep_data(
@@ -448,7 +449,7 @@ class TestSweep:
             [{"field": "adversary.budget", "values": [0, 10]},
              {"field": "algorithm.estimator",
               "values": ["weighted", "naive"]}]))
-        assert len(list(sweep_points(spec))) == 4
+        assert len(spec.points) == 4
 
     def test_cap_enforced(self, tmp_path):
         data = self.sweep_data(
@@ -568,6 +569,12 @@ class TestCli:
     @pytest.mark.parametrize("patch,msg", [
         ({"axes": [1]}, "sweep axis"),
         ({"cap": "x"}, "cap"),
+        # the first point is valid: the second must fail before it runs
+        ({"axes": [{"field": "algorithm.lam_scale", "values": [16, 5]}]},
+         "lam_scale must be >= 16"),
+        ({"axes": [{"field": "horizon", "values": [1500]},
+                   {"field": "algorithm.estimator",
+                    "values": ["weighted", "mean"]}]}, "estimator"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
         spec = {"base": base_config(output_dir=str(tmp_path)),

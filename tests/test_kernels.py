@@ -6,7 +6,9 @@ agents in one pass: one agent at a time, every draw hashed from the
 stream prefix.  Its budget gate is a cumsum over ``[spent, *c]``, the
 loop kernel's running sum, and it reduces each cut segment on its own.
 The vectorized kernel must reproduce every field of its
-``SegmentResult`` and every traced row exactly.
+``SegmentResult`` and every traced row exactly.  Every plan keeps the
+adversary's edit contract: each target is -1 or one of its agent's arms,
+and an agent's two targets differ.
 """
 import dataclasses
 import warnings
@@ -86,41 +88,32 @@ def _oracle_segment(plan):
 
     if adv_active and np.any(plan.targets >= 0):
         contrib = np.zeros((t_len, L))
-        delivered = np.zeros((t_len, L, 2))
-        has_slot = np.zeros((L, 2), dtype=bool)
+        delivered = clean.copy()
         for ell in range(L):
-            n = int(plan.n_local[ell])
-            local = set(int(a) for a in plan.arms[ell, :n])
             for j in range(2):
                 k = int(plan.targets[ell, j])
-                if k < 0 or k not in local:
+                if k < 0:
                     continue
                 u_env = _oracle_uniform(plan.env_prefix, ts, ell, k)
                 cj = _oracle_reward(plan.reward_model, plan.means,
                                     np.full(t_len, k, dtype=np.int64), u_env,
                                     plan.beta_table)
                 dj = np.clip(cj + plan.pushes[ell, j], 0.0, 1.0)
-                delivered[:, ell, j] = dj
                 contrib[:, ell] = np.maximum(contrib[:, ell], np.abs(dj - cj))
-                has_slot[ell, j] = True
-        if has_slot.any():
-            flat = contrib.reshape(-1)
-            # the loop kernel's running `spent += c` chain
-            cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
-            accepted = (cum <= plan.budget)
-            first_reject = np.argmax(~accepted) if not accepted.all() else flat.size
-            accepted[first_reject:] = False
-            accepted = accepted.reshape(t_len, L)
-            targeted = has_slot.any(axis=1)[np.newaxis, :] & np.ones(
-                (t_len, 1), dtype=bool)
-            applied = accepted & targeted
-            spent = float(cum[first_reject - 1]) if first_reject > 0 else plan.spent
-            adv_active = bool(first_reject == flat.size)
-            charges = np.where(applied, contrib, 0.0)
-            for j in (1, 0):  # slot 0 wins when both target the arm
-                hit = applied & (pulled_arm == plan.targets[:, j][np.newaxis, :]) \
-                    & has_slot[:, j][np.newaxis, :]
-                observed = np.where(hit, delivered[:, :, j], observed)
+                hit = pulled_arm[:, ell] == k
+                delivered[hit, ell] = dj[hit]
+        flat = contrib.reshape(-1)
+        # the loop kernel's running `spent += c` chain
+        cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
+        accepted = (cum <= plan.budget)
+        first_reject = np.argmax(~accepted) if not accepted.all() else flat.size
+        accepted[first_reject:] = False
+        accepted = accepted.reshape(t_len, L)
+        spent = float(cum[first_reject - 1]) if first_reject > 0 else plan.spent
+        adv_active = bool(first_reject == flat.size)
+        # an untargeted agent's cells charge 0 and deliver clean rewards
+        charges = np.where(accepted, contrib, 0.0)
+        observed = np.where(accepted, delivered, observed)
 
     ends = plan.cuts - plan.t_start + 1
     bounds = list(zip([0, *ends[:-1]], ends))
@@ -171,11 +164,12 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
         width = int(rng.integers(2, 40))
         table = np.sort(rng.random((num_arms, width)), axis=1)
         table[:, 0], table[:, -1] = 0.0, 1.0
-    # targets: -1, a local arm, or any arm (often outside the arm set)
-    targets = rng.integers(-1, num_arms, size=(L, 2))
-    own = rng.random((L, 2)) < 0.5
-    for ell, j in zip(*np.nonzero(own)):
-        targets[ell, j] = arms[ell, rng.integers(sizes[ell])]
+    # targets: each slot -1 or one of the agent's arms, the two distinct
+    targets = np.full((L, 2), -1, dtype=np.int64)
+    for ell, n in enumerate(sizes):
+        picks = rng.permutation(arms[ell, :n])[:2]
+        named = rng.random(picks.size) < 0.8
+        targets[ell, :picks.size][named] = picks[named]
     t_end = t_start + t_len - 1
     plan = SegmentPlan(
         t_start=t_start, cuts=np.array([t_end]),
@@ -225,23 +219,18 @@ def test_matches_per_agent_oracle(seed, L, t_start, t_len, beta, spent,
 def test_budget_crossed_inside_ragged_blocks(L, beta):
     """Every listed case at once, each asserted to occur: ragged arm sets
     with -1 padding, a non-dyadic budget crossed mid-segment from
-    ``spent > 0``, targets that are -1 or outside the arm set, several
-    blocks with a partial last one, and rounds beyond 2**32."""
+    ``spent > 0``, agents with one target and with none, several blocks
+    with a partial last one, and rounds beyond 2**32."""
     block_cells = 448
     rows = block_cells // L
     rng = np.random.default_rng(2024 + L)
     plan = make_plan(rng, L, 2**32 + 17, 2 * rows + 3, beta, spent=12.3,
                      budget_frac=0.55, num_arms=12, max_local=8, pad=1,
                      means=np.linspace(0.1, 0.9, 12))
-
-    def outside(ell):
-        return next(k for k in range(12)
-                    if k not in plan.arms[ell, :plan.n_local[ell]])
-
-    plan.targets[-1] = [plan.arms[-1, 0], outside(L - 1)]
+    plan.targets[-1] = [plan.arms[-1, 0], -1]
     plan.pushes[-1] = [-0.37, 0.29]
     if L > 1:
-        plan.targets[0] = [-1, outside(0)]
+        plan.targets[0] = [-1, -1]
     plan = dataclasses.replace(
         plan, budget=plan.spent + 0.55 * _oracle_segment(plan).corruption.sum())
     with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
@@ -304,8 +293,9 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
                      means=np.linspace(0.1, 0.9, 12))
     plan.cuts = plan.t_start - 1 + np.cumsum(lengths)
     # as gap_flip: each agent's best arm pushed down, its worst pushed up
+    # unless it has only one arm
     plan.targets[:, 0] = plan.arms[np.arange(L), plan.n_local - 1]
-    plan.targets[:, 1] = plan.arms[:, 0]
+    plan.targets[:, 1] = np.where(plan.n_local > 1, plan.arms[:, 0], -1)
     plan.pushes[:] = [-0.3719, 0.2903]
     flat = _cell_charges(plan).reshape(-1)
     cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]

@@ -221,7 +221,7 @@ def make_adversary(config: dict | None) -> Adversary:
     """Build an adversary from its config section (None -> Null)."""
     config = config or {}
     kind = str(config.get("kind") or "null").lower()
-    cls = _KINDS.get("null" if kind == "none" else kind)
+    cls = _KINDS.get(kind)
     if cls is None:
         raise ConfigError(f"unknown adversary kind {kind!r}")
     params = {k: v for k, v in config.items() if k != "kind"}

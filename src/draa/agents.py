@@ -62,9 +62,6 @@ class EpochSchedule:
     lam: float
     lam_scale: float
     delta: float
-    num_arms: int
-    num_agents: int
-    l_min: int
     lengths: tuple[int, ...]
     starts: tuple[int, ...]  # first round (1-based) of each epoch
 
@@ -108,8 +105,7 @@ def build_schedule(instance: BanditInstance, horizon: int, delta: float,
         m += 1
     return EpochSchedule(
         horizon=horizon, lam=lam, lam_scale=lam_scale, delta=delta,
-        num_arms=instance.num_arms, num_agents=instance.num_agents,
-        l_min=instance.l_min, lengths=tuple(lengths), starts=tuple(starts),
+        lengths=tuple(lengths), starts=tuple(starts),
     )
 
 

@@ -5,27 +5,30 @@ Subcommands:
 * ``draa run <config.yaml>``: execute all seeds, write CSV + JSON.
 * ``draa sweep <sweep.yaml>``: run a one- or two-axis sweep.
 * ``draa verify <config.yaml>``: oracle cross-checks (determinism,
-  estimator expectation, pull-count expectations).
+  the pooled estimator's expectation, pull-count expectations).
 * ``draa show <summary.json>``: pretty-print a stored run summary.
 
-Exit codes: 0 success, 2 invalid configuration, 3 violated internal
-invariant (the message names the invariant), 1 anything else.
+Exit codes: 0 success, 2 invalid or unreadable configuration, 3
+violated internal invariant (the message names the invariant), 1
+anything else, a reader that closes the output early included.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
+from .agents import pool_estimates
+from .comm import freeze_broadcast
 from .config import load_config, load_sweep
 from .errors import ConfigError, InvariantError, checked, checked_as
 from .kernels import BACKENDS, default_backend
 from .model import build_instance
-from .oracle import (compare, exhaustive_estimator_mean, expected_pulls,
-                     replay_check)
+from .oracle import compare, exhaustive_estimator_mean, replay_check
 from .runner import execute_run, run_experiment, run_sweep
 
 
@@ -44,28 +47,27 @@ def cmd_sweep(args) -> int:
 def _verify_reports(config, backend):
     reports = []
     # determinism: run the first seed as `draa run` does, replay it, diff
-    seed = config.seeds[0]
-    reference = execute_run(config, seed, backend=backend, trace=True)
-    reports.append(replay_check(config, seed, reference=reference,
-                                backend=backend))
+    reference = execute_run(config, config.seeds[0], backend, trace=True)
+    reports.append(replay_check(config, reference, backend=backend))
 
-    # estimator expectation on an enumerable fixture (shared arm, 2 agents)
-    fixture = build_instance({
-        "num_arms": 2,
-        "num_agents": 2,
-        "arm_sets": [[0, 1], [0, 1]],
-        "means": [0.5, 0.25],
-    })
+    # estimator expectation on an enumerable fixture (shared arm, 2 agents):
+    # the estimator is linear in the reward sums, so pool their means T*p*mu
+    fixture = build_instance({"num_arms": 2, "num_agents": 2,
+                              "arm_sets": [[0, 1], [0, 1]],
+                              "means": [0.5, 0.25]})
     probs = [np.array([0.5, 0.5]), np.array([0.75, 0.25])]
-    oracle_value = exhaustive_estimator_mean(fixture, probs, 2, 0, "weighted")
-    reports.append(compare("weighted estimator expectation", 0.5,
-                           oracle_value, 1e-12))
+    expected = [freeze_broadcast(ell, 1, [0, 1], 2 * p * fixture.means, p)
+                for ell, p in enumerate(probs)]
+    reports.append(compare(
+        "weighted estimator expectation",
+        exhaustive_estimator_mean(fixture, probs, 2, 0),
+        pool_estimates(expected, 2, 2, "weighted")[0], 1e-12))
 
     # expected pulls versus realized counts in epoch 1 of the reference run
     epoch1 = reference.epochs[0]
     worst = 0.0
     for ell, counts in enumerate(epoch1.pull_counts):
-        expect = expected_pulls(epoch1.probs[ell], epoch1.length)
+        expect = epoch1.probs[ell] * epoch1.length
         sigma = np.sqrt(np.maximum(expect * (1.0 - epoch1.probs[ell]), 1.0))
         worst = max(worst, float(np.max(np.abs(counts - expect) / sigma)))
     reports.append(compare("epoch-1 pull counts (worst z-score)", 0.0, worst,
@@ -93,8 +95,8 @@ def cmd_show(args) -> int:
     try:
         with open(args.summary) as fh:
             summary = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"could not read summary: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"could not read {args.summary}: {exc}") from exc
     what = f"{args.summary} is not a run summary"
     if not isinstance(summary, dict):
         raise ConfigError(f"{what}: its top level is a JSON "
@@ -160,7 +162,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early: drop the rest of the output quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

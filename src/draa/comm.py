@@ -2,8 +2,10 @@
 
 The network is ideal (instantaneous, lossless, fully connected): a post
 is immediately visible to every agent.  The cost metric counts messages,
-one per broadcast, so a completed run costs exactly L times the number
-of completed epochs.
+one per broadcast.  Every agent broadcasts once at the end of each
+epoch, so the log keeps only the (epoch, sender) pairs that enforce
+that rule, and a count read before an epoch's posts (or after a run's
+last post) is L times the number of completed epochs.
 """
 from __future__ import annotations
 
@@ -42,14 +44,10 @@ def freeze_broadcast(sender: int, epoch: int, arms, reward_sums,
 
 
 class MessageLog:
-    """Ordered broadcast log with a once-per-epoch rule per sender."""
+    """Broadcast log with a once-per-epoch rule per sender."""
 
-    def __init__(self, num_agents: int):
-        self.num_agents = num_agents
-        self.entries: list[EpochBroadcast] = []
+    def __init__(self):
         self._posted: set[tuple[int, int]] = set()  # (epoch, sender)
-        self._posts_per_epoch: dict[int, int] = {}
-        self._completed_epochs = 0
 
     def post(self, broadcast: EpochBroadcast) -> None:
         key = (broadcast.epoch, broadcast.sender)
@@ -58,17 +56,8 @@ class MessageLog:
                 f"agent {broadcast.sender} already posted in epoch {broadcast.epoch}"
             )
         self._posted.add(key)
-        self.entries.append(broadcast)
-        posted_this_epoch = self._posts_per_epoch.get(broadcast.epoch, 0) + 1
-        self._posts_per_epoch[broadcast.epoch] = posted_this_epoch
-        if posted_this_epoch == self.num_agents:
-            self._completed_epochs = max(self._completed_epochs, broadcast.epoch)
-
-    @property
-    def completed_epochs(self) -> int:
-        return self._completed_epochs
 
 
 def comm_cost(log: MessageLog) -> int:
-    """Total messages over completed epochs (L per completed epoch)."""
-    return sum(1 for b in log.entries if b.epoch <= log.completed_epochs)
+    """Messages posted so far, one per broadcast."""
+    return len(log._posted)

@@ -78,6 +78,8 @@ def load_yaml(path) -> dict:
             data = yaml.load(fh, Loader=YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"could not read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(data, dict):

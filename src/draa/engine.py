@@ -81,7 +81,6 @@ class RunResult:
     seed: int
     estimator: str
     backend: str
-    instance: BanditInstance
     schedule: EpochSchedule
     epochs: list[EpochRecord]
     checkpoints: list[CheckpointRow]
@@ -89,7 +88,6 @@ class RunResult:
     total_regret: float
     comm_cost: int
     corruption: dict
-    message_log: MessageLog
     pulls: np.ndarray | None = None  # (T, L) when traced
     observed: np.ndarray | None = None
     clean: np.ndarray | None = None
@@ -199,7 +197,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
                   else np.zeros((0, 0)))
 
     states = [init_epoch1(instance, ell) for ell in range(L)]
-    log = MessageLog(L)
+    log = MessageLog()
     # the run's corruption state: budget spend, gate, (M, L) charges
     spent, active = 0.0, True
     ledger = np.zeros((schedule.num_epochs, L))
@@ -293,10 +291,10 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     }
     pulls, observed, clean = traced or (None, None, None)
     return RunResult(
-        seed=seed, estimator=estimator, backend=backend, instance=instance,
-        schedule=schedule, epochs=epochs, checkpoints=checkpoint_rows,
+        seed=seed, estimator=estimator, backend=backend, schedule=schedule,
+        epochs=epochs, checkpoints=checkpoint_rows,
         per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),
-        comm_cost=comm_cost(log), corruption=corruption, message_log=log,
+        comm_cost=comm_cost(log), corruption=corruption,
         pulls=pulls, observed=observed, clean=clean,
     )
 

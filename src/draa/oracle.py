@@ -15,7 +15,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .model import BanditInstance
-from .runner import execute_run
+from .runner import RunResult, execute_run
 
 #: refuse enumerations beyond this many (pulls x rewards) atoms
 _MAX_ATOMS = 2_000_000
@@ -35,18 +35,12 @@ class OracleReport:
 
     @property
     def matches(self) -> bool:
-        return self.note in ("", "exact")
-
-
-def expected_pulls(probabilities, epoch_len: int) -> np.ndarray:
-    """Per-arm expected pull counts p * T^m for one agent's epoch."""
-    return np.asarray(probabilities, dtype=np.float64) * epoch_len
+        return self.note == ""
 
 
 def exhaustive_estimator_mean(instance: BanditInstance, probabilities,
-                              epoch_len: int, arm: int,
-                              estimator: str = "weighted") -> float:
-    """Exact E[estimate of one arm] by brute-force enumeration.
+                              epoch_len: int, arm: int) -> float:
+    """Exact E[weighted estimate of one arm] by brute-force enumeration.
 
     ``probabilities`` is one vector per agent over that agent's local
     arms.  Every joint pull assignment over (agents x rounds) slots and
@@ -92,40 +86,28 @@ def exhaustive_estimator_mean(instance: BanditInstance, probabilities,
                     sums[ell] += r
             if p_rewards == 0.0:
                 continue
-            if estimator == "weighted":
-                est = sum(
-                    sums[ell] / probs[ell][instance.arm_sets[ell].index(arm)]
-                    for ell in holders
-                ) / (len(holders) * epoch_len)
-            elif estimator == "naive":
-                denom = sum(probs[ell][instance.arm_sets[ell].index(arm)]
-                            for ell in holders) * epoch_len
-                est = sum(sums[ell] for ell in holders) / denom
-            else:
-                raise ConfigError(f"unknown estimator {estimator!r}")
+            est = sum(
+                sums[ell] / probs[ell][instance.arm_sets[ell].index(arm)]
+                for ell in holders
+            ) / (len(holders) * epoch_len)
             total += p_pulls * p_rewards * est
     return total
 
 
-def replay_check(config: ExperimentConfig, seed: int,
-                 reference=None, backend=None) -> OracleReport:
-    """Rerun a configuration and diff pulls bit for bit.
+def replay_check(config: ExperimentConfig, reference: RunResult,
+                 backend=None) -> OracleReport:
+    """Rerun ``reference.seed`` and diff pulls bit for bit.
 
-    Both runs are the traced :func:`draa.runner.execute_run` of the seed,
-    the run ``draa run`` executes.  With no ``reference`` the config is
-    run twice from scratch.  The report's note is empty on a
-    byte-identical replay.
+    ``reference`` and the replay are both the traced
+    :func:`draa.runner.execute_run` of the seed, the run ``draa run``
+    executes.  The report's note is empty on a byte-identical replay.
     """
-    if reference is None:
-        reference = execute_run(config, seed, backend, trace=True)
-    replay = execute_run(config, seed, backend, trace=True)
-    report = compare(f"replay(seed={seed})", reference.total_regret,
+    replay = execute_run(config, reference.seed, backend, trace=True)
+    report = compare(f"replay(seed={reference.seed})", reference.total_regret,
                      replay.total_regret, 0.0, samples=reference.pulls.size)
-    if reference.seed != replay.seed:
-        report.note = "different trace (expected)"
-    elif not (np.array_equal(reference.pulls, replay.pulls)
-              and np.array_equal(reference.observed, replay.observed)
-              and report.abs_deviation == 0.0):
+    if not (np.array_equal(reference.pulls, replay.pulls)
+            and np.array_equal(reference.observed, replay.observed)
+            and report.abs_deviation == 0.0):
         report.note = "trace mismatch: determinism regression"
     return report
 

@@ -77,8 +77,6 @@ def checkpoint_rows(result: RunResult) -> list[dict]:
 
 
 def write_checkpoint_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        return
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

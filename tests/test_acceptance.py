@@ -15,7 +15,7 @@ from draa.config import validate_config
 from draa.engine import run_single
 from draa.model import build_instance
 from draa.oracle import exhaustive_estimator_mean, replay_check
-from draa.runner import evenly_spaced_checkpoints
+from draa.runner import evenly_spaced_checkpoints, execute_run
 
 # criterion 1/3 instance: K=8, L=4, every arm held by exactly 2 agents
 INVARIANT_INSTANCE = {
@@ -74,12 +74,12 @@ def test_criterion_2_estimator_unbiasedness():
     probs = [[0.5, 0.5], [0.75, 0.25]]
     worst = 0.0
     for arm, mu in ((0, 0.5), (1, 0.25)):
-        exact = exhaustive_estimator_mean(inst, probs, 2, arm, "weighted")
+        exact = exhaustive_estimator_mean(inst, probs, 2, arm)
         worst = max(worst, abs(exact - mu))
     single = build_instance({
         "num_arms": 1, "num_agents": 1, "arm_sets": [[0]], "means": [0.5]})
     for t_m in (3, 8, 12):
-        exact = exhaustive_estimator_mean(single, [[1.0]], t_m, 0, "weighted")
+        exact = exhaustive_estimator_mean(single, [[1.0]], t_m, 0)
         worst = max(worst, abs(exact - 0.5))
 
     # engine Monte-Carlo: epoch-1 weighted estimates across seeded runs
@@ -231,22 +231,22 @@ def test_criterion_6_reductions():
 def test_criterion_7_communication(invariant_batch):
     results, _ = invariant_batch
     extra = [
-        run_config({"num_arms": 3, "num_agents": 1,
-                    "arm_sets": [[0, 1, 2]], "means": [0.8, 0.5, 0.2]},
-                   8000, 32, 0),
-        run_config({"num_arms": 4, "num_agents": 3,
-                    "arm_sets": [[0, 1, 2, 3]] * 3,
-                    "means": [0.8, 0.6, 0.4, 0.2]}, 8000, 32, 0),
+        {"num_arms": 3, "num_agents": 1,
+         "arm_sets": [[0, 1, 2]], "means": [0.8, 0.5, 0.2]},
+        {"num_arms": 4, "num_agents": 3,
+         "arm_sets": [[0, 1, 2, 3]] * 3, "means": [0.8, 0.6, 0.4, 0.2]},
     ]
+    runs = ([(INVARIANT_INSTANCE, r) for r in results]
+            + [(desc, run_config(desc, 8000, 32, 0)) for desc in extra])
     exact = True
     bounded = True
-    for r in list(results) + extra:
-        L = r.instance.num_agents
+    for desc, r in runs:
+        inst = build_instance(desc)
         M = r.num_epochs
-        exact = exact and (r.comm_cost == L * M)
+        exact = exact and (r.comm_cost == inst.num_agents * M)
         sched = r.schedule
         bound = math.ceil(math.log(
-            sched.horizon * sched.l_min / (sched.lam * sched.num_arms), 4)) + 1
+            sched.horizon * inst.l_min / (sched.lam * inst.num_arms), 4)) + 1
         bounded = bounded and (M <= bound)
     ok = exact and bounded
     print(f"\n{'PASS' if ok else 'FAIL'} criterion 7: comm_cost == L*M in "
@@ -302,7 +302,8 @@ def test_criterion_8_determinism_replay():
     failures = []
     for i in range(10):
         config = _random_replay_config(rng)
-        report = replay_check(config, config.seeds[0])
+        reference = execute_run(config, config.seeds[0], trace=True)
+        report = replay_check(config, reference)
         if not report.matches:
             failures.append((i, report.note))
     ok = not failures

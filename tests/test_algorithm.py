@@ -4,6 +4,7 @@ The numeric expectations in this file were frozen from hand evaluation
 of the update formulas before the implementation was written.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from draa import engine
 from draa.adversary import make_adversary
 from draa.agents import (GAP_CAP, GAP_FLOOR, assign_probabilities,
                          build_schedule, init_epoch1, pool_estimates,
@@ -318,10 +320,14 @@ def test_engine_boundary_estimates_match_oracle(estimator):
         "reward_model": "beta"})
     sched = build_schedule(inst, 20_000, delta=0.05, lam_scale=16)
     assert sched.num_epochs >= 3
-    result = run_single(inst, sched, make_adversary(None), 3,
-                        estimator=estimator, backend="numpy")
-    for m in range(1, sched.num_epochs):
-        broadcasts = [b for b in result.message_log.entries if b.epoch == m]
+    with mock.patch.object(engine, "pool_estimates",
+                           wraps=engine.pool_estimates) as spy:
+        result = run_single(inst, sched, make_adversary(None), 3,
+                            estimator=estimator, backend="numpy")
+    assert spy.call_count == sched.num_epochs - 1
+    for m, call in enumerate(spy.call_args_list, start=1):
+        broadcasts = call.args[0]
+        assert [b.epoch for b in broadcasts] == [m] * inst.num_agents
         expected = per_arm_oracle(broadcasts,
                                   inst.num_arms, sched.epoch_length(m),
                                   estimator)

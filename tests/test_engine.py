@@ -155,11 +155,19 @@ def test_checkpoint_rows_monotone_and_final():
 
 
 def test_comm_cost_is_l_times_epochs():
+    # the engine reads comm_cost before an epoch's posts, so every row
+    # inside epoch m counts the L(m-1) messages of the epochs before it
     inst = small_instance()
     sched = small_schedule(inst)
-    result = run_single(inst, sched, make_adversary(None), 2,
-                        backend="numpy")
-    assert result.comm_cost == inst.num_agents * result.num_epochs
+    L = inst.num_agents
+    for adv_cfg in ADVERSARIES:
+        for checkpoints in (None, range(7, sched.horizon + 1, 7)):
+            result = run_single(inst, sched, make_adversary(adv_cfg), 2,
+                                backend="numpy", checkpoints=checkpoints)
+            assert result.comm_cost == L * result.num_epochs
+            for row in result.checkpoints:
+                m = next(e.m for e in result.epochs if row.t <= e.end)
+                assert row.comm_cost == L * (m - 1), (adv_cfg, row.t)
 
 
 def test_regret_upper_bound():

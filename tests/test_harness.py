@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import draa
+from draa import cli
 from draa import config as config_module
 from draa import kernels
 from draa.agents import build_schedule
@@ -65,7 +70,10 @@ _VALIDATE_ONLY = ({"horizon": 1e30}, {"horizon": 50, "num_checkpoints": 1e9})
 def assert_well_formed(config):
     """Every numeric field of ``config`` is finite, in range and typed."""
     def number(x, kind, lo=-math.inf, hi=math.inf):
-        assert type(x) is kind and math.isfinite(x) and lo <= x <= hi, x
+        # a Python int is always finite, and math.isfinite overflows on one
+        # past the float range
+        assert type(x) is kind and lo <= x <= hi, x
+        assert kind is int or math.isfinite(x), x
 
     number(config.horizon, int, 3, 2**53 - 1)
     number(config.num_checkpoints, int, 1, config.horizon)
@@ -592,6 +600,52 @@ class TestCli:
         assert main(["verify", str(path), "--backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "replay" in out and "ok" in out
+
+    def test_verify_checks_the_pooled_estimator(self, tmp_path, monkeypatch,
+                                                capsys):
+        real = cli.pool_estimates
+        monkeypatch.setattr(cli, "pool_estimates",
+                            lambda *args: real(*args) + 1e-3)
+        path = write_config(tmp_path, horizon=1500)
+        assert main(["verify", str(path), "--backend", "numpy"]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("weighted estimator expectation"))
+        assert "FAIL" in row
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_verify_into_closed_pipe(self, tmp_path, unbuffered):
+        # the reader is gone before the first byte: the output is dropped
+        # on the first write (unbuffered) or on the final flush (buffered)
+        path = write_config(tmp_path, horizon=1500)
+        src = str(Path(draa.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "draa.cli", "verify", str(path),
+                 "--backend", "numpy"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "show"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
 
     def test_show_summary(self, tmp_path, capsys):
         path = write_config(tmp_path)

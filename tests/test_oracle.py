@@ -1,5 +1,5 @@
-"""Brute-force oracles: expected pulls, exact estimator expectations,
-and the determinism replay check."""
+"""Brute-force oracles: exact estimator expectations and the
+determinism replay check."""
 import math
 
 import numpy as np
@@ -7,23 +7,9 @@ import pytest
 
 from draa.config import validate_config
 from draa.errors import ConfigError
-from draa.oracle import (exhaustive_estimator_mean, expected_pulls,
-                         replay_check)
+from draa.oracle import exhaustive_estimator_mean, replay_check
 from draa.model import build_instance
 from draa.runner import execute_run
-
-
-class TestExpectedPulls:
-    def test_product(self):
-        np.testing.assert_allclose(expected_pulls([0.25, 0.75], 2048),
-                                   [512.0, 1536.0])
-
-    def test_zero_probability(self):
-        assert expected_pulls([0.0, 1.0], 100)[0] == 0.0
-
-    def test_sums_to_epoch_length(self):
-        p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert expected_pulls(p, 500).sum() == pytest.approx(500.0)
 
 
 def single_arm_instance(mu):
@@ -42,34 +28,19 @@ def shared_arm_instance():
 class TestExhaustiveEstimator:
     def test_single_arm_exact(self):
         inst = single_arm_instance(0.5)
-        val = exhaustive_estimator_mean(inst, [[1.0]], 3, 0, "weighted")
+        val = exhaustive_estimator_mean(inst, [[1.0]], 3, 0)
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_mean(self):
         inst = single_arm_instance(0.0)
-        assert exhaustive_estimator_mean(inst, [[1.0]], 3, 0, "weighted") == 0.0
+        assert exhaustive_estimator_mean(inst, [[1.0]], 3, 0) == 0.0
 
     def test_shared_arm_weighted_unbiased_unequal_probs(self):
         inst = shared_arm_instance()
         probs = [[0.5, 0.5], [0.75, 0.25]]
         for arm, mu in ((0, 0.5), (1, 0.25)):
-            val = exhaustive_estimator_mean(inst, probs, 2, arm, "weighted")
+            val = exhaustive_estimator_mean(inst, probs, 2, arm)
             assert val == pytest.approx(mu, abs=1e-12)
-
-    def test_shared_arm_naive_unbiased_equal_probs(self):
-        inst = shared_arm_instance()
-        probs = [[0.5, 0.5], [0.5, 0.5]]
-        val = exhaustive_estimator_mean(inst, probs, 2, 0, "naive")
-        assert val == pytest.approx(0.5, abs=1e-12)
-
-    def test_naive_biased_under_unequal_probs_known_direction(self):
-        # with unequal probabilities the naive pooled ratio is still
-        # unbiased for a fixed-probability epoch (linearity), so the
-        # enumeration should return the mean here too
-        inst = shared_arm_instance()
-        probs = [[0.9, 0.1], [0.2, 0.8]]
-        val = exhaustive_estimator_mean(inst, probs, 2, 0, "naive")
-        assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_state_space_guard(self):
         inst = build_instance({
@@ -128,7 +99,7 @@ class TestMonteCarloOracle:
     def test_converges_to_exhaustive_value(self):
         inst = shared_arm_instance()
         probs = [[0.5, 0.5], [0.75, 0.25]]
-        exact = exhaustive_estimator_mean(inst, probs, 2, 0, "weighted")
+        exact = exhaustive_estimator_mean(inst, probs, 2, 0)
         mean, se = monte_carlo_estimate_mean(inst, probs, 2, 0, "weighted",
                                              4000, seed=1)
         assert abs(mean - exact) <= 3 * se
@@ -154,21 +125,17 @@ def replay_config(seed_list=(3,), adversary=None, reward_model="bernoulli",
 
 class TestReplay:
     def test_same_seed_zero_deviation(self):
-        report = replay_check(replay_config(), 3, backend="numpy")
+        config = replay_config()
+        ref = execute_run(config, 3, backend="numpy", trace=True)
+        report = replay_check(config, ref, backend="numpy")
         assert report.matches
         assert report.abs_deviation == 0.0
-
-    def test_different_seed_flagged_as_expected(self):
-        config = replay_config()
-        other = execute_run(config, 4, backend="numpy", trace=True)
-        report = replay_check(config, 3, reference=other, backend="numpy")
-        assert report.note == "different trace (expected)"
 
     def test_tampered_trace_detected(self):
         config = replay_config()
         ref = execute_run(config, 3, backend="numpy", trace=True)
         ref.pulls[100, 0] = (ref.pulls[100, 0] + 1) % 2
-        report = replay_check(config, 3, reference=ref, backend="numpy")
+        report = replay_check(config, ref, backend="numpy")
         assert "mismatch" in report.note
 
     def test_replays_the_run_that_draa_run_executes(self):
@@ -178,6 +145,6 @@ class TestReplay:
             adversary={"kind": "gap_flip", "magnitude": 0.7, "budget": 140.7},
             reward_model="beta", num_checkpoints=7)
         ref = execute_run(config, 3, backend="numpy", trace=True)
-        report = replay_check(config, 3, reference=ref, backend="numpy")
+        report = replay_check(config, ref, backend="numpy")
         assert report.matches
         assert report.abs_deviation == 0.0

@@ -106,20 +106,6 @@ def _check_edits(instance: BanditInstance, targets, pushes) -> None:
                                  f"targets arm {k0} in both slots")
 
 
-def _one_arm_edits(instance: BanditInstance, arm: int, push: float,
-                   agents=None):
-    """Slot 0 of every agent (in ``agents``, if given) that holds ``arm``
-    edits it by ``push``."""
-    L = instance.num_agents
-    targets = np.full((L, 2), -1, dtype=np.int64)
-    pushes = np.zeros((L, 2))
-    for ell, own in enumerate(instance.arm_sets):
-        if arm in own and (agents is None or ell in agents):
-            targets[ell, 0] = arm
-            pushes[ell, 0] = push
-    return targets, pushes
-
-
 class BudgetedTargetedAdversary(Adversary):
     """Push one arm's rewards down by a fixed magnitude every round.
 
@@ -128,6 +114,9 @@ class BudgetedTargetedAdversary(Adversary):
     """
 
     kind = "budgeted_targeted"
+    #: the first epoch edited, and the sign of the raw edit
+    start_epoch = 1
+    sign = -1.0
 
     def __init__(self, target_arm: int, magnitude: float, budget: float,
                  agents=None):
@@ -144,12 +133,22 @@ class BudgetedTargetedAdversary(Adversary):
             checked("adversary agent", ell, int, 0, instance.num_agents - 1)
 
     def epoch_edits(self, instance, history):
-        return _one_arm_edits(instance, self.target_arm, -self.magnitude,
-                              self.agents)
+        """From ``start_epoch`` on, slot 0 of every agent (in ``agents``,
+        if given) that holds the target arm edits it by sign·magnitude."""
+        if history.epoch < self.start_epoch:
+            return None
+        arm, L = self.target_arm, instance.num_agents
+        targets = np.full((L, 2), -1, dtype=np.int64)
+        pushes = np.zeros((L, 2))
+        for ell, own in enumerate(instance.arm_sets):
+            if arm in own and (self.agents is None or ell in self.agents):
+                targets[ell, 0] = arm
+                pushes[ell, 0] = self.sign * self.magnitude
+        return targets, pushes
 
 
-class EpochFloodAdversary(Adversary):
-    """Flood one arm with corruption from a given epoch until broke.
+class EpochFloodAdversary(BudgetedTargetedAdversary):
+    """Flood one arm of every agent from a given epoch until broke.
 
     ``direction`` is "up" or "down"; the raw edit is +-magnitude.  The
     flood starts at ``start_epoch`` and simply runs until the budget is
@@ -160,24 +159,11 @@ class EpochFloodAdversary(Adversary):
 
     def __init__(self, target_arm: int, start_epoch: int, direction: str,
                  budget: float, magnitude: float = 1.0):
-        super().__init__(budget)
         if direction not in ("up", "down"):
             raise ConfigError("direction must be 'up' or 'down'")
-        self.target_arm = checked("adversary target_arm", target_arm, int)
+        super().__init__(target_arm, magnitude, budget)
         self.start_epoch = checked("adversary start_epoch", start_epoch, int, 1)
-        self.direction = direction
-        self.magnitude = checked("adversary magnitude", magnitude, float, 0)
-
-    def check(self, instance):
-        checked("adversary target_arm", self.target_arm, int, 0,
-                instance.num_arms - 1)
-
-    def epoch_edits(self, instance, history):
-        if history.epoch < self.start_epoch:
-            return None
-        sign = 1.0 if self.direction == "up" else -1.0
-        return _one_arm_edits(instance, self.target_arm,
-                              sign * self.magnitude)
+        self.sign = 1.0 if direction == "up" else -1.0
 
 
 class GapFlipAdversary(Adversary):
@@ -224,7 +210,8 @@ def make_adversary(config: dict | None) -> Adversary:
     cls = _KINDS.get(kind)
     if cls is None:
         raise ConfigError(f"unknown adversary kind {kind!r}")
-    params = {k: v for k, v in config.items() if k != "kind"}
+    # as strings, so that the TypeError for an unknown key names it
+    params = {str(k): v for k, v in config.items() if k != "kind"}
     try:
         return cls(**params)
     except TypeError as exc:

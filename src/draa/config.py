@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .adversary import Adversary, make_adversary
-from .agents import exploration_constant
-from .errors import ConfigError, checked, checked_as
+from .agents import ESTIMATORS, exploration_constant
+from .errors import ConfigError, checked, checked_as, checked_keys
 from .model import BanditInstance, build_instance
 
 SCHEMA_VERSION = 1
@@ -93,9 +93,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     ``raw`` is ``data`` itself, uncopied, so callers must not edit it
     later: ``load_yaml`` returns a fresh dict and :func:`validate_sweep`
     edits a copy."""
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    checked_keys("top-level config", data, _TOP_LEVEL_KEYS)
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -105,9 +103,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         checked_as("'instance'", data.get("instance"), dict))
 
     algo = checked_as("'algorithm'", data.get("algorithm") or {}, dict)
+    checked_keys("algorithm", algo, ("estimator", "delta", "lam_scale"))
     estimator = str(algo.get("estimator", "weighted"))
-    if estimator not in ("weighted", "naive"):
-        raise ConfigError(f"estimator must be 'weighted' or 'naive', got {estimator!r}")
+    if estimator not in ESTIMATORS:
+        names = " or ".join(map(repr, ESTIMATORS))
+        raise ConfigError(f"estimator must be {names}, got {estimator!r}")
     delta = checked("delta", algo.get("delta", 0.05), float, 0, 1, strict=True)
     lam_scale = checked("lam_scale", algo.get("lam_scale", 2**24), float, 16)
 
@@ -176,6 +176,7 @@ class SweepSpec:
 def validate_sweep(data: dict) -> SweepSpec:
     """Check the spec and build every point's config, so that any bad
     point fails before a sweep writes anything."""
+    checked_keys("sweep spec", data, ("base", "axes", "cap"))
     if not isinstance(data.get("base"), dict):
         raise ConfigError("sweep spec needs a 'base' config mapping")
     axes = [checked_as("each sweep axis", ax, dict)
@@ -183,6 +184,7 @@ def validate_sweep(data: dict) -> SweepSpec:
     if not 1 <= len(axes) <= 2:
         raise ConfigError("a sweep needs one or two axes")
     for ax in axes:
+        checked_keys("sweep axis", ax, ("field", "values"))
         if not (isinstance(ax.get("field"), str) and ax.get("values")
                 and isinstance(ax["values"], list)):
             raise ConfigError("each axis needs 'field' and nonempty 'values'")

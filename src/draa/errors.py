@@ -45,6 +45,14 @@ def checked_as(name: str, value, kind):
     return value
 
 
+def checked_keys(name: str, section: dict, allowed) -> None:
+    """Raise :class:`ConfigError` naming the keys of ``section`` that are
+    not in ``allowed``, sorted as strings, if there are any."""
+    unknown = sorted(set(section) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+
+
 class InvariantError(DraaError):
     """An internal invariant was violated (maps to CLI exit code 3)."""
 

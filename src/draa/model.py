@@ -3,7 +3,9 @@
 Arms and agents are 0-indexed throughout.  Rewards are bounded in [0, 1]
 and drawn i.i.d. per (round, agent, arm) from either a Bernoulli law or
 a Beta law with the requested mean, via the counter-based environment
-stream, so sampling is stateless given (seed, t).
+stream, so sampling is stateless given (seed, t).  A Beta arm's rewards
+come from a table of its inverse CDF, the regularized incomplete-beta
+inverse ``scipy.special.betaincinv``.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, checked, checked_as
+from .errors import ConfigError, checked, checked_as, checked_keys
 
 REWARD_MODELS = ("bernoulli", "beta")
 
@@ -21,7 +23,7 @@ _BETA_TABLE_SIZE = 4097
 #: means closer than this are considered tied when picking local best arms
 _TIE_EPS = 1e-12
 
-#: largest accepted ``beta_concentration``: scipy's ``beta.ppf`` slows
+#: largest accepted ``beta_concentration``: scipy's ``betaincinv`` slows
 #: from about 1e12 on and returns NaN near 1e18; at 1e6 a Beta reward's
 #: standard deviation is already below 5e-4
 _MAX_BETA_CONCENTRATION = 1e6
@@ -51,7 +53,7 @@ class BanditInstance:
     def beta_table(self) -> np.ndarray:
         """Per-arm inverse-CDF lookup tables, built lazily (Beta model only)."""
         if self._beta_table is None:
-            from scipy.stats import beta as beta_dist
+            from scipy.special import betaincinv
 
             nu = self.beta_concentration
             grid = np.linspace(0.0, 1.0, _BETA_TABLE_SIZE)
@@ -60,9 +62,7 @@ class BanditInstance:
                 if mu <= 0.0 or mu >= 1.0:
                     table[k] = mu  # degenerate: constant reward
                 else:
-                    table[k] = beta_dist.ppf(grid, mu * nu, (1.0 - mu) * nu)
-            table[:, 0] = np.nan_to_num(table[:, 0], nan=0.0)
-            table[:, -1] = np.where(np.isnan(table[:, -1]), 1.0, table[:, -1])
+                    table[k] = betaincinv(mu * nu, (1.0 - mu) * nu, grid)
             table.flags.writeable = False
             object.__setattr__(self, "_beta_table", table)
         return self._beta_table
@@ -75,6 +75,9 @@ def build_instance(config: dict) -> BanditInstance:
     (one arm list per agent), ``means`` and optionally ``reward_model``
     / ``beta_concentration``.
     """
+    checked_keys("instance", config, ("num_arms", "num_agents", "arm_sets",
+                                      "means", "reward_model",
+                                      "beta_concentration"))
     num_arms = checked("num_arms", config.get("num_arms"), int, 0, strict=True)
     num_agents = checked("num_agents", config.get("num_agents"), int, 0,
                          strict=True)
@@ -123,7 +126,7 @@ def build_instance(config: dict) -> BanditInstance:
     nu = checked("beta_concentration", config.get("beta_concentration", 4.0),
                  float, 0, _MAX_BETA_CONCENTRATION, strict=True)
     if reward_model == "beta":
-        tiny = np.finfo(float).tiny  # beta.ppf overflows on a subnormal shape
+        tiny = np.finfo(float).tiny  # betaincinv is inexact below it
         for k, mu in enumerate(means.tolist()):
             if 0 < mu < 1 and min(mu, 1 - mu) * nu < tiny:
                 raise ConfigError(f"arm {k} mean {mu!r} at beta_concentration "

@@ -13,7 +13,7 @@ one :class:`ExperimentConfig`, so one process builds one Beta table.
 
 Environment overrides: ``DRAA_OUTPUT_DIR`` replaces the config's output
 directory; ``DRAA_JOBS`` sets the number of worker processes (default
-1, sequential).
+1, sequential), capped at the number of seeds.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,7 @@ def checkpoint_rows(result: RunResult) -> list[dict]:
 
 
 def write_checkpoint_csv(path: Path, rows: list[dict]) -> None:
+    """``rows``, dicts with the same keys in the same order, as a CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -122,31 +125,26 @@ def summarize(result: RunResult, config: ExperimentConfig) -> dict:
 
 def _worker(config: ExperimentConfig, seed: int, backend: str | None):
     result = execute_run(config, seed, backend=backend)
-    return seed, checkpoint_rows(result), summarize(result, config)
+    return checkpoint_rows(result), summarize(result, config)
 
 
 def run_experiment(config: ExperimentConfig, backend: str | None = None,
                    quiet: bool = False) -> list[dict]:
-    """Run every seed, persist artifacts, return the summaries."""
+    """Run every seed, in seed order, then persist the artifacts and
+    return the summaries; a seed that fails leaves no file behind."""
     backend = default_backend(backend)
-    jobs = resolve_jobs()
+    jobs = min(resolve_jobs(), len(config.seeds))
+    with ExitStack() as stack:
+        mapper = map if jobs == 1 else stack.enter_context(
+            ProcessPoolExecutor(max_workers=jobs)).map
+        outputs = list(mapper(_worker, repeat(config), config.seeds,
+                              repeat(backend)))
+
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    outputs = []
-    if jobs == 1:
-        for seed in config.seeds:
-            outputs.append(_worker(config, seed, backend))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, config, seed, backend)
-                       for seed in config.seeds]
-            outputs = [f.result() for f in futures]
-
-    outputs.sort(key=lambda item: config.seeds.index(item[0]))
     merged_rows = []
     summaries = []
-    for seed, rows, summary in outputs:
+    for seed, (rows, summary) in zip(config.seeds, outputs):
         write_checkpoint_csv(out_dir / f"seed_{seed}_checkpoints.csv", rows)
         with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -185,10 +183,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None,
                   f"over {len(summaries)} seeds")
     out_root.mkdir(parents=True, exist_ok=True)
     path = out_root / f"{base_config.name}_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(aggregated[0].keys()))
-        writer.writeheader()
-        writer.writerows(aggregated)
+    write_checkpoint_csv(path, aggregated)
     if not quiet:
         print(f"wrote {path}")
     return aggregated

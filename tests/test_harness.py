@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import draa
 from draa import cli
 from draa import config as config_module
-from draa import kernels
+from draa import kernels, runner
 from draa.agents import build_schedule
 from draa.cli import main
 from draa.config import (load_config, load_yaml, validate_config,
@@ -54,10 +54,13 @@ def instance(**overrides):
     return dict(base_config()["instance"], **overrides)
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, patch=None, **overrides):
+    """``base_config`` with ``overrides``, then the mapping ``patch`` (whose
+    keys need not be strings), written as YAML."""
     path = tmp_path / "config.yaml"
+    data = base_config(output_dir=str(tmp_path), **overrides)
     with open(path, "w") as fh:
-        yaml.safe_dump(base_config(output_dir=str(tmp_path), **overrides), fh)
+        yaml.safe_dump({**data, **(patch or {})}, fh)
     return path
 
 
@@ -162,10 +165,36 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+#: keys that no config section knows: integers, or short strings over an
+#: alphabet that spells no known key but makes YAML quote some of them
+_UNKNOWN_KEYS = st.one_of(st.text("abcxyz_-. 019", min_size=1, max_size=6),
+                          st.integers(-3, 2**70))
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def assert_unknown_key_named(data, path, key, message):
+    """If ``data`` less the unknown ``key`` of its mapping at ``path`` is a
+    valid config, the config error ``message`` names ``key``."""
+    clean = copy.deepcopy(data)
+    del _node(clean, path)[key]
+    try:
+        validate_config(clean)
+    except ConfigError:
+        return
+    assert repr(key) in message
+
+
 @st.composite
 def _mutated_configs(draw):
     """A whole valid config, then up to four edits anywhere in it: a
-    replaced value or a deleted key (never its name or output_dir)."""
+    replaced value or a deleted key (never its name or output_dir); then,
+    sometimes, one unknown key in one of its mappings.  Returns the config
+    and the (path, key) of the unknown key, or None."""
     K, L = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     arm_sets = [draw(st.lists(st.integers(0, K - 1), min_size=1,
                               max_size=K, unique=True)) for _ in range(L)]
@@ -211,7 +240,14 @@ def _mutated_configs(draw):
             del node[path[-1]]
         else:
             node[path[-1]] = copy.deepcopy(draw(_RUN_FUZZ_VALUES))
-    return dict(data, name="fuzz")
+    data["name"] = "fuzz"
+    mappings = [path for path in [(), *_paths(data)]
+                if isinstance(_node(data, path), dict)]
+    if not draw(st.booleans()):
+        return data, None
+    path, key = draw(st.sampled_from(mappings)), draw(_UNKNOWN_KEYS)
+    _node(data, path)[key] = copy.deepcopy(draw(_RUN_FUZZ_VALUES))
+    return data, (path, key)
 
 
 class TestConfigValidation:
@@ -257,20 +293,27 @@ class TestConfigValidation:
         ({"instance": instance(reward_model="beta", beta_concentration=1e-300,
                                means=[0.9, 0.5, 1 - 2**-53])},
          "arm 2 mean"),
+        ({"instance": instance(reward_modle="beta")}, "'reward_modle'"),
+        ({"algorithm": {"estimater": "naive"}}, "'estimater'"),
+        ({"foo": 0, 1: 0}, "1, 'foo'"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
-            validate_config(base_config(**patch))
+            validate_config({**base_config(), **patch})
         if patch in _VALIDATE_ONLY:
             return
-        assert main(["run", str(write_config(tmp_path, **patch))]) == 2
+        assert main(["run", str(write_config(tmp_path, patch))]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and msg in err
         assert not (tmp_path / "unit").exists()
 
     @settings(max_examples=400, deadline=None)
-    @given(case=st.sampled_from(_FUZZ_CASES), value=_FUZZ_VALUES)
-    def test_mutated_field_rejected_or_well_formed(self, case, value):
+    @given(case=st.sampled_from(_FUZZ_CASES), value=_FUZZ_VALUES,
+           extra=st.none() | _UNKNOWN_KEYS)
+    def test_mutated_field_rejected_or_well_formed(self, case, value, extra):
+        """A config with one field replaced, and sometimes one unknown key
+        beside it, is rejected or well formed; an unknown key is always
+        rejected."""
         adversary, path = case
         data = base_config(instance=instance(reward_model="beta",
                                              beta_concentration=4.0),
@@ -282,10 +325,16 @@ class TestConfigValidation:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        added = extra is not None and isinstance(node, dict)
+        if added:
+            node[extra] = 0
         try:
             config = validate_config(data)
-        except ConfigError:
+        except ConfigError as exc:
+            if added:
+                assert_unknown_key_named(data, path[:-1], extra, str(exc))
             return
+        assert not added
         assert_well_formed(config)
 
     @settings(max_examples=150, deadline=None)
@@ -293,11 +342,13 @@ class TestConfigValidation:
     def test_mutated_config_runs_or_exits_2(self, data):
         """``draa run`` on a mutated whole config exits 2 with a message
         and writes nothing, or finishes with sound totals; any other exit
-        or an exception fails."""
+        or an exception fails.  An unknown key always exits 2."""
+        data, unknown = data
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
+            data["output_dir"] = str(out)
             path = Path(tmp) / "config.yaml"
-            path.write_text(yaml.safe_dump(dict(data, output_dir=str(out))))
+            path.write_text(yaml.safe_dump(data))
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), \
                     contextlib.redirect_stdout(io.StringIO()):
@@ -305,8 +356,11 @@ class TestConfigValidation:
             if code == 2:
                 assert "configuration error" in stderr.getvalue()
                 assert not out.exists()
+                if unknown:
+                    assert_unknown_key_named(data, *unknown,
+                                             stderr.getvalue())
                 return
-            assert code == 0
+            assert code == 0 and unknown is None
             config = load_config(path)
             assert config.horizon <= _RUN_FUZZ_CAP["horizon"]
             for seed in config.seeds:
@@ -392,19 +446,47 @@ class TestRunPersistence:
         b = (tmp_path / "b" / "unit" / "checkpoints.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("seeds,pool_sizes", [([3, 1, 2], [3]),
+                                                  ([5], [])])
+    def test_jobs_capped_at_seed_count(self, tmp_path, monkeypatch, seeds,
+                                       pool_sizes):
+        built = []
+
+        class InProcessPool:
+            """Records its size and maps in process: no process starts."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("DRAA_JOBS", "64")
+        config = validate_config(base_config(output_dir=str(tmp_path),
+                                             seeds=seeds))
+        summaries = run_experiment(config, backend="numpy", quiet=True)
+        assert built == pool_sizes
+        assert [s["seed"] for s in summaries] == seeds
+
     def test_one_beta_table_per_experiment(self, tmp_path, monkeypatch):
-        from scipy.stats import beta
+        import scipy.special
 
         calls = []
-        ppf = beta.ppf
-        monkeypatch.setattr(beta, "ppf",
-                            lambda *args: calls.append(1) or ppf(*args))
+        inverse = scipy.special.betaincinv
+        monkeypatch.setattr(scipy.special, "betaincinv",
+                            lambda *args: calls.append(1) or inverse(*args))
         monkeypatch.setenv("DRAA_JOBS", "1")
         config = validate_config(base_config(
             output_dir=str(tmp_path), seeds=[1, 2, 3],
             instance=instance(reward_model="beta")))
         run_experiment(config, backend="numpy", quiet=True)
-        # one table holds one ppf evaluation per arm
+        # one table holds one inverse-CDF evaluation per arm
         assert len(calls) == config.instance.num_arms
 
     def test_bad_jobs_env(self, monkeypatch, tmp_path):
@@ -583,6 +665,11 @@ class TestCli:
         ({"axes": [{"field": "horizon", "values": [1500]},
                    {"field": "algorithm.estimator",
                     "values": ["weighted", "mean"]}]}, "estimator"),
+        ({"axes": [{"field": "algorithm.estimater",
+                    "values": ["weighted", "naive"]}]}, "'estimater'"),
+        ({"axse": [{"field": "horizon", "values": [1500]}]}, "'axse'"),
+        ({"axes": [{"field": "horizon", "values": [1500],
+                    "value": [2000]}]}, "'value'"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
         spec = {"base": base_config(output_dir=str(tmp_path)),
@@ -690,7 +777,7 @@ def _pin_config(**overrides):
 #: sha256 of every per-seed file ``draa run --backend numpy`` writes for
 #: three configs; the summaries embed the config, so its ``output_dir``
 #: stays fixed and ``DRAA_OUTPUT_DIR`` redirects the files.  The Beta case's
-#: inverse-CDF table comes from scipy, so a scipy whose ``beta.ppf`` rounds
+#: inverse-CDF table comes from scipy, so a scipy whose ``betaincinv`` rounds
 #: differently changes those two hashes.
 _PINNED_OUTPUTS = [
     pytest.param(_pin_config(), {

@@ -1,7 +1,16 @@
 """Instance validation and the reward environment."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import draa
 from draa.errors import ConfigError
 from draa.model import REWARD_MODELS, build_instance, reward_array
 from draa.rng import ENV_STREAM, stream_prefix, uniform_array
@@ -91,3 +100,44 @@ def test_sampling_is_deterministic():
     arms = np.array(inst.arm_sets[1])
     np.testing.assert_array_equal(draw(inst, 9, 5, 1, arms),
                                   draw(inst, 9, 5, 1, arms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(means=st.lists(st.floats(0, 1), min_size=3, max_size=3),
+       nu=st.floats(0, 1e6, exclude_min=True, exclude_max=True))
+def test_beta_table_is_the_beta_ppf(means, nu):
+    """The table equals scipy's Beta quantile function on every admissible
+    (mean, concentration) pair, bit for bit."""
+    from scipy.stats import beta
+
+    try:
+        inst = build_instance(small_descriptor(
+            reward_model="beta", beta_concentration=nu, means=means))
+    except ConfigError:
+        assume(False)
+    table = inst.beta_table()
+    grid = np.linspace(0.0, 1.0, table.shape[1])
+    for mu, row in zip(means, table):
+        expected = (beta.ppf(grid, mu * nu, (1 - mu) * nu) if 0 < mu < 1
+                    else np.full_like(grid, mu))
+        np.testing.assert_array_equal(row, expected)
+
+
+def test_beta_run_leaves_scipy_stats_unimported(tmp_path):
+    config = {"schema_version": 1, "name": "beta", "horizon": 500,
+              "seeds": [1], "output_dir": str(tmp_path),
+              "instance": small_descriptor(reward_model="beta")}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    argv = ["run", str(path), "--backend", "numpy"]
+    script = ("import sys\n"
+              "from draa.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "assert 'scipy.special' in sys.modules\n"
+              "sys.exit('scipy.stats' in sys.modules)\n")
+    src = str(Path(draa.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "beta" / "seed_1_summary.json").exists()

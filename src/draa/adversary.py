@@ -1,7 +1,9 @@
 """Reward corruption: the adversary kinds and their edit contract.
 
-An adversary is a stateless policy.  At each epoch start it names, per
-agent, up to two target arms and a signed raw edit for each; the segment
+An adversary is a stateless policy.  ``epoch_edits(instance, m,
+estimates)`` reads the agents' epoch m-1 estimates and returns epoch m's
+edits, one (targets, pushes) pair: per agent, up to two target arms and a
+signed raw edit for each (the null base class uses no slot).  The segment
 kernels (:mod:`draa.kernels`) apply the edits to the targets' clean
 rewards in every round of the epoch, whether or not the agent pulls a
 target.  Raw edits are clamped into [0, 1], and each (round, agent) cell
@@ -16,8 +18,9 @@ slots never name the same arm, and every edit is finite.
 :meth:`Adversary.begin_epoch`, the engine's one call per epoch, checks
 the edits of :meth:`epoch_edits` against it and raises
 :class:`~draa.errors.InvariantError` (exit 3) naming the agent and the
-arm; the kernels rely on it and check nothing.  Every built-in kind
-keeps it, so only a library subclass can break it.
+arm; a return value that is not such a pair, ``None`` included, raises
+it too.  The kernels rely on it and check nothing.  Every built-in kind keeps it, so
+only a library subclass can break it.
 
 Budget semantics: the budget counts the charges.  The first round-agent
 cell whose charge would overrun the budget turns the adversary off for
@@ -35,33 +38,18 @@ checked when they are built and, against the instance, by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, InvariantError, checked
 from .model import BanditInstance
 
 
-@dataclass
-class HistoryView:
-    """What an adversary may read: everything strictly before round t.
-
-    ``estimates`` are the agents' reward estimates frozen at the last
-    epoch boundary; round-t arm choices are deliberately absent.
-    """
-
-    epoch: int
-    estimates: tuple[np.ndarray, ...]  # r^{m-1} per agent, over local arms
-
-
 class Adversary:
     """Null adversary: delivers clean rewards; base class for the rest.
 
-    Subclasses override :meth:`epoch_edits` to name, per agent, up to two
-    (arm, signed raw edit) targets for the upcoming epoch.  The edit is
-    added to the clean reward and clamped; the budget gate and the
-    delivery are shared machinery in the kernels.
+    Subclasses override :meth:`epoch_edits`, starting from its edits and
+    filling their own slots; the budget gate and the delivery are shared
+    machinery in the kernels.
     """
 
     kind = "null"
@@ -73,29 +61,33 @@ class Adversary:
         """Raise ``ConfigError`` if the parameters name an arm or agent
         that ``instance`` lacks."""
 
-    def epoch_edits(self, instance: BanditInstance, history: HistoryView):
-        """Return ((L,2) int target arms, (L,2) signed edits) or None,
-        keeping the module's edit contract."""
-        return None
+    def epoch_edits(self, instance: BanditInstance, epoch: int, estimates):
+        """Return ((L,2) int target arms, (L,2) signed edits) under the
+        module's edit contract; here every target is -1, every edit 0."""
+        L = instance.num_agents
+        return np.full((L, 2), -1, dtype=np.int64), np.zeros((L, 2))
 
-    def begin_epoch(self, instance: BanditInstance, history: HistoryView):
+    def begin_epoch(self, instance: BanditInstance, epoch: int, estimates):
         """The engine's one call per epoch: the edits of :meth:`epoch_edits`,
         checked against the edit contract."""
-        edits = self.epoch_edits(instance, history)
-        if edits is not None:
-            _check_edits(instance, *edits)
+        edits = self.epoch_edits(instance, epoch, estimates)
+        _check_edits(instance, edits)
         return edits
 
 
-def _check_edits(instance: BanditInstance, targets, pushes) -> None:
-    """Raise ``InvariantError`` unless each agent's two targets are -1 or
-    arms of its own, and differ, and every push is finite."""
+def _check_edits(instance: BanditInstance, edits) -> None:
+    """Raise ``InvariantError`` unless ``edits`` is a (targets, pushes)
+    pair, each agent's two targets are -1 or arms of its own and differ,
+    and every push is finite."""
+    targets, pushes = (edits if isinstance(edits, tuple) and len(edits) == 2
+                       else (None, None))
     L = instance.num_agents
     if not (isinstance(targets, np.ndarray) and targets.shape == (L, 2)
             and targets.dtype.kind in "iu" and np.shape(pushes) == (L, 2)
             and np.isfinite(pushes).all()):
-        raise InvariantError("adversary edits", f"targets and pushes must be "
-                             f"({L}, 2) arrays of integers and finite floats")
+        raise InvariantError("adversary edits", f"epoch_edits must return a "
+                             f"(targets, pushes) pair of ({L}, 2) arrays of "
+                             f"integers and finite floats")
     for ell, (k0, k1) in enumerate(targets.tolist()):
         for k in (k0, k1):
             if k != -1 and k not in instance.arm_sets[ell]:
@@ -132,16 +124,14 @@ class BudgetedTargetedAdversary(Adversary):
         for ell in self.agents or ():
             checked("adversary agent", ell, int, 0, instance.num_agents - 1)
 
-    def epoch_edits(self, instance, history):
+    def epoch_edits(self, instance, epoch, estimates):
         """From ``start_epoch`` on, slot 0 of every agent (in ``agents``,
         if given) that holds the target arm edits it by sign·magnitude."""
-        if history.epoch < self.start_epoch:
-            return None
-        arm, L = self.target_arm, instance.num_agents
-        targets = np.full((L, 2), -1, dtype=np.int64)
-        pushes = np.zeros((L, 2))
+        targets, pushes = super().epoch_edits(instance, epoch, estimates)
+        arm = self.target_arm
         for ell, own in enumerate(instance.arm_sets):
-            if arm in own and (self.agents is None or ell in self.agents):
+            if (epoch >= self.start_epoch and arm in own
+                    and (self.agents is None or ell in self.agents)):
                 targets[ell, 0] = arm
                 pushes[ell, 0] = self.sign * self.magnitude
         return targets, pushes
@@ -180,15 +170,11 @@ class GapFlipAdversary(Adversary):
         super().__init__(budget)
         self.magnitude = checked("adversary magnitude", magnitude, float, 0)
 
-    def epoch_edits(self, instance, history):
-        if history.epoch < 2:
-            return None  # no estimates to adapt to yet
-        L = instance.num_agents
-        targets = np.full((L, 2), -1, dtype=np.int64)
-        pushes = np.zeros((L, 2))
-        for ell in range(L):
-            arms = instance.arm_sets[ell]
-            est = history.estimates[ell]
+    def epoch_edits(self, instance, epoch, estimates):
+        targets, pushes = super().epoch_edits(instance, epoch, estimates)
+        if epoch < 2:
+            return targets, pushes  # no estimates to adapt to yet
+        for ell, (arms, est) in enumerate(zip(instance.arm_sets, estimates)):
             best = arms[int(np.argmax(est))]
             worst = arms[int(np.argmin(est))]
             targets[ell, 0] = best
@@ -206,8 +192,8 @@ _KINDS = {cls.kind: cls for cls in (Adversary, BudgetedTargetedAdversary,
 def make_adversary(config: dict | None) -> Adversary:
     """Build an adversary from its config section (None -> Null)."""
     config = config or {}
-    kind = str(config.get("kind") or "null").lower()
-    cls = _KINDS.get(kind)
+    kind = "null" if config.get("kind") is None else config["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown adversary kind {kind!r}")
     # as strings, so that the TypeError for an unknown key names it

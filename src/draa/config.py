@@ -39,7 +39,8 @@ import yaml
 
 from .adversary import Adversary, make_adversary
 from .agents import ESTIMATORS, exploration_constant
-from .errors import ConfigError, checked, checked_as, checked_keys
+from .errors import (ConfigError, checked, checked_as, checked_entry,
+                     checked_keys)
 from .model import BanditInstance, build_instance
 
 SCHEMA_VERSION = 1
@@ -94,10 +95,11 @@ def validate_config(data: dict) -> ExperimentConfig:
     later: ``load_yaml`` returns a fresh dict and :func:`validate_sweep`
     edits a copy."""
     checked_keys("top-level config", data, _TOP_LEVEL_KEYS)
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    checked("schema_version", data.get("schema_version"), int,
+            SCHEMA_VERSION, SCHEMA_VERSION)
+    name = checked_entry("name", data.get("name", "experiment"))
+    output_dir = checked_as("output_dir", data.get("output_dir", "results"),
+                            str)
 
     instance = build_instance(
         checked_as("'instance'", data.get("instance"), dict))
@@ -128,15 +130,15 @@ def validate_config(data: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
 
-    num_checkpoints = checked("num_checkpoints",
-                              data.get("num_checkpoints", 64), int, 1, horizon)
+    num_checkpoints = checked("num_checkpoints", data.get(
+        "num_checkpoints", min(64, horizon)), int, 1, horizon)
 
     adversary = make_adversary(
         checked_as("'adversary'", data.get("adversary") or {}, dict))
     adversary.check(instance)
 
     return ExperimentConfig(
-        name=str(data.get("name", "experiment")),
+        name=name,
         instance=instance,
         adversary=adversary,
         estimator=estimator,
@@ -144,7 +146,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         delta=delta,
         horizon=horizon,
         seeds=seeds,
-        output_dir=str(data.get("output_dir", "results")),
+        output_dir=output_dir,
         num_checkpoints=num_checkpoints,
         raw=data,
     )
@@ -194,18 +196,20 @@ def validate_sweep(data: dict) -> SweepSpec:
         raise ConfigError(f"sweep has {n_points} points, exceeding cap {cap}")
     base = validate_config(data["base"])
     fields = [ax["field"] for ax in axes]
-    points = []
+    points = {}  # (label, config) by point name
     for combo in itertools.product(*(ax["values"] for ax in axes)):
         label = dict(zip(fields, combo))
         point = copy.deepcopy(base.raw)
         for dotted, value in label.items():
             _set_path(point, dotted, value)
         config = validate_config(point)
-        config.name = base.name + "_" + "_".join(
-            f"{dotted.split('.')[-1]}={value}"
-            for dotted, value in label.items())
-        points.append((label, config))
-    return SweepSpec(base=base, points=points)
+        config.name = checked_entry("sweep point name", "_".join(
+            [base.name] + [f"{dotted.split('.')[-1]}={value}"
+                           for dotted, value in label.items()]))
+        if config.name in points:
+            raise ConfigError(f"sweep points share the name {config.name!r}")
+        points[config.name] = (label, config)
+    return SweepSpec(base=base, points=list(points.values()))
 
 
 def load_sweep(path) -> SweepSpec:

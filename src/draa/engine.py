@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import Adversary, HistoryView
+from .adversary import Adversary
 from .agents import (GAP_CAP, GAP_FLOOR, AgentState, EpochSchedule,
                      advance_epoch, init_epoch1, make_broadcast,
                      pool_estimates)
@@ -201,7 +201,6 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     # the run's corruption state: budget spend, gate, (M, L) charges
     spent, active = 0.0, True
     ledger = np.zeros((schedule.num_epochs, L))
-    no_edits = (np.full((L, 2), -1, dtype=np.int64), np.zeros((L, 2)))
 
     cum_regret = np.zeros(L)
     checkpoint_rows: list[CheckpointRow] = []
@@ -225,9 +224,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         record.prob_bracket_violations = _check_probabilities(states, m, instance)
         record.gap_range_violations = _check_gap_range(states)
 
-        history = HistoryView(epoch=m,
-                              estimates=tuple(s.estimates for s in states))
-        targets, pushes = adversary.begin_epoch(instance, history) or no_edits
+        targets, pushes = adversary.begin_epoch(instance, m, record.estimates)
         in_epoch = marks[np.searchsorted(marks, start):
                          np.searchsorted(marks, end, "right")]
         if in_epoch.size and in_epoch[-1] == end:

@@ -38,11 +38,21 @@ def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
 
 
 def checked_as(name: str, value, kind):
-    """``value`` if it is a ``kind``: ``dict`` (a section) or ``list``."""
+    """``value`` if it is a ``kind``: ``dict`` (a section), ``list`` or
+    ``str``."""
     if not isinstance(value, kind):
         what = "mapping" if kind is dict else kind.__name__
         raise ConfigError(f"{name} must be a {what}, got {value!r}")
     return value
+
+
+def checked_entry(name: str, value) -> str:
+    """``value`` if it is a string that names one directory entry: not
+    empty, not ``.`` or ``..``, and without ``/`` or NUL."""
+    if (isinstance(value, str) and value not in ("", ".", "..")
+            and "/" not in value and "\0" not in value):
+        return value
+    raise ConfigError(f"{name} must name one directory entry, got {value!r}")
 
 
 def checked_keys(name: str, section: dict, allowed) -> None:

@@ -105,10 +105,10 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
     ``rewards`` given, arm k always pays ``rewards[k]`` clean (a constant
     inverse-CDF row of the Beta model); otherwise the instance's own
     reward model draws them.  ``edits`` is the (targets, pushes) pair an
-    adversary's ``begin_epoch`` returned (None for none); ``budget``,
-    ``spent`` and ``active`` are the budget gate's state at round 1, and
-    the result's ``spent`` and ``adv_active`` hold it after the last
-    round.  Returns the traced numpy result of :func:`run_plan`, with the
+    adversary's ``begin_epoch`` returned; left out, no arm is targeted.
+    ``budget``, ``spent`` and ``active`` are the budget gate's state at
+    round 1, and the result's ``spent`` and ``adv_active`` hold it after
+    the last round.  Returns the traced numpy result of :func:`run_plan`, with the
     one segment's regret and corruption rows as (L,) vectors.
     """
     arms, n_local, best_means = _build_layout(inst)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from draa import engine
 from draa.adversary import (Adversary, BudgetedTargetedAdversary,
                             EpochFloodAdversary, GapFlipAdversary,
-                            HistoryView, make_adversary)
+                            make_adversary)
 from draa.agents import build_schedule
 from draa.engine import run_single
 from draa.errors import ConfigError, InvariantError
@@ -35,11 +35,17 @@ def inst():
 CLEAN = (1.0, 0.5, 0.0)
 
 
-def history(inst, epoch=1):
-    return HistoryView(
-        epoch=epoch,
-        estimates=tuple(np.ones(len(a)) for a in inst.arm_sets),
-    )
+def ones(inst):
+    """Every agent's previous-epoch estimates, all 1."""
+    return [np.ones(len(a)) for a in inst.arm_sets]
+
+
+def assert_no_edits(inst, edits):
+    """``edits`` is a (targets, pushes) pair that uses no slot."""
+    targets, pushes = edits
+    L = inst.num_agents
+    np.testing.assert_array_equal(targets, np.full((L, 2), -1))
+    np.testing.assert_array_equal(pushes, np.zeros((L, 2)))
 
 
 class TestLedger:
@@ -72,8 +78,8 @@ class TestLedger:
 
 class TestNullAdversary:
     def test_delivers_clean_rewards(self, inst, rounds):
-        edits = Adversary().begin_epoch(inst, history(inst))
-        assert edits is None
+        edits = Adversary().begin_epoch(inst, 1, ones(inst))
+        assert_no_edits(inst, edits)
         for pulled in ((0, 0), (1, 1)):
             out = rounds(inst, pulled, edits, rewards=CLEAN)
             np.testing.assert_array_equal(out.observed, out.clean)
@@ -84,7 +90,7 @@ class TestBudgetedTargeted:
     def test_pushes_target_down_and_clamps(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=100.0)
-        edits = adv.begin_epoch(inst, history(inst))
+        edits = adv.begin_epoch(inst, 1, ones(inst))
         out = rounds(inst, (0, 0), edits, adv.budget, rewards=CLEAN)
         assert out.observed[0, 0] == pytest.approx(0.4)
         assert out.observed[0, 1] == 0.5  # agent without the arm untouched
@@ -99,7 +105,7 @@ class TestBudgetedTargeted:
     def test_clamp_then_measure(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=100.0)
-        edits = adv.begin_epoch(inst, history(inst))
+        edits = adv.begin_epoch(inst, 1, ones(inst))
         out = rounds(inst, (0, 0), edits, adv.budget, rewards=(0.2, 0.5, 0.0))
         assert out.clean[0, 0] == 0.2
         assert out.observed[0, 0] == 0.0  # clamped at the floor
@@ -109,7 +115,7 @@ class TestBudgetedTargeted:
     def test_budget_stops_permanently_at_first_overrun(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=0, magnitude=0.6,
                                         budget=1.0)
-        edits = adv.begin_epoch(inst, history(inst))
+        edits = adv.begin_epoch(inst, 1, ones(inst))
         # two spends of 0.6: the first fits, the second overruns and
         # closes the gate for good
         out = rounds(inst, (0, 0), edits, adv.budget, rewards=CLEAN, rounds=3)
@@ -124,7 +130,7 @@ class TestBudgetedTargeted:
     def test_agent_restriction(self, inst, rounds):
         adv = BudgetedTargetedAdversary(target_arm=1, magnitude=0.5,
                                         budget=10.0, agents=[1])
-        edits = adv.begin_epoch(inst, history(inst))
+        edits = adv.begin_epoch(inst, 1, ones(inst))
         out = rounds(inst, (1, 0), edits, adv.budget, rewards=CLEAN)
         assert out.observed[0, 0] == 0.5  # agent 0 excluded
         assert out.observed[0, 1] == 0.0
@@ -134,15 +140,15 @@ class TestEpochFlood:
     def test_inactive_before_start_epoch(self, inst):
         adv = EpochFloodAdversary(target_arm=0, start_epoch=2,
                                   direction="down", budget=10.0)
-        assert adv.begin_epoch(inst, history(inst, epoch=1)) is None
-        targets, pushes = adv.begin_epoch(inst, history(inst, epoch=2))
+        assert_no_edits(inst, adv.begin_epoch(inst, 1, ones(inst)))
+        targets, pushes = adv.begin_epoch(inst, 2, ones(inst))
         assert targets[:, 0].tolist() == [0, -1]  # only agent 0 holds arm 0
         assert pushes[0, 0] == -1.0
 
     def test_direction_up(self, inst, rounds):
         adv = EpochFloodAdversary(target_arm=2, start_epoch=1,
                                   direction="up", budget=10.0)
-        edits = adv.begin_epoch(inst, history(inst))
+        edits = adv.begin_epoch(inst, 1, ones(inst))
         out = rounds(inst, (0, 1), edits, adv.budget, rewards=CLEAN)
         assert out.observed[0, 1] == 1.0  # agent 1 pulls arm 2
 
@@ -150,15 +156,12 @@ class TestEpochFlood:
 class TestGapFlip:
     def test_skips_epoch_one(self, inst):
         adv = GapFlipAdversary(magnitude=0.5, budget=10.0)
-        assert adv.begin_epoch(inst, history(inst, epoch=1)) is None
+        assert_no_edits(inst, adv.begin_epoch(inst, 1, ones(inst)))
 
     def test_targets_best_down_worst_up(self, inst):
         adv = GapFlipAdversary(magnitude=0.5, budget=10.0)
-        hist = HistoryView(
-            epoch=2,
-            estimates=(np.array([0.8, 0.2]), np.array([0.3, 0.7])),
-        )
-        targets, pushes = adv.begin_epoch(inst, hist)
+        estimates = [np.array([0.8, 0.2]), np.array([0.3, 0.7])]
+        targets, pushes = adv.begin_epoch(inst, 2, estimates)
         # agent 0 holds arms (0, 1): best-estimate 0 down, worst 1 up
         assert targets[0, 0] == 0 and pushes[0, 0] == -0.5
         assert targets[0, 1] == 1 and pushes[0, 1] == 0.5
@@ -197,12 +200,11 @@ def built_in_case(draw):
         GapFlipAdversary(magnitude, budget),
     ]))
     adv.check(inst)
-    estimates = tuple(
+    estimates = [
         np.array(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
                                min_size=len(a), max_size=len(a))))
-        for a in inst.arm_sets)
-    return adv, inst, HistoryView(epoch=draw(st.integers(1, 5)),
-                                  estimates=estimates)
+        for a in inst.arm_sets]
+    return adv, inst, draw(st.integers(1, 5)), estimates
 
 
 class TestEditContract:
@@ -212,17 +214,16 @@ class TestEditContract:
     @given(case=built_in_case())
     @settings(max_examples=200, deadline=None)
     def test_built_in_kinds_keep_it(self, case):
-        adv, inst, hist = case
-        edits = adv.epoch_edits(inst, hist)
-        if edits is None:
-            return
-        targets, pushes = edits
+        adv, inst, epoch, estimates = case
+        targets, pushes = adv.epoch_edits(inst, epoch, estimates)
         assert targets.shape == pushes.shape == (inst.num_agents, 2)
         for ell, (k0, k1) in enumerate(targets.tolist()):
             for k in (k0, k1):
                 assert k == -1 or k in inst.arm_sets[ell]
             assert k0 == -1 or k0 != k1
-        assert adv.begin_epoch(inst, hist) is not None
+        checked = adv.begin_epoch(inst, epoch, estimates)
+        np.testing.assert_array_equal(checked[0], targets)
+        np.testing.assert_array_equal(checked[1], pushes)
 
     @pytest.mark.parametrize("targets,push,msg", [
         ([[2, -1], [-1, -1]], 0.5,
@@ -231,12 +232,15 @@ class TestEditContract:
         ([[0, 1], [1, -1], [2, -1]], 0.5, r"\(2, 2\) arrays"),
         ([[0.0, -1.0], [-1.0, -1.0]], 0.5, "arrays of integers"),
         ([[0, -1], [-1, -1]], np.nan, "finite floats"),
+        (None, None, r"must return a \(targets, pushes\) pair"),
     ], ids=["arm-outside-set", "one-arm-twice", "wrong-shape", "float-arms",
-            "nan-push"])
+            "nan-push", "none"])
     def test_broken_edits_raise_before_any_kernel_call(self, inst, targets,
                                                        push, msg):
         class Broken(Adversary):
-            def epoch_edits(self, instance, history):
+            def epoch_edits(self, instance, epoch, estimates):
+                if targets is None:  # the old "no edits" value
+                    return None
                 t = np.array(targets)
                 return t, np.full(t.shape, push)
 

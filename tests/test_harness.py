@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import draa
@@ -71,13 +71,19 @@ _VALIDATE_ONLY = ({"horizon": 1e30}, {"horizon": 50, "num_checkpoints": 1e9})
 
 
 def assert_well_formed(config):
-    """Every numeric field of ``config`` is finite, in range and typed."""
+    """Every numeric field of ``config`` is finite, in range and typed, its
+    name is one path component, and its adversary is the kind it names."""
     def number(x, kind, lo=-math.inf, hi=math.inf):
         # a Python int is always finite, and math.isfinite overflows on one
         # past the float range
         assert type(x) is kind and lo <= x <= hi, x
         assert kind is int or math.isfinite(x), x
 
+    assert config.raw["schema_version"] == 1
+    assert not isinstance(config.raw["schema_version"], bool)
+    assert isinstance(config.name, str) and isinstance(config.output_dir, str)
+    assert config.name not in ("", ".", "..")
+    assert "/" not in config.name and "\0" not in config.name
     number(config.horizon, int, 3, 2**53 - 1)
     number(config.num_checkpoints, int, 1, config.horizon)
     number(config.delta, float, 0, 1)
@@ -100,6 +106,8 @@ def assert_well_formed(config):
     assert build_schedule(inst, config.horizon, config.delta,
                           config.lam_scale).num_epochs >= 1
     adv = config.adversary
+    kind = (config.raw.get("adversary") or {}).get("kind")
+    assert adv.kind == ("null" if kind is None else kind), kind
     number(adv.budget, float, 0)
     if hasattr(adv, "magnitude"):
         number(adv.magnitude, float, 0)
@@ -129,7 +137,10 @@ _FUZZ_FIELDS = [
     ("instance", "beta_concentration"), ("adversary", "budget"),
     ("adversary", "magnitude"), ("adversary", "target_arm"),
     ("adversary", "start_epoch"), ("adversary", "agents"),
-    ("adversary", "agents", 0),
+    ("adversary", "agents", 0), ("name",), ("output_dir",),
+    ("schema_version",), ("algorithm", "estimator"),
+    ("instance", "reward_model"), ("adversary", "kind"),
+    ("adversary", "direction"),
 ]
 _FUZZ_CASES = [(adv, path) for adv in _FUZZ_ADVERSARIES
                for path in _FUZZ_FIELDS
@@ -138,6 +149,9 @@ _FUZZ_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, "3", "abc",
                      2.5, 1.0, -1, -2.5, 0, 1e30, 10**30, 2**64, 10**400,
                      None, {}, [1], [0.5, 0.5, 0.5], {"a": 1}]),
+    # names and spellings: path-like, empty, case-changed and valid ones
+    st.sampled_from(["../x", "", ".", "..", "a/b", "a\0b", "GAP_FLIP", "Up",
+                     "Naive", "gap_flip", "null", "up", "naive", "beta"]),
     st.integers(-3, 2**70),
     st.floats(allow_nan=True, allow_infinity=True))
 
@@ -296,6 +310,15 @@ class TestConfigValidation:
         ({"instance": instance(reward_modle="beta")}, "'reward_modle'"),
         ({"algorithm": {"estimater": "naive"}}, "'estimater'"),
         ({"foo": 0, 1: 0}, "1, 'foo'"),
+        ({"schema_version": True}, "schema_version must be a number"),
+        ({"name": "../escaped"}, "name must name one directory entry"),
+        ({"name": ""}, "name must name one directory entry"),
+        ({"name": ".."}, "name must name one directory entry"),
+        ({"name": "a\0b"}, "name must name one directory entry"),
+        ({"name": ["a", "b"]}, "name must name one directory entry"),
+        ({"name": None}, "name must name one directory entry"),
+        ({"output_dir": 5}, "output_dir must be a str"),
+        ({"adversary": {"kind": 0, "budget": 50.0}}, "unknown adversary kind"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -305,11 +328,16 @@ class TestConfigValidation:
         assert main(["run", str(write_config(tmp_path, patch))]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and msg in err
-        assert not (tmp_path / "unit").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
     @settings(max_examples=400, deadline=None)
     @given(case=st.sampled_from(_FUZZ_CASES), value=_FUZZ_VALUES,
            extra=st.none() | _UNKNOWN_KEYS)
+    @example(case=(_FUZZ_ADVERSARIES[0], ("name",)), value="../x", extra=None)
+    @example(case=(_FUZZ_ADVERSARIES[0], ("adversary", "kind")),
+             value="GAP_FLIP", extra=None)
+    @example(case=(_FUZZ_ADVERSARIES[1], ("schema_version",)), value=True,
+             extra=None)
     def test_mutated_field_rejected_or_well_formed(self, case, value, extra):
         """A config with one field replaced, and sometimes one unknown key
         beside it, is rejected or well formed; an unknown key is always
@@ -372,6 +400,13 @@ class TestConfigValidation:
                 assert 0 <= summary["corruption"]["C"] <= budget
                 assert summary["comm_cost"] == (config.instance.num_agents
                                                 * summary["num_epochs"])
+
+    @pytest.mark.parametrize("horizon,count", [(50, 50), (64, 64),
+                                               (2000, 64)])
+    def test_num_checkpoints_default(self, horizon, count):
+        data = base_config(horizon=horizon)
+        del data["num_checkpoints"]
+        assert validate_config(data).num_checkpoints == count
 
     def test_missing_horizon(self):
         data = base_config()
@@ -541,6 +576,12 @@ class TestSweep:
               "values": ["weighted", "naive"]}]))
         assert len(spec.points) == 4
 
+    def test_point_name_is_one_entry(self, tmp_path):
+        data = self.sweep_data(tmp_path, [{"field": "output_dir",
+                                           "values": ["out/a"]}])
+        with pytest.raises(ConfigError, match="sweep point name"):
+            validate_sweep(data)
+
     def test_cap_enforced(self, tmp_path):
         data = self.sweep_data(
             tmp_path, [{"field": "adversary.budget",
@@ -647,6 +688,17 @@ class TestCli:
         pytest.param({"kind": "budgeted_targeted", "target_arm": 0,
                       "magnitude": True, "budget": 50.0},
                      "magnitude", id="bool-magnitude"),
+        pytest.param({"kind": 0, "budget": 50.0},
+                     "unknown adversary kind 0", id="zero-kind"),
+        pytest.param({"kind": False, "budget": 50.0},
+                     "unknown adversary kind False", id="false-kind"),
+        pytest.param({"kind": "", "budget": 50.0},
+                     "unknown adversary kind ''", id="empty-kind"),
+        pytest.param({"kind": "GAP_FLIP", "magnitude": 0.5, "budget": 50.0},
+                     "unknown adversary kind 'GAP_FLIP'", id="upper-kind"),
+        pytest.param({"kind": ["gap_flip"], "magnitude": 0.5,
+                      "budget": 50.0},
+                     "unknown adversary kind ['gap_flip']", id="list-kind"),
     ])
     def test_invalid_adversary_exit_2(self, tmp_path, capsys, adversary,
                                       msg):
@@ -670,6 +722,10 @@ class TestCli:
         ({"axse": [{"field": "horizon", "values": [1500]}]}, "'axse'"),
         ({"axes": [{"field": "horizon", "values": [1500],
                     "value": [2000]}]}, "'value'"),
+        ({"axes": [{"field": "name", "values": ["../../esc"]}]},
+         "name must name one directory entry"),
+        ({"axes": [{"field": "adversary.budget", "values": [10.0, 10.0]}]},
+         "sweep points share the name 'unit_budget=10.0'"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
         spec = {"base": base_config(output_dir=str(tmp_path)),

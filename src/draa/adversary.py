@@ -88,14 +88,15 @@ def _check_edits(instance: BanditInstance, edits) -> None:
         raise InvariantError("adversary edits", f"epoch_edits must return a "
                              f"(targets, pushes) pair of ({L}, 2) arrays of "
                              f"integers and finite floats")
-    for ell, (k0, k1) in enumerate(targets.tolist()):
-        for k in (k0, k1):
-            if k != -1 and k not in instance.arm_sets[ell]:
-                raise InvariantError("adversary edits", f"agent {ell} "
-                                     f"targets arm {k}, not one of its arms")
-        if k0 == k1 != -1:
-            raise InvariantError("adversary edits", f"agent {ell} "
-                                 f"targets arm {k0} in both slots")
+    # per agent: slot 0 foreign, slot 1 foreign, one arm in both slots
+    held = np.any(targets[:, :, None] == instance.local_arms[:, None, :], 2)
+    faults = np.column_stack([(targets != -1) & ~held, (targets[:, 0] != -1)
+                              & (targets[:, 0] == targets[:, 1])])
+    if faults.any():
+        ell, fault = np.argwhere(faults)[0].tolist()
+        how = ", not one of its arms" if fault < 2 else " in both slots"
+        raise InvariantError("adversary edits", f"agent {ell} targets arm "
+                             f"{targets[ell, fault % 2]}{how}")
 
 
 class BudgetedTargetedAdversary(Adversary):

@@ -100,6 +100,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     name = checked_entry("name", data.get("name", "experiment"))
     output_dir = checked_as("output_dir", data.get("output_dir", "results"),
                             str)
+    if "\0" in output_dir:
+        raise ConfigError(f"output_dir must not hold NUL, got {output_dir!r}")
 
     instance = build_instance(
         checked_as("'instance'", data.get("instance"), dict))
@@ -195,6 +197,7 @@ def validate_sweep(data: dict) -> SweepSpec:
     if n_points > cap:
         raise ConfigError(f"sweep has {n_points} points, exceeding cap {cap}")
     base = validate_config(data["base"])
+    checked_entry("sweep CSV name", f"{base.name}_sweep.csv")
     fields = [ax["field"] for ax in axes]
     points = {}  # (label, config) by point name
     for combo in itertools.product(*(ax["values"] for ax in axes)):

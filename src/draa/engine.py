@@ -106,64 +106,45 @@ class RunResult:
         return sum(1 for e in self.epochs if any(e.fallback))
 
 
-def _check_probabilities(states: list[AgentState], m: int,
-                         instance: BanditInstance) -> int:
-    """Hard-check the simplex; count bracket violations. Returns count."""
-    violations = 0
-    for state in states:
-        total = float(state.probs.sum())
-        if abs(total - 1.0) > _SIMPLEX_TOL:
-            raise InvariantError(
-                "probability simplex",
-                f"agent {state.ell} epoch {m}: sum(p) = {total!r}",
-            )
-        if np.any(state.probs <= 0.0):
-            raise InvariantError(
-                "positive probabilities",
-                f"agent {state.ell} epoch {m} has a nonpositive entry",
-            )
-        if m >= 2 and not state.fallback:
-            holders = instance.agents_per_arm[state.arms]
-            n_active = int(state.active.sum())
-            lo_bad = (instance.l_min / holders) * 2.0 ** (-2 * m - 7) / instance.num_arms
-            hi_bad = (instance.l_min / holders) * 2.0 ** (-2 * m + 7) / instance.num_arms
-            p = state.probs
-            bad = ~state.active
-            violations += int(np.sum(bad & ((p < lo_bad - _BOUND_TOL)
-                                            | (p > hi_bad + _BOUND_TOL))))
-            lo_act = 3.0 / (4.0 * n_active)
-            hi_act = 1.0 / n_active
-            violations += int(np.sum(state.active & ((p < lo_act - _BOUND_TOL)
-                                                     | (p > hi_act + _BOUND_TOL))))
-    return violations
+def _epoch_start(states: list[AgentState], m: int,
+                 instance: BanditInstance):
+    """Check the agents' epoch-m state in the instance's padded arm layout.
 
-
-def _check_gap_range(states: list[AgentState]) -> int:
-    violations = 0
-    for state in states:
-        violations += int(np.sum((state.gaps < GAP_FLOOR - _BOUND_TOL)
-                                 | (state.gaps > GAP_CAP + _BOUND_TOL)))
-    return violations
-
-
-def _build_layout(instance: BanditInstance):
-    """Pad local arm lists and means into kernel-ready arrays."""
-    L = instance.num_agents
-    kmax = max(len(a) for a in instance.arm_sets)
-    arms = np.full((L, kmax), -1, dtype=np.int64)
-    n_local = np.zeros(L, dtype=np.int64)
-    for ell, aset in enumerate(instance.arm_sets):
-        arms[ell, :len(aset)] = aset
-        n_local[ell] = len(aset)
-    best_means = np.array([instance.means[b] for b in instance.best_arms])
-    return arms, n_local, best_means
-
-
-def _pad_cdf(states: list[AgentState], kmax: int) -> np.ndarray:
-    cdf = np.ones((len(states), kmax))
-    for ell, state in enumerate(states):
-        cdf[ell, :len(state.probs)] = np.cumsum(state.probs)
-    return cdf
+    Raises for the first agent whose probabilities are off the simplex
+    (checked first) or hold a nonpositive entry.  Returns the counts of
+    probabilities outside their bracket (agents on the fallback, and all
+    in epoch 1, exempt) and of gaps outside [GAP_FLOOR, GAP_CAP], and
+    the kernel's CDF, padded with 1.0.
+    """
+    held = instance.local_arms >= 0
+    probs, gaps, active = (np.zeros(held.shape, dtype)
+                           for dtype in (float, float, bool))
+    for table, name in zip((probs, gaps, active), ("probs", "gaps", "active")):
+        table[held] = np.concatenate([getattr(s, name) for s in states])
+    total = probs.sum(axis=1)
+    off_simplex = np.abs(total - 1.0) > _SIMPLEX_TOL
+    failing = off_simplex | np.any(held & (probs <= 0.0), axis=1)
+    if failing.any():
+        ell = int(np.argmax(failing))
+        if off_simplex[ell]:
+            raise InvariantError("probability simplex", f"agent {ell} epoch "
+                                 f"{m}: sum(p) = {float(total[ell])!r}")
+        raise InvariantError("positive probabilities", f"agent {ell} epoch "
+                             f"{m} has a nonpositive entry")
+    scale = instance.l_min / instance.agents_per_arm[instance.local_arms]
+    n_active = active.sum(axis=1, keepdims=True)
+    lo = np.where(active, 3.0 / (4.0 * n_active),
+                  scale * 2.0 ** (-2 * m - 7) / instance.num_arms)
+    hi = np.where(active, 1.0 / n_active,
+                  scale * 2.0 ** (-2 * m + 7) / instance.num_arms)
+    checked = held & ~np.array([[m < 2 or s.fallback] for s in states])
+    brackets = np.sum(checked & ((probs < lo - _BOUND_TOL)
+                                 | (probs > hi + _BOUND_TOL)))
+    gap_range = np.sum(held & ((gaps < GAP_FLOOR - _BOUND_TOL)
+                               | (gaps > GAP_CAP + _BOUND_TOL)))
+    cdf = np.cumsum(probs, axis=1)
+    cdf[~held] = 1.0
+    return int(brackets), int(gap_range), cdf
 
 
 def default_checkpoints(schedule: EpochSchedule) -> list[int]:
@@ -190,8 +171,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
 
     env_prefix = stream_prefix(seed, ENV_STREAM)
     pull_prefix = stream_prefix(seed, PULL_STREAM)
-    arms_pad, n_local, best_means = _build_layout(instance)
-    kmax = arms_pad.shape[1]
+    n_local = np.sum(instance.local_arms >= 0, axis=1)
+    best_means = instance.means[list(instance.best_arms)]
     reward_model = REWARD_MODELS.index(instance.reward_model)
     beta_table = (instance.beta_table() if instance.reward_model == "beta"
                   else np.zeros((0, 0)))
@@ -212,6 +193,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
 
     for m in range(1, schedule.num_epochs + 1):
         start, end = schedule.epoch_bounds(m)
+        brackets, gap_range, cdf = _epoch_start(states, m, instance)
         record = EpochRecord(
             m=m, start=start, end=end, length=schedule.epoch_length(m),
             probs=[s.probs for s in states],
@@ -220,9 +202,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             gaps=[s.gaps for s in states],
             estimates=[s.estimates for s in states],
             r_max=[s.r_max for s in states],
+            prob_bracket_violations=brackets, gap_range_violations=gap_range,
         )
-        record.prob_bracket_violations = _check_probabilities(states, m, instance)
-        record.gap_range_violations = _check_gap_range(states)
 
         targets, pushes = adversary.begin_epoch(instance, m, record.estimates)
         in_epoch = marks[np.searchsorted(marks, start):
@@ -233,8 +214,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             cuts = np.append(in_epoch, end)
         plan = SegmentPlan(
             t_start=start, cuts=cuts, env_prefix=env_prefix,
-            pull_prefix=pull_prefix, arms=arms_pad, n_local=n_local,
-            cdf=_pad_cdf(states, kmax), means=instance.means,
+            pull_prefix=pull_prefix, arms=instance.local_arms,
+            n_local=n_local, cdf=cdf, means=instance.means,
             best_means=best_means, reward_model=reward_model,
             beta_table=beta_table, targets=targets, pushes=pushes,
             budget=adversary.budget, spent=spent, adv_active=active,

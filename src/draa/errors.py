@@ -2,6 +2,7 @@
 checked once, when the config loads (a bad value exits with code 2)."""
 import math
 import numbers
+import os
 
 
 class DraaError(Exception):
@@ -48,10 +49,15 @@ def checked_as(name: str, value, kind):
 
 def checked_entry(name: str, value) -> str:
     """``value`` if it is a string that names one directory entry: not
-    empty, not ``.`` or ``..``, and without ``/`` or NUL."""
-    if (isinstance(value, str) and value not in ("", ".", "..")
-            and "/" not in value and "\0" not in value):
-        return value
+    empty, not ``.`` or ``..``, without ``/`` or NUL, and at most 255
+    bytes long as ``os.fsencode`` encodes it (a lone surrogate fails)."""
+    try:
+        if (isinstance(value, str) and value not in ("", ".", "..")
+                and "/" not in value and "\0" not in value
+                and len(os.fsencode(value)) <= 255):
+            return value
+    except UnicodeEncodeError:
+        pass
     raise ConfigError(f"{name} must name one directory entry, got {value!r}")
 
 

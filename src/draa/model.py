@@ -48,6 +48,8 @@ class BanditInstance:
     agents_per_arm: np.ndarray = field(default=None, repr=False)  # L_k
     l_min: int = 0
     best_arms: tuple[int, ...] = ()  # k*_ell per agent
+    #: (L, Kmax) int64: row ell is K_ell ascending, padded with -1
+    local_arms: np.ndarray = field(default=None, repr=False)
     _beta_table: np.ndarray = field(default=None, repr=False)
 
     def beta_table(self) -> np.ndarray:
@@ -133,8 +135,12 @@ def build_instance(config: dict) -> BanditInstance:
                                   f"{nu} gives a Beta shape parameter below "
                                   f"{tiny:g}")
 
-    means.flags.writeable = False
-    coverage.flags.writeable = False
+    local_arms = np.full((num_agents, max(map(len, arm_sets))), -1,
+                         dtype=np.int64)
+    for ell, arms in enumerate(arm_sets):
+        local_arms[ell, :len(arms)] = arms
+    for array in (means, coverage, local_arms):
+        array.flags.writeable = False
     return BanditInstance(
         num_arms=num_arms,
         num_agents=num_agents,
@@ -145,6 +151,7 @@ def build_instance(config: dict) -> BanditInstance:
         agents_per_arm=coverage,
         l_min=int(coverage.min()),
         best_arms=tuple(best_arms),
+        local_arms=local_arms,
     )
 
 

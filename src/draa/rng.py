@@ -27,10 +27,10 @@ _U64_MUL1 = np.uint64(_MUL1)
 _U64_MUL2 = np.uint64(_MUL2)
 _U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-# Stream ids.  ENV draws rewards, ADV feeds adversary randomness, PULL
-# drives the agents' arm choices.
+# Stream ids.  ENV draws rewards and PULL drives the agents' arm choices.
+# No adversary draws: each is a function of the previous epoch's
+# estimates, so id 1 stays unused.
 ENV_STREAM = 0
-ADV_STREAM = 1
 PULL_STREAM = 2
 
 #: 1 ulp below 1.0 is never produced; draws live in [0, 1).

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from draa.engine import _build_layout
 from draa.kernels import BACKENDS, SegmentPlan, SegmentResult, run_segment
 from draa.model import REWARD_MODELS
 from draa.rng import ENV_STREAM, PULL_STREAM, stream_prefix
@@ -111,7 +110,8 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
     the last round.  Returns the traced numpy result of :func:`run_plan`, with the
     one segment's regret and corruption rows as (L,) vectors.
     """
-    arms, n_local, best_means = _build_layout(inst)
+    arms = inst.local_arms
+    n_local = np.sum(arms >= 0, axis=1)
     cdf = np.ones(arms.shape)
     for ell, p in enumerate(probs):
         n = n_local[ell]
@@ -130,7 +130,8 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
         env_prefix=stream_prefix(seed, ENV_STREAM),
         pull_prefix=stream_prefix(seed, PULL_STREAM),
         arms=arms, n_local=n_local, cdf=cdf, means=inst.means,
-        best_means=best_means, reward_model=model, beta_table=table,
+        best_means=inst.means[list(inst.best_arms)], reward_model=model,
+        beta_table=table,
         targets=targets, pushes=pushes, budget=budget, spent=spent,
         adv_active=active,
     )

@@ -251,6 +251,42 @@ class TestEditContract:
         kernel.assert_not_called()
 
 
+    @pytest.mark.parametrize("targets,msg", [
+        ([[3, 0], [4, -1], [7, 0]], None),
+        ([[3, 0], [-1, 0], [1, 1]],
+         "agent 1 targets arm 0, not one of its arms"),
+        ([[2, 2], [7, 0], [9, -1]], "agent 0 targets arm 2 in both slots"),
+        ([[0, 1], [5, 5], [6, 6]], "agent 1 targets arm 5 in both slots"),
+        ([[0, 1], [0, 0], [-1, -1]],
+         "agent 1 targets arm 0, not one of its arms"),
+        ([[0, -1], [4, 3], [-2, 0]],
+         "agent 1 targets arm 3, not one of its arms"),
+        ([[-1, -1], [-1, -1], [-2, 8]],
+         "agent 2 targets arm -2, not one of its arms"),
+    ], ids=["valid", "second-agent", "first-agent", "repeat-before-later",
+            "foreign-before-repeat", "slot-1", "negative"])
+    def test_first_failing_agent_named(self, targets, msg):
+        """Several agents at once, two of them holding four of eight arms
+        and one all eight: the first agent that breaks the contract is
+        named, and its foreign slot before a repeated arm."""
+        inst = build_instance({
+            "num_arms": 8, "num_agents": 3,
+            "arm_sets": [[0, 1, 2, 3], [4, 5, 6, 7], list(range(8))],
+            "means": [0.5] * 8})
+
+        class Fixed(Adversary):
+            def epoch_edits(self, instance, epoch, estimates):
+                return np.array(targets), np.full((3, 2), 0.5)
+
+        if msg is None:
+            edits = Fixed().begin_epoch(inst, 2, ones(inst))
+            np.testing.assert_array_equal(edits[0], targets)
+            return
+        with pytest.raises(InvariantError) as raised:
+            Fixed().begin_epoch(inst, 2, ones(inst))
+        assert str(raised.value) == f"adversary edits: {msg}"
+
+
 class TestFactory:
     def test_null_variants(self):
         assert make_adversary(None).kind == "null"

@@ -5,15 +5,19 @@ checkpoint placement, invariant bookkeeping, and structural reductions.
 numba, as plain Python; it is the reference the numpy kernel must match.
 """
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 
 from draa import engine
 from draa.adversary import make_adversary
 from draa.agents import build_schedule
+from draa.cli import main
 from draa.config import validate_config
 from draa.engine import default_checkpoints, run_single
+from draa.errors import InvariantError
 from draa.kernels import run_segment
 from draa.model import build_instance
 from draa.runner import execute_run
@@ -283,3 +287,120 @@ def test_traced_run_holds_its_trace_once():
     assert max(e.length for e in result.epochs) >= horizon / 2
     assert result.pulls.shape == (horizon, config.instance.num_agents)
     assert peak / agent_rounds <= 28
+
+
+#: three agents over eight arms; agents 0 and 1 hold four each, so their
+#: rows of the padded arm table end in four pads.  Every arm has two
+#: holders, so in epoch 4 a bad arm's bracket is [2**-18, 2**-4] and an
+#: active arm's is [3 / (4 n), 1 / n], n the agent's active count.
+RAGGED = {"num_arms": 8, "num_agents": 3,
+          "arm_sets": [[0, 1, 2, 3], [4, 5, 6, 7], list(range(8))],
+          "means": [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]}
+#: a horizon whose fourth and last epoch is 6 rounds long
+RAGGED_HORIZON = 14630
+#: per agent, an epoch-4 state inside every bracket and gap range
+CLEAN_EPOCH_4 = [{"probs": [0.25] * 4, "active": [True] * 4,
+                  "gaps": [1.0] * 4, "fallback": False}] * 2 + [
+    {"probs": [0.125] * 8, "active": [True] * 8, "gaps": [1.0] * 8,
+     "fallback": False}]
+
+
+def enter_epoch_4(monkeypatch, fields):
+    """Make the agents of every run of ``RAGGED`` enter epoch 4 with
+    ``CLEAN_EPOCH_4`` updated by ``fields`` (agent -> AgentState fields)."""
+    advance_epoch = engine.advance_epoch
+
+    def advance(state, *args, **kwargs):
+        advance_epoch(state, *args, **kwargs)
+        if state.epoch == 4:
+            for name, value in {**CLEAN_EPOCH_4[state.ell],
+                                **fields.get(state.ell, {})}.items():
+                setattr(state, name, value if name == "fallback"
+                        else np.array(value))
+
+    monkeypatch.setattr(engine, "advance_epoch", advance)
+
+
+def run_ragged():
+    inst = build_instance(RAGGED)
+    sched = build_schedule(inst, RAGGED_HORIZON, delta=0.05, lam_scale=16)
+    assert sched.num_epochs == 4
+    return run_single(inst, sched, make_adversary(None), 0, backend="numpy")
+
+
+THREE_ACTIVE = [True, True, True, False]
+
+
+@pytest.mark.parametrize("fields,brackets,gap_range", [
+    ({}, 0, 0),
+    ({0: {"probs": [(1 - 1e-7) / 3] * 3 + [1e-7], "active": THREE_ACTIVE}},
+     1, 0),
+    ({0: {"probs": [0.3, 0.3, 0.3, 0.1], "active": THREE_ACTIVE}}, 1, 0),
+    ({2: {"probs": [0.3, 0.3, 0.2] + [0.04] * 5,
+          "active": [True] * 3 + [False] * 5}}, 1, 0),
+    ({1: {"probs": [0.34, 0.3, 0.3, 0.06], "active": THREE_ACTIVE}}, 1, 0),
+    ({0: {"probs": [0.3, 0.3, 0.3, 0.1], "active": THREE_ACTIVE,
+          "fallback": True}}, 0, 0),
+    ({0: {"probs": [0.3, 0.3, 0.3, 0.1], "active": THREE_ACTIVE},
+      1: {"probs": [0.34, 0.3, 0.3, 0.06], "active": THREE_ACTIVE},
+      2: {"probs": [0.3, 0.3, 0.2] + [0.04] * 5,
+          "active": [True] * 3 + [False] * 5}}, 3, 0),
+    ({1: {"gaps": [0.1, 1.0, 1.0, 2.0]},
+      2: {"gaps": [0.0] + [1.0] * 7, "fallback": True}}, 0, 3),
+], ids=["clean", "bad-below", "bad-above", "active-below", "active-above",
+        "fallback-skipped", "three-agents", "gap-range"])
+def test_epoch_start_counts_each_violation_once(monkeypatch, fields,
+                                                brackets, gap_range):
+    """Each probability outside its bracket counts once, on agents off
+    the fallback; each gap outside [GAP_FLOOR, GAP_CAP] counts once, on
+    every agent; the pads of a short arm set never count."""
+    enter_epoch_4(monkeypatch, fields)
+    epoch = run_ragged().epochs[3]
+    assert epoch.prob_bracket_violations == brackets
+    assert epoch.gap_range_violations == gap_range
+
+
+#: a hard-invariant breach at the start of epoch 4 and its message
+BREACHES = [
+    pytest.param({1: {"probs": [0.375] * 4}}, "probability simplex: agent "
+                 "1 epoch 4: sum(p) = 1.5", id="off-simplex"),
+    pytest.param({1: {"probs": [0.5, 0.5, 0.0, 0.0]}}, "positive "
+                 "probabilities: agent 1 epoch 4 has a nonpositive entry",
+                 id="zero-entry"),
+    pytest.param({2: {"probs": [0.25] * 4 + [0.125] * 2 + [-0.125] * 2}},
+                 "positive probabilities: agent 2 epoch 4 has a nonpositive "
+                 "entry", id="negative-entry"),
+    pytest.param({1: {"probs": [0.75, 0.75, 0.0, 0.0]}}, "probability "
+                 "simplex: agent 1 epoch 4: sum(p) = 1.5", id="simplex-first"),
+    pytest.param({1: {"probs": [0.5, 0.5, 0.0, 0.0]},
+                  2: {"probs": [0.25] * 8}}, "positive probabilities: agent "
+                 "1 epoch 4 has a nonpositive entry", id="first-agent"),
+    pytest.param({0: {"probs": [0.375] * 4},
+                  1: {"probs": [0.5, 0.5, 0.0, 0.0]}}, "probability "
+                 "simplex: agent 0 epoch 4: sum(p) = 1.5",
+                 id="first-agent-simplex"),
+]
+
+
+@pytest.mark.parametrize("fields,message", BREACHES)
+def test_epoch_start_raises_for_the_first_breach(monkeypatch, fields,
+                                                 message):
+    enter_epoch_4(monkeypatch, fields)
+    with mock.patch.object(engine, "run_segment", wraps=run_segment) as \
+            kernel, pytest.raises(InvariantError) as raised:
+        run_ragged()
+    assert str(raised.value) == message
+    assert kernel.call_count == 3  # epoch 4's never ran
+
+
+@pytest.mark.parametrize("fields,message", BREACHES[:2])
+def test_breach_exits_3(monkeypatch, tmp_path, capsys, fields, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        "schema_version": 1, "name": "breach", "instance": RAGGED,
+        "algorithm": {"lam_scale": 16}, "horizon": RAGGED_HORIZON,
+        "seeds": [0], "output_dir": str(tmp_path)}))
+    enter_epoch_4(monkeypatch, fields)
+    assert main(["run", str(path), "--backend", "numpy"]) == 3
+    assert capsys.readouterr().err == f"invariant violated: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]

@@ -319,6 +319,10 @@ class TestConfigValidation:
         ({"name": None}, "name must name one directory entry"),
         ({"output_dir": 5}, "output_dir must be a str"),
         ({"adversary": {"kind": 0, "budget": 50.0}}, "unknown adversary kind"),
+        ({"output_dir": "a\0b"}, "output_dir must not hold NUL"),
+        ({"name": "x" * 300}, "name must name one directory entry"),
+        # 128 characters, 256 bytes in UTF-8
+        ({"name": "é" * 128}, "name must name one directory entry"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -407,6 +411,16 @@ class TestConfigValidation:
         data = base_config(horizon=horizon)
         del data["num_checkpoints"]
         assert validate_config(data).num_checkpoints == count
+
+    @pytest.mark.parametrize("name", ["x" * 255, "é" * 127 + "x"])
+    def test_name_of_255_bytes(self, name):
+        assert validate_config(base_config(name=name)).name == name
+
+    def test_name_that_cannot_be_encoded(self):
+        # libyaml rejects a lone surrogate; the pure-Python loader and
+        # the API pass it on
+        with pytest.raises(ConfigError, match="name must name one"):
+            validate_config(base_config(name="\ud800"))
 
     def test_missing_horizon(self):
         data = base_config()
@@ -726,11 +740,22 @@ class TestCli:
          "name must name one directory entry"),
         ({"axes": [{"field": "adversary.budget", "values": [10.0, 10.0]}]},
          "sweep points share the name 'unit_budget=10.0'"),
+        # "base" holds overrides of base_config; a point name or the CSV
+        # name that passes 255 bytes fails before anything runs
+        ({"base": {"name": "y" * 250},
+          "axes": [{"field": "seeds", "values": [[0]]}]},
+         "name must name one directory entry"),
+        ({"base": {"name": "y" * 245},
+          "axes": [{"field": "horizon", "values": [1500]}]},
+         "sweep point name must name one directory entry"),
+        ({"base": {"name": "y" * 247},
+          "axes": [{"field": "name", "values": ["z"]}]},
+         "sweep CSV name must name one directory entry"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
-        spec = {"base": base_config(output_dir=str(tmp_path)),
-                "axes": [{"field": "horizon", "values": [1500, 2000]}]}
-        spec.update(patch)
+        spec = {"axes": [{"field": "horizon", "values": [1500, 2000]}],
+                **patch, "base": base_config(output_dir=str(tmp_path),
+                                             **patch.get("base", {}))}
         path = tmp_path / "sweep.yaml"
         path.write_text(yaml.safe_dump(spec))
         assert main(["sweep", str(path), "--backend", "numpy"]) == 2

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draa.kernels import _uniform_nb
-from draa.rng import (_INV_2_53, ADV_STREAM, ENV_STREAM, MASK64, PULL_STREAM,
-                      mix64, stream_prefix, uniform_array)
+from draa.rng import (_INV_2_53, ENV_STREAM, MASK64, PULL_STREAM, mix64,
+                      stream_prefix, uniform_array)
 
 
 def uniform(seed, stream, t, agent=0, arm=0):
@@ -31,7 +31,7 @@ def test_same_counter_same_value():
 
 def test_streams_are_disjoint():
     a = uniform(42, ENV_STREAM, 17, 1, 2)
-    b = uniform(42, ADV_STREAM, 17, 1, 2)
+    b = uniform(42, 1, 17, 1, 2)  # the unused id between the two
     c = uniform(42, PULL_STREAM, 17, 1, 2)
     assert len({a, b, c}) == 3
 

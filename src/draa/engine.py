@@ -3,9 +3,10 @@
 :func:`run_single` is the one epoch loop: it advances all agents epoch
 by epoch.  Within an epoch the pull distributions are frozen, so each
 epoch's rounds are one backend kernel call, cut at the checkpoint
-rounds inside it; the engine folds the call's per-segment regret and
-charges in order and reads each checkpoint row from them.  The budget
-runs out at the same cell wherever checkpoints fall.  A traced run
+rounds inside it; the engine folds the call's (S, L) per-segment regret
+and charges in order with one cumulative sum each, whose leading rows
+are the epoch's rows of the ``RunResult.checkpoints`` arrays.  The
+budget runs out at the same cell wherever checkpoints fall.  A traced run
 allocates its (T, L) pulls, delivered and clean arrays once and hands
 each call the epoch's rows of them, which the kernel fills in place.  At
 each epoch boundary agents broadcast, re-estimate, and re-weight; the
@@ -66,12 +67,13 @@ class EpochRecord:
 
 
 @dataclass
-class CheckpointRow:
-    t: int
-    total_regret: float
-    per_agent_regret: np.ndarray
-    corruption_so_far: float
-    comm_cost: int
+class Checkpoints:
+    """The run's checkpoint rows as arrays, row i holding round ``t[i]``."""
+
+    t: np.ndarray  # (S,) int64 ascending rounds
+    regret: np.ndarray  # (S, L) cumulative per-agent regret
+    corruption: np.ndarray  # (S,) C so far
+    comm_cost: np.ndarray  # (S,) int64 messages posted so far
 
 
 @dataclass
@@ -83,7 +85,7 @@ class RunResult:
     backend: str
     schedule: EpochSchedule
     epochs: list[EpochRecord]
-    checkpoints: list[CheckpointRow]
+    checkpoints: Checkpoints
     per_agent_regret: np.ndarray
     total_regret: float
     comm_cost: int
@@ -114,7 +116,7 @@ def _epoch_start(states: list[AgentState], m: int,
     (checked first) or hold a nonpositive entry.  Returns the counts of
     probabilities outside their bracket (agents on the fallback, and all
     in epoch 1, exempt) and of gaps outside [GAP_FLOOR, GAP_CAP], and
-    the kernel's CDF, padded with 1.0.
+    the kernel's CDF, at least 1.0 from each agent's last arm on.
     """
     held = instance.local_arms >= 0
     probs, gaps, active = (np.zeros(held.shape, dtype)
@@ -143,16 +145,15 @@ def _epoch_start(states: list[AgentState], m: int,
     gap_range = np.sum(held & ((gaps < GAP_FLOOR - _BOUND_TOL)
                                | (gaps > GAP_CAP + _BOUND_TOL)))
     cdf = np.cumsum(probs, axis=1)
-    cdf[~held] = 1.0
+    closing = np.arange(held.shape[1]) >= held.sum(axis=1, keepdims=True) - 1
+    np.maximum(cdf, 1.0, out=cdf, where=closing)
     return int(brackets), int(gap_range), cdf
 
 
 def default_checkpoints(schedule: EpochSchedule) -> list[int]:
-    """Epoch boundaries plus the horizon, ascending and deduplicated."""
-    marks = {schedule.horizon}
-    for m in range(1, schedule.num_epochs + 1):
-        marks.add(schedule.epoch_bounds(m)[1])
-    return sorted(marks)
+    """Each epoch's last round, ascending; the last one is the horizon."""
+    return [schedule.epoch_bounds(m)[1]
+            for m in range(1, schedule.num_epochs + 1)]
 
 
 def run_single(instance: BanditInstance, schedule: EpochSchedule,
@@ -171,7 +172,6 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
 
     env_prefix = stream_prefix(seed, ENV_STREAM)
     pull_prefix = stream_prefix(seed, PULL_STREAM)
-    n_local = np.sum(instance.local_arms >= 0, axis=1)
     best_means = instance.means[list(instance.best_arms)]
     reward_model = REWARD_MODELS.index(instance.reward_model)
     beta_table = (instance.beta_table() if instance.reward_model == "beta"
@@ -184,7 +184,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     ledger = np.zeros((schedule.num_epochs, L))
 
     cum_regret = np.zeros(L)
-    checkpoint_rows: list[CheckpointRow] = []
+    rows_by_epoch = []  # (regret, C so far, comm cost) of its checkpoints
     epochs: list[EpochRecord] = []
 
     # (pulls, observed, clean), filled epoch by epoch by the kernels
@@ -208,42 +208,31 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         targets, pushes = adversary.begin_epoch(instance, m, record.estimates)
         in_epoch = marks[np.searchsorted(marks, start):
                          np.searchsorted(marks, end, "right")]
-        if in_epoch.size and in_epoch[-1] == end:
-            cuts = in_epoch
-        else:
-            cuts = np.append(in_epoch, end)
+        cuts = np.append(in_epoch[in_epoch < end], end)  # end is always a cut
         plan = SegmentPlan(
             t_start=start, cuts=cuts, env_prefix=env_prefix,
-            pull_prefix=pull_prefix, arms=instance.local_arms,
-            n_local=n_local, cdf=cdf, means=instance.means,
-            best_means=best_means, reward_model=reward_model,
-            beta_table=beta_table, targets=targets, pushes=pushes,
-            budget=adversary.budget, spent=spent, adv_active=active,
+            pull_prefix=pull_prefix, arms=instance.local_arms, cdf=cdf,
+            means=instance.means, best_means=best_means,
+            reward_model=reward_model, beta_table=beta_table,
+            targets=targets, pushes=pushes, budget=adversary.budget,
+            spent=spent, adv_active=active,
         )
         rows = traced and tuple(a[start - 1:end] for a in traced)
         result = run_segment(plan, backend=backend, trace=rows)
         for ell, state in enumerate(states):
-            n = int(n_local[ell])
+            n = len(state.arms)
             state.reward_sums = result.reward_sums[ell, :n]
             state.pull_counts = result.pull_counts[ell, :n]
         spent, active = result.spent, result.adv_active
-        # fold the cut segments in order; every cut is a checkpoint but
-        # the epoch's end when only that ends a segment
-        charged_before = float(ledger[:m - 1].sum())
-        cost = comm_cost(log)
-        for i, (cut, regret, charges) in enumerate(zip(
-                cuts.tolist(), result.regret, result.corruption)):
-            cum_regret += regret
-            ledger[m - 1] += charges
-            if i < in_epoch.size:
-                checkpoint_rows.append(CheckpointRow(
-                    t=cut,
-                    total_regret=float(cum_regret.sum()),
-                    per_agent_regret=cum_regret.copy(),
-                    corruption_so_far=(charged_before
-                                       + float(ledger[m - 1].sum())),
-                    comm_cost=cost,
-                ))
+        # fold the cut segments in order, as running sums; the first k
+        # cuts are the checkpoints, and an added epoch end follows them
+        folded = np.cumsum(np.vstack([cum_regret, result.regret]), axis=0)[1:]
+        charged = np.cumsum(result.corruption, axis=0)
+        cum_regret, ledger[m - 1] = folded[-1], charged[-1]
+        k = in_epoch.size
+        rows_by_epoch.append((
+            folded[:k], float(ledger[:m - 1].sum()) + charged[:k].sum(axis=1),
+            np.full(k, comm_cost(log))))
 
         record.pull_counts = [s.pull_counts for s in states]
         record.corruption = float(ledger[m - 1].sum())
@@ -270,7 +259,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     pulls, observed, clean = traced or (None, None, None)
     return RunResult(
         seed=seed, estimator=estimator, backend=backend, schedule=schedule,
-        epochs=epochs, checkpoints=checkpoint_rows,
+        epochs=epochs, checkpoints=Checkpoints(
+            marks, *(np.concatenate(part) for part in zip(*rows_by_epoch))),
         per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),
         comm_cost=comm_cost(log), corruption=corruption,
         pulls=pulls, observed=observed, clean=clean,

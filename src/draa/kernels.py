@@ -56,7 +56,9 @@ in the same order, so both gates close at the same cell.  The kernels
 rely on the edit contract that :meth:`draa.adversary.Adversary.begin_epoch`
 checks once per epoch: an agent's targets are its own arms and differ,
 so a cell is charged the largest edit over its named targets and its
-pulled arm matches at most one of them.
+pulled arm matches at most one of them.  Both search an agent's whole
+padded CDF row, which is at least 1.0 from its last arm on, so no pull
+draw passes that arm.
 """
 from __future__ import annotations
 
@@ -111,13 +113,14 @@ def default_backend(requested: str | None = None) -> str:
 class SegmentPlan:
     """Immutable inputs describing one contiguous block of rounds.
 
-    Arrays are padded to the widest local arm count; ``n_local`` gives
-    each agent's true arm count.  ``targets``/``pushes`` are (L, 2)
-    adversary edits: each of agent ell's two targets is -1 (unused) or
-    one of its arms ``arms[ell, :n_local[ell]]``, and the two differ (the
-    adversary's edit contract, which the kernels do not check).  ``cuts``
-    splits the block into segments: segment s ends at round ``cuts[s]``
-    and the next one starts after it, so the last cut ends the block.
+    Arrays are padded to the widest local arm count; row ell of ``cdf``
+    is agent ell's pull CDF, at least 1.0 (which no draw reaches) from
+    its last arm on.  ``targets``/``pushes`` are (L, 2) adversary edits:
+    each of agent ell's two targets is -1 (unused) or one of its arms,
+    and the two differ (the adversary's edit contract, which the kernels
+    do not check).  ``cuts`` splits the block into segments: segment s
+    ends at round ``cuts[s]`` and the next one starts after it, so the
+    last cut ends the block.
     """
 
     t_start: int  # first round, 1-based, inclusive
@@ -125,8 +128,7 @@ class SegmentPlan:
     env_prefix: int
     pull_prefix: int
     arms: np.ndarray  # (L, Kmax) int64, -1 padded
-    n_local: np.ndarray  # (L,) int64
-    cdf: np.ndarray  # (L, Kmax) float64, padded with 1.0
+    cdf: np.ndarray  # (L, Kmax) float64, >= 1.0 from the last arm on
     means: np.ndarray  # (K,)
     best_means: np.ndarray  # (L,)
     reward_model: int  # index into model.REWARD_MODELS
@@ -193,8 +195,8 @@ def _reward_nb(model, mu, u, table, arm):
 
 
 @njit(cache=True)
-def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
-                means, best_means, reward_model, beta_table, targets, pushes,
+def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, cdf, means,
+                best_means, reward_model, beta_table, targets, pushes,
                 budget, spent, adv_active, reward_sums, pull_counts, regret,
                 corruption, pulls, observed, clean_out, trace):
     L = arms.shape[0]
@@ -204,9 +206,8 @@ def _segment_nb(t_start, cuts, env_prefix, pull_prefix, arms, n_local, cdf,
         row = t - t_start
         for ell in range(L):
             u_pull = _uniform_nb(pull_prefix, t, ell, 0)
-            n = n_local[ell]
             idx = 0
-            while idx < n - 1 and u_pull >= cdf[ell, idx]:
+            while u_pull >= cdf[ell, idx]:
                 idx += 1
             arm = arms[ell, idx]
             u_env = _uniform_nb(env_prefix, t, ell, arm)
@@ -268,7 +269,7 @@ def run_segment_numba(plan: SegmentPlan,
     with np.errstate(over="ignore"):
         spent, active = _segment_nb(
             plan.t_start, plan.cuts, np.uint64(plan.env_prefix),
-            np.uint64(plan.pull_prefix), plan.arms, plan.n_local, plan.cdf,
+            np.uint64(plan.pull_prefix), plan.arms, plan.cdf,
             plan.means, plan.best_means, plan.reward_model, beta_table,
             plan.targets, plan.pushes, plan.budget, plan.spent,
             plan.adv_active, reward_sums, pull_counts, regret, corruption,
@@ -299,10 +300,8 @@ def _pull_slots(plan: SegmentPlan, t: np.ndarray, rows: int,
         _unit(_mix64_np(h), scratch[r0:r0 + rows])
     slot = np.empty((t.size, L), dtype=np.int64)
     for ell in range(L):
-        n = plan.n_local[ell]
-        slot[:, ell] = np.searchsorted(plan.cdf[ell, :n], scratch[:, ell],
+        slot[:, ell] = np.searchsorted(plan.cdf[ell], scratch[:, ell],
                                        side="right")
-    np.minimum(slot, plan.n_local - 1, out=slot)
     slot += np.arange(0, L * kmax, kmax)
     return slot
 

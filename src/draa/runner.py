@@ -31,7 +31,7 @@ from .agents import build_schedule
 from .config import ExperimentConfig, SweepSpec
 from .config import validate_config  # noqa: F401 (perfbench rebinds it here)
 from .engine import RunResult, run_single
-from .errors import checked
+from .errors import ConfigError, checked
 from .kernels import default_backend
 
 
@@ -48,9 +48,8 @@ def resolve_jobs() -> int:
 
 def evenly_spaced_checkpoints(horizon: int, count: int) -> list[int]:
     """``count`` checkpoint rounds ending at the horizon (deduplicated)."""
-    marks = {max(1, round(horizon * i / count)) for i in range(1, count + 1)}
-    marks.add(horizon)
-    return sorted(marks)
+    return sorted({max(1, round(horizon * i / count))
+                   for i in range(1, count + 1)})
 
 
 def execute_run(config: ExperimentConfig, seed: int,
@@ -65,25 +64,33 @@ def execute_run(config: ExperimentConfig, seed: int,
                       checkpoints=checkpoints, trace=trace)
 
 
-def checkpoint_rows(result: RunResult) -> list[dict]:
-    rows = []
-    for cp in result.checkpoints:
-        row = {"seed": result.seed, "t": cp.t,
-               "total_regret": f"{cp.total_regret:.10g}"}
-        for ell, r in enumerate(cp.per_agent_regret):
-            row[f"regret_agent_{ell}"] = f"{r:.10g}"
-        row["C_so_far"] = f"{cp.corruption_so_far:.10g}"
-        row["comm_cost"] = cp.comm_cost
-        rows.append(row)
+def checkpoint_rows(result: RunResult) -> list[list]:
+    """The checkpoint CSV's header, then one row per checkpoint."""
+    cp = result.checkpoints
+    agents = [f"regret_agent_{ell}" for ell in range(cp.regret.shape[1])]
+    rows = [["seed", "t", "total_regret", *agents, "C_so_far", "comm_cost"]]
+    for t, total, regret, so_far, cost in zip(
+            cp.t.tolist(), cp.regret.sum(axis=1).tolist(),
+            cp.regret.tolist(), cp.corruption.tolist(),
+            cp.comm_cost.tolist()):
+        rows.append([result.seed, t, f"{total:.10g}",
+                     *(f"{r:.10g}" for r in regret), f"{so_far:.10g}", cost])
     return rows
 
 
-def write_checkpoint_csv(path: Path, rows: list[dict]) -> None:
-    """``rows``, dicts with the same keys in the same order, as a CSV."""
+def write_checkpoint_csv(path: Path, rows: list[list]) -> None:
+    """``rows``, a header and then its rows, as a CSV."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
+
+
+def check_output_dir(path: Path) -> None:
+    """Raise a ``ConfigError`` unless the nearest existing one of ``path``
+    and its parents is a directory, so that ``path`` can be made."""
+    where = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not where.is_dir():
+        raise ConfigError(f"output directory {str(path)!r} is blocked by "
+                          f"the file {str(where)!r}")
 
 
 #: the per-agent array fields of an ``EpochRecord``
@@ -134,21 +141,22 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
     return the summaries; a seed that fails leaves no file behind."""
     backend = default_backend(backend)
     jobs = min(resolve_jobs(), len(config.seeds))
+    out_dir = resolve_output_dir(config)
+    check_output_dir(out_dir)
     with ExitStack() as stack:
         mapper = map if jobs == 1 else stack.enter_context(
             ProcessPoolExecutor(max_workers=jobs)).map
         outputs = list(mapper(_worker, repeat(config), config.seeds,
                               repeat(backend)))
 
-    out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    merged_rows = []
+    merged_rows = outputs[0][0][:1]  # the header, once
     summaries = []
     for seed, (rows, summary) in zip(config.seeds, outputs):
         write_checkpoint_csv(out_dir / f"seed_{seed}_checkpoints.csv", rows)
         with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
-        merged_rows.extend(rows)
+        merged_rows.extend(rows[1:])
         summaries.append(summary)
         if not quiet:
             print(f"seed {seed}: regret {summary['regret_total']:.2f}, "
@@ -164,26 +172,28 @@ def run_sweep(spec: SweepSpec, backend: str | None = None,
     aggregated = []
     base_config = spec.base
     out_root = resolve_output_dir(base_config).parent
+    for where in [out_root] + [resolve_output_dir(c) for _, c in spec.points]:
+        check_output_dir(where)
     for label, config in spec.points:
         summaries = run_experiment(config, backend=backend, quiet=True)
         regrets = np.array([s["regret_total"] for s in summaries])
         comms = np.array([s["comm_cost"] for s in summaries])
         corr = np.array([s["corruption"]["C"] for s in summaries])
-        row = dict(label)
-        row.update({
+        aggregated.append({
+            **label,
             "num_seeds": len(summaries),
             "mean_regret": f"{regrets.mean():.10g}",
             "std_regret": f"{regrets.std(ddof=1) if len(regrets) > 1 else 0.0:.10g}",
             "mean_comm_cost": f"{comms.mean():.10g}",
             "mean_C": f"{corr.mean():.10g}",
         })
-        aggregated.append(row)
         if not quiet:
             print(f"point {label}: mean regret {regrets.mean():.2f} "
                   f"over {len(summaries)} seeds")
     out_root.mkdir(parents=True, exist_ok=True)
     path = out_root / f"{base_config.name}_sweep.csv"
-    write_checkpoint_csv(path, aggregated)
+    write_checkpoint_csv(path, [list(aggregated[0]),
+                                *(list(row.values()) for row in aggregated)])
     if not quiet:
         print(f"wrote {path}")
     return aggregated

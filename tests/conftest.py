@@ -111,11 +111,12 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
     one segment's regret and corruption rows as (L,) vectors.
     """
     arms = inst.local_arms
-    n_local = np.sum(arms >= 0, axis=1)
     cdf = np.ones(arms.shape)
     for ell, p in enumerate(probs):
-        n = n_local[ell]
+        n = len(inst.arm_sets[ell])
         cdf[ell, :n] = np.cumsum(np.eye(n)[p] if np.isscalar(p) else p)
+        # closed as the engine closes it: at least 1.0 from the last arm on
+        cdf[ell, n - 1] = max(cdf[ell, n - 1], 1.0)
     if rewards is None:
         model = REWARD_MODELS.index(inst.reward_model)
         table = (inst.beta_table() if inst.reward_model == "beta"
@@ -129,7 +130,7 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
         t_start=1, cuts=np.array([rounds]),
         env_prefix=stream_prefix(seed, ENV_STREAM),
         pull_prefix=stream_prefix(seed, PULL_STREAM),
-        arms=arms, n_local=n_local, cdf=cdf, means=inst.means,
+        arms=arms, cdf=cdf, means=inst.means,
         best_means=inst.means[list(inst.best_arms)], reward_model=model,
         beta_table=table,
         targets=targets, pushes=pushes, budget=budget, spent=spent,

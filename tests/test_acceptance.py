@@ -117,9 +117,9 @@ def test_criterion_3_no_corruption_learning(invariant_batch):
     first_rates = []
     final_rates = []
     for r in results:
-        cps = r.checkpoints
-        first_rates.append(cps[0].total_regret / cps[0].t)
-        final_rates.append(cps[-1].total_regret / cps[-1].t)
+        rates = r.checkpoints.regret.sum(axis=1) / r.checkpoints.t
+        first_rates.append(rates[0])
+        final_rates.append(rates[-1])
     ratio = np.mean(final_rates) / np.mean(first_rates)
     ok = mean_mass >= 0.9 and ratio <= 0.25
     print(f"\n{'PASS' if ok else 'FAIL'} criterion 3: final-epoch best-arm "

@@ -57,7 +57,7 @@ class TestLedger:
         assert result.corruption == {
             "C": 0.0, "C_per_agent": [0.0, 0.0],
             "C_per_epoch": [0.0] * sched.num_epochs}
-        assert all(cp.corruption_so_far == 0.0 for cp in result.checkpoints)
+        assert (result.checkpoints.corruption == 0.0).all()
 
     def test_per_epoch_and_per_agent_sums(self, inst):
         # only agent 1 is charged, 0.5 per cell where arm 1 pays 1, so
@@ -71,7 +71,8 @@ class TestLedger:
         assert totals["C_per_agent"] == [0.0, totals["C"]]
         assert sum(totals["C_per_epoch"]) == totals["C"]
         assert [e.corruption for e in result.epochs] == totals["C_per_epoch"]
-        so_far = {cp.t: cp.corruption_so_far for cp in result.checkpoints}
+        cps = result.checkpoints
+        so_far = dict(zip(cps.t.tolist(), cps.corruption.tolist()))
         for e in result.epochs:
             assert so_far[e.end] == sum(totals["C_per_epoch"][:e.m])
 

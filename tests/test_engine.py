@@ -13,12 +13,12 @@ import yaml
 
 from draa import engine
 from draa.adversary import make_adversary
-from draa.agents import build_schedule
+from draa.agents import build_schedule, init_epoch1
 from draa.cli import main
 from draa.config import validate_config
 from draa.engine import default_checkpoints, run_single
 from draa.errors import InvariantError
-from draa.kernels import run_segment
+from draa.kernels import BACKENDS, run_segment
 from draa.model import build_instance
 from draa.runner import execute_run
 
@@ -150,10 +150,10 @@ def test_checkpoint_rows_monotone_and_final():
     sched = small_schedule(inst)
     result = run_single(inst, sched, make_adversary(None), 2,
                         backend="numpy")
-    ts = [cp.t for cp in result.checkpoints]
+    ts = result.checkpoints.t.tolist()
     assert ts == sorted(ts)
     assert ts[-1] == sched.horizon
-    regrets = [cp.total_regret for cp in result.checkpoints]
+    regrets = result.checkpoints.regret.sum(axis=1).tolist()
     assert all(b >= a - 1e-12 for a, b in zip(regrets, regrets[1:]))
     assert regrets[-1] == pytest.approx(result.total_regret)
 
@@ -169,9 +169,10 @@ def test_comm_cost_is_l_times_epochs():
             result = run_single(inst, sched, make_adversary(adv_cfg), 2,
                                 backend="numpy", checkpoints=checkpoints)
             assert result.comm_cost == L * result.num_epochs
-            for row in result.checkpoints:
-                m = next(e.m for e in result.epochs if row.t <= e.end)
-                assert row.comm_cost == L * (m - 1), (adv_cfg, row.t)
+            cps = result.checkpoints
+            for t, cost in zip(cps.t.tolist(), cps.comm_cost.tolist()):
+                m = next(e.m for e in result.epochs if t <= e.end)
+                assert cost == L * (m - 1), (adv_cfg, t)
 
 
 def test_regret_upper_bound():
@@ -258,7 +259,77 @@ def test_one_kernel_call_per_epoch(monkeypatch, backend):
     assert len(plans) == sched.num_epochs
     assert [(p.t_start, p.t_end) for p in plans] == [
         sched.epoch_bounds(m) for m in range(1, sched.num_epochs + 1)]
-    assert [cp.t for cp in result.checkpoints] == marks
+    assert result.checkpoints.t.tolist() == marks
+
+
+#: ten agents over twelve arms, holding one to six arms each
+WIDE = {"num_arms": 12, "num_agents": 10,
+        "arm_sets": [[0, 1, 2, 3, 4, 5], [1, 6], [2, 7, 8], [3],
+                     [4, 9, 10, 11], [5, 6, 7, 8, 9], [10, 11], [0, 11],
+                     [6, 7, 8, 9, 10], [1, 3, 5, 7, 9, 11]],
+        "means": [0.85, 0.786, 0.723, 0.659, 0.595, 0.532, 0.468, 0.405,
+                  0.341, 0.277, 0.214, 0.15]}
+
+
+def per_cut_fold(plans, results, marks, L):
+    """The checkpoint rows as a Python loop folds them: cut by cut, each
+    segment's regret and charges added into running (L,) sums, and a row
+    read at every cut that is a checkpoint."""
+    ledger = np.zeros((len(plans), L))
+    cum_regret = np.zeros(L)
+    rows = []
+    for m, (plan, result) in enumerate(zip(plans, results), start=1):
+        charged_before = float(ledger[:m - 1].sum())
+        for cut, regret, charges in zip(plan.cuts.tolist(), result.regret,
+                                        result.corruption):
+            cum_regret += regret
+            ledger[m - 1] += charges
+            if cut in marks:
+                rows.append((cut, float(cum_regret.sum()), cum_regret.copy(),
+                             charged_before + float(ledger[m - 1].sum()),
+                             L * (m - 1)))
+    return rows, cum_regret, ledger
+
+
+@pytest.mark.parametrize("every", [None, 1, 7])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_checkpoints_equal_the_per_cut_fold(backend, every):
+    """The engine's cumulative sums give every checkpoint row the bits
+    of the per-cut loop, on ragged arm sets, with a budget that closes
+    between two checkpoints of the last epoch."""
+    inst = build_instance(WIDE)
+    sched = small_schedule(inst, horizon=1500)
+    adversary = make_adversary({"kind": "gap_flip", "magnitude": 0.7,
+                                "budget": 1000.3})
+    marks = (default_checkpoints(sched) if every is None
+             else list(range(every, sched.horizon + 1, every)))
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(run_segment(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(engine, "run_segment", wraps=keep) as kernel:
+        result = run_single(inst, sched, adversary, 5, backend=backend,
+                            checkpoints=None if every is None else marks)
+    plans = [call.args[0] for call in kernel.call_args_list]
+    rows, cum_regret, ledger = per_cut_fold(plans, results, set(marks),
+                                            inst.num_agents)
+    cps = result.checkpoints
+    assert cps.t.tolist() == [row[0] for row in rows] == marks
+    assert cps.regret.sum(axis=1).tolist() == [row[1] for row in rows]
+    assert np.array_equal(cps.regret, np.array([row[2] for row in rows]))
+    assert cps.corruption.tolist() == [row[3] for row in rows]
+    assert cps.comm_cost.tolist() == [row[4] for row in rows]
+    assert np.array_equal(result.per_agent_regret, cum_regret)
+    assert result.corruption["C_per_epoch"] == ledger.sum(axis=1).tolist()
+    # the gate closed in the last epoch, short of the budget, after row
+    # ``closed - 1``; with dense checkpoints, rows after it stay flat
+    assert sched.num_epochs == 2 and not results[-1].adv_active
+    closed = int(np.argmax(cps.corruption == cps.corruption[-1]))
+    assert cps.t[closed] > sched.epoch_bounds(1)[1]
+    assert cps.corruption[closed - 1] < cps.corruption[-1] < 1000.3
+    assert every is None or closed < cps.t.size - 1
 
 
 def test_traced_run_holds_its_trace_once():
@@ -404,3 +475,20 @@ def test_breach_exits_3(monkeypatch, tmp_path, capsys, fields, message):
     assert main(["run", str(path), "--backend", "numpy"]) == 3
     assert capsys.readouterr().err == f"invariant violated: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
+def test_epoch_start_closes_each_cdf_at_one():
+    """Ten probabilities of 0.1 sum to 0.9999999999999999; the CDF's last
+    held entry is raised to 1.0, the pads after it are at least 1.0, and
+    every other entry is the plain cumulative sum."""
+    inst = build_instance({"num_arms": 10, "num_agents": 3,
+                           "arm_sets": [list(range(10)), [0, 5], [3]],
+                           "means": np.linspace(0.9, 0.1, 10).tolist()})
+    states = [init_epoch1(inst, ell) for ell in range(3)]
+    assert np.cumsum(states[0].probs)[-1] == 0.9999999999999999
+    cdf = engine._epoch_start(states, 1, inst)[2]
+    for ell, state in enumerate(states):
+        n = len(state.arms)
+        assert np.array_equal(cdf[ell, :n - 1], np.cumsum(state.probs)[:-1])
+        assert cdf[ell, n - 1] == 1.0
+        assert (cdf[ell, n:] >= 1.0).all()

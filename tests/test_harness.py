@@ -763,6 +763,59 @@ class TestCli:
         assert "configuration error" in err and msg in err
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.yaml"]
 
+    @staticmethod
+    def count_seeds(monkeypatch):
+        """A list that gains an entry whenever a seed starts to run."""
+        ran, execute_run = [], runner.execute_run
+        monkeypatch.setattr(runner, "execute_run", lambda *args, **kwargs:
+                            ran.append(1) or execute_run(*args, **kwargs))
+        return ran
+
+    @pytest.mark.parametrize("where", ["output_dir", "output_dir/sub",
+                                       "DRAA_OUTPUT_DIR"])
+    def test_output_blocked_by_a_file_exit_2(self, tmp_path, monkeypatch,
+                                             capsys, where):
+        """A file where the run directory or one of its parents should be
+        fails the run before its first seed, and nothing is written."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        monkeypatch.delenv("DRAA_OUTPUT_DIR", raising=False)
+        if where == "DRAA_OUTPUT_DIR":
+            monkeypatch.setenv("DRAA_OUTPUT_DIR", str(blocker))
+            path = write_config(tmp_path, seeds=[7, 8])
+        else:
+            path = write_config(tmp_path, {"output_dir": str(
+                blocker / where.partition("/")[2])}, seeds=[7, 8])
+        ran = self.count_seeds(monkeypatch)
+        assert main(["run", str(path), "--backend", "numpy"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output directory ")
+        assert f"is blocked by the file {str(blocker)!r}" in err
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "config.yaml"]
+
+    @pytest.mark.parametrize("blocked", ["unit_horizon=2000", "out"])
+    def test_sweep_output_blocked_by_a_file_exit_2(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   blocked):
+        """A file blocking the second point's directory, or the sweep
+        CSV's, fails the sweep before its first point runs."""
+        (tmp_path / blocked).write_text("")
+        monkeypatch.delenv("DRAA_OUTPUT_DIR", raising=False)
+        out = tmp_path / ("out" if blocked == "out" else "")
+        spec = {"axes": [{"field": "horizon", "values": [1500, 2000]}],
+                "base": base_config(output_dir=str(out))}
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        ran = self.count_seeds(monkeypatch)
+        assert main(["sweep", str(path), "--backend", "numpy"]) == 2
+        err = capsys.readouterr().err
+        assert f"is blocked by the file {str(tmp_path / blocked)!r}" in err
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [blocked, "sweep.yaml"])
+
     def test_verify_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, horizon=1500)
         assert main(["verify", str(path), "--backend", "numpy"]) == 0
@@ -855,11 +908,11 @@ def _pin_config(**overrides):
     return data
 
 
-#: sha256 of every per-seed file ``draa run --backend numpy`` writes for
-#: three configs; the summaries embed the config, so its ``output_dir``
-#: stays fixed and ``DRAA_OUTPUT_DIR`` redirects the files.  The Beta case's
-#: inverse-CDF table comes from scipy, so a scipy whose ``betaincinv`` rounds
-#: differently changes those two hashes.
+#: sha256 of every file ``draa run --backend numpy`` writes for three
+#: configs, per seed and merged; the summaries embed the config, so its
+#: ``output_dir`` stays fixed and ``DRAA_OUTPUT_DIR`` redirects the files.
+#: The Beta case's inverse-CDF table comes from scipy, so a scipy whose
+#: ``betaincinv`` rounds differently changes those three hashes.
 _PINNED_OUTPUTS = [
     pytest.param(_pin_config(), {
         "seed_3_checkpoints.csv":
@@ -870,6 +923,8 @@ _PINNED_OUTPUTS = [
             "714bf94cb8960d9378a8b11d806876cea0efe5b3af91b057fc0dc6eb1f6a01e3",
         "seed_11_summary.json":
             "23e4a734b4a10dd954c35498b7a7119ca1bbd2ffb3934cb3c07699da8c3e8d8f",
+        "checkpoints.csv":
+            "349417545ff8c7b99382b52724aea1d5490f4f6a3539bd209436a36aa88b47d3",
     }, id="bernoulli-64-checkpoints"),
     # the budget of 140.7 closes inside epoch 2, between two checkpoints
     pytest.param(_pin_config(
@@ -885,6 +940,8 @@ _PINNED_OUTPUTS = [
             "cc98f2a37499f9775b448d890d34108eefa9342ac809f501749227950ac50855",
         "seed_11_summary.json":
             "d70784d49cb99bf5166ecacf1896d25e44b87f7ddd25064845f30d4f25afa0a6",
+        "checkpoints.csv":
+            "31facac66d800973fb7eacefd3e97479ba79485feee8aa9c4b1b147ee9e2e35f",
     }, id="beta-gap-flip-13-checkpoints"),
     pytest.param(_pin_config(
         horizon=1500, num_checkpoints=1500, seeds=[5],
@@ -894,6 +951,8 @@ _PINNED_OUTPUTS = [
             "90e0446740362a235b3385088325d6b4d284de53b6d6f11d6b15ea5532a24b11",
         "seed_5_summary.json":
             "d2ba747db40cc1d173edd599daf84162bc0cc9daa9f621e1642103db8c40bd3f",
+        "checkpoints.csv":
+            "90e0446740362a235b3385088325d6b4d284de53b6d6f11d6b15ea5532a24b11",
     }, id="checkpoint-every-round"),
 ]
 

@@ -71,10 +71,8 @@ def _oracle_segment(plan):
     pulled_arm = np.empty((t_len, L), dtype=np.int64)
     clean = np.empty((t_len, L))
     for ell in range(L):
-        n = int(plan.n_local[ell])
         u_pull = _oracle_uniform(plan.pull_prefix, ts, ell, 0)
-        idx = np.searchsorted(plan.cdf[ell, :n], u_pull, side="right")
-        idx = np.minimum(idx, n - 1)
+        idx = np.searchsorted(plan.cdf[ell], u_pull, side="right")
         arm = plan.arms[ell, idx]
         u_env = _oracle_uniform(plan.env_prefix, ts, ell, arm)
         pulled_idx[:, ell] = idx
@@ -118,12 +116,11 @@ def _oracle_segment(plan):
     ends = plan.cuts - plan.t_start + 1
     bounds = list(zip([0, *ends[:-1]], ends))
     for ell in range(L):
-        n = int(plan.n_local[ell])
         for a, b in bounds:
-            reward_sums[ell, :n] += np.bincount(
+            reward_sums[ell] += np.bincount(
                 pulled_idx[a:b, ell], weights=observed[a:b, ell],
-                minlength=n)[:n]
-        pull_counts[ell, :n] = np.bincount(pulled_idx[:, ell], minlength=n)[:n]
+                minlength=kmax)
+        pull_counts[ell] = np.bincount(pulled_idx[:, ell], minlength=kmax)
         regret[:, ell] = [plan.best_means[ell] * (b - a)
                           - plan.means[pulled_arm[a:b, ell]].sum()
                           for a, b in bounds]
@@ -153,8 +150,10 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
         if p.sum() == 0.0:
             p[-1] = 1.0
         cdf[ell, :n] = np.cumsum(p / p.sum())
-        if rng.random() < 0.2:  # a CDF short of 1 exercises the last-arm clamp
+        if rng.random() < 0.2:  # a CDF short of 1: the last arm takes the rest
             cdf[ell, :n] *= 0.8
+        # closed as the engine closes it: at least 1.0 from the last arm on
+        cdf[ell, n - 1] = max(cdf[ell, n - 1], 1.0)
     if means is None:
         means = rng.random(num_arms)
         means[rng.random(num_arms) < 0.15] = 0.0
@@ -175,7 +174,7 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
         t_start=t_start, cuts=np.array([t_end]),
         env_prefix=stream_prefix(int(rng.integers(2**63)), 0),
         pull_prefix=stream_prefix(int(rng.integers(2**63)), 2),
-        arms=arms, n_local=sizes.astype(np.int64), cdf=cdf, means=means,
+        arms=arms, cdf=cdf, means=means,
         best_means=np.array([means[arms[ell, :n]].max()
                              for ell, n in enumerate(sizes)]),
         reward_model=int(beta), beta_table=table, targets=targets,
@@ -294,8 +293,9 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
     plan.cuts = plan.t_start - 1 + np.cumsum(lengths)
     # as gap_flip: each agent's best arm pushed down, its worst pushed up
     # unless it has only one arm
-    plan.targets[:, 0] = plan.arms[np.arange(L), plan.n_local - 1]
-    plan.targets[:, 1] = np.where(plan.n_local > 1, plan.arms[:, 0], -1)
+    sizes = (plan.arms >= 0).sum(axis=1)
+    plan.targets[:, 0] = plan.arms[np.arange(L), sizes - 1]
+    plan.targets[:, 1] = np.where(sizes > 1, plan.arms[:, 0], -1)
     plan.pushes[:] = [-0.3719, 0.2903]
     flat = _cell_charges(plan).reshape(-1)
     cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]

@@ -45,7 +45,7 @@ def test_regret_curve_monotone(inst):
     sched = build_schedule(inst, 50, delta=0.05, lam_scale=16)
     result = run_single(inst, sched, make_adversary(None), 0,
                         checkpoints=[10, 20, 50])
-    curve = [cp.total_regret for cp in result.checkpoints]
-    assert [cp.t for cp in result.checkpoints] == [10, 20, 50]
+    curve = result.checkpoints.regret.sum(axis=1).tolist()
+    assert result.checkpoints.t.tolist() == [10, 20, 50]
     assert curve[0] <= curve[1] <= curve[2]
     assert curve[2] == result.total_regret

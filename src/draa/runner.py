@@ -6,20 +6,23 @@ Artifacts per experiment land in ``<output_dir>/<name>/``:
   seed, t, total_regret, regret_agent_<ell>..., C_so_far, comm_cost.
 * ``seed_<s>_summary.json``: full run summary (schema described in the
   README).
-* ``checkpoints.csv``: all seeds merged, written single-threaded.
+* ``checkpoints.csv``: the first seed file's header, then each seed
+  file's rows in seed order; writing holds the arrays, not their text.
 
 Configs arrive validated (:mod:`draa.config`); every seed runs from that
 one :class:`ExperimentConfig`, so one process builds one Beta table.
 
 Environment overrides: ``DRAA_OUTPUT_DIR`` replaces the config's output
 directory; ``DRAA_JOBS`` sets the number of worker processes (default
-1, sequential), capped at the number of seeds.
+1, sequential), capped at the number of seeds and at the CPU count.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
+import shutil
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import repeat
@@ -30,7 +33,7 @@ import numpy as np
 from .agents import build_schedule
 from .config import ExperimentConfig, SweepSpec
 from .config import validate_config  # noqa: F401 (perfbench rebinds it here)
-from .engine import RunResult, run_single
+from .engine import Checkpoints, RunResult, run_single
 from .errors import ConfigError, checked
 from .kernels import default_backend
 
@@ -64,21 +67,19 @@ def execute_run(config: ExperimentConfig, seed: int,
                       checkpoints=checkpoints, trace=trace)
 
 
-def checkpoint_rows(result: RunResult) -> list[list]:
+def checkpoint_rows(seed: int, cp: Checkpoints) -> Iterator[list]:
     """The checkpoint CSV's header, then one row per checkpoint."""
-    cp = result.checkpoints
     agents = [f"regret_agent_{ell}" for ell in range(cp.regret.shape[1])]
-    rows = [["seed", "t", "total_regret", *agents, "C_so_far", "comm_cost"]]
+    yield ["seed", "t", "total_regret", *agents, "C_so_far", "comm_cost"]
     for t, total, regret, so_far, cost in zip(
-            cp.t.tolist(), cp.regret.sum(axis=1).tolist(),
-            cp.regret.tolist(), cp.corruption.tolist(),
-            cp.comm_cost.tolist()):
-        rows.append([result.seed, t, f"{total:.10g}",
-                     *(f"{r:.10g}" for r in regret), f"{so_far:.10g}", cost])
-    return rows
+            cp.t, cp.regret.sum(axis=1), cp.regret, cp.corruption,
+            cp.comm_cost):
+        yield [seed, t, f"{total:.10g}",
+               *(f"{r:.10g}" for r in regret.tolist()), f"{so_far:.10g}",
+               cost]
 
 
-def write_checkpoint_csv(path: Path, rows: list[list]) -> None:
+def write_checkpoint_csv(path: Path, rows: Iterable[list]) -> None:
     """``rows``, a header and then its rows, as a CSV."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -132,7 +133,7 @@ def summarize(result: RunResult, config: ExperimentConfig) -> dict:
 
 def _worker(config: ExperimentConfig, seed: int, backend: str | None):
     result = execute_run(config, seed, backend=backend)
-    return checkpoint_rows(result), summarize(result, config)
+    return result.checkpoints, summarize(result, config)
 
 
 def run_experiment(config: ExperimentConfig, backend: str | None = None,
@@ -140,7 +141,7 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
     """Run every seed, in seed order, then persist the artifacts and
     return the summaries; a seed that fails leaves no file behind."""
     backend = default_backend(backend)
-    jobs = min(resolve_jobs(), len(config.seeds))
+    jobs = min(resolve_jobs(), len(config.seeds), os.cpu_count() or 1)
     out_dir = resolve_output_dir(config)
     check_output_dir(out_dir)
     with ExitStack() as stack:
@@ -150,19 +151,23 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
                               repeat(backend)))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    merged_rows = outputs[0][0][:1]  # the header, once
     summaries = []
-    for seed, (rows, summary) in zip(config.seeds, outputs):
-        write_checkpoint_csv(out_dir / f"seed_{seed}_checkpoints.csv", rows)
-        with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        merged_rows.extend(rows[1:])
-        summaries.append(summary)
-        if not quiet:
-            print(f"seed {seed}: regret {summary['regret_total']:.2f}, "
-                  f"epochs {summary['num_epochs']}, "
-                  f"comm {summary['comm_cost']}")
-    write_checkpoint_csv(out_dir / "checkpoints.csv", merged_rows)
+    with open(out_dir / "checkpoints.csv", "wb") as merged:
+        for seed, (checkpoints, summary) in zip(config.seeds, outputs):
+            csv_path = out_dir / f"seed_{seed}_checkpoints.csv"
+            write_checkpoint_csv(csv_path, checkpoint_rows(seed, checkpoints))
+            with open(csv_path, "rb") as fh:  # its rows, after one header
+                header = fh.readline()
+                if merged.tell() == 0:
+                    merged.write(header)
+                shutil.copyfileobj(fh, merged)
+            with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+            summaries.append(summary)
+            if not quiet:
+                print(f"seed {seed}: regret {summary['regret_total']:.2f}, "
+                      f"epochs {summary['num_epochs']}, "
+                      f"comm {summary['comm_cost']}")
     return summaries
 
 

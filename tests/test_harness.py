@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from draa.config import (load_config, load_yaml, validate_config,
 from draa.errors import ConfigError
 from draa.runner import (evenly_spaced_checkpoints, run_experiment,
                          run_sweep)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -449,6 +452,28 @@ def test_checkpoint_spacing():
     assert cps_small == [1, 2, 3, 4, 5]
 
 
+@pytest.fixture
+def built_pools(monkeypatch):
+    """The ``max_workers`` of each process pool ``run_experiment`` builds;
+    the pools map in process, so no process starts."""
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    return built
+
+
 class TestRunPersistence:
     def test_artifacts_written(self, tmp_path):
         config = validate_config(base_config(output_dir=str(tmp_path)))
@@ -497,31 +522,74 @@ class TestRunPersistence:
 
     @pytest.mark.parametrize("seeds,pool_sizes", [([3, 1, 2], [3]),
                                                   ([5], [])])
-    def test_jobs_capped_at_seed_count(self, tmp_path, monkeypatch, seeds,
-                                       pool_sizes):
-        built = []
-
-        class InProcessPool:
-            """Records its size and maps in process: no process starts."""
-
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return None
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    def test_jobs_capped_at_seed_count(self, tmp_path, monkeypatch,
+                                       built_pools, seeds, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setenv("DRAA_JOBS", "64")
         config = validate_config(base_config(output_dir=str(tmp_path),
                                              seeds=seeds))
         summaries = run_experiment(config, backend="numpy", quiet=True)
-        assert built == pool_sizes
+        assert built_pools == pool_sizes
         assert [s["seed"] for s in summaries] == seeds
+
+    @pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch,
+                                      built_pools, cpus, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("DRAA_JOBS", "64")
+        config = validate_config(base_config(output_dir=str(tmp_path),
+                                             seeds=[3, 1, 2]))
+        summaries = run_experiment(config, backend="numpy", quiet=True)
+        assert built_pools == pool_sizes
+        assert [s["seed"] for s in summaries] == [3, 1, 2]
+
+    def test_merged_csv_is_the_seed_files_in_config_order(self, tmp_path,
+                                                          monkeypatch):
+        """``checkpoints.csv`` is the first seed file's header, then each
+        seed file's rows in config order, whatever the job count; two
+        jobs send every seed's checkpoints back through a pickle."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        merged = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("DRAA_JOBS", jobs)
+            config = validate_config(base_config(
+                output_dir=str(tmp_path / jobs), seeds=[3, 1, 2],
+                num_checkpoints=50))
+            run_experiment(config, backend="numpy", quiet=True)
+            out = tmp_path / jobs / "unit"
+            lines = [(out / f"seed_{seed}_checkpoints.csv").read_bytes()
+                     .splitlines(keepends=True) for seed in (3, 1, 2)]
+            assert len(lines[0]) == 51
+            expected = b"".join([lines[0][0], *(b"".join(seed_lines[1:])
+                                                for seed_lines in lines)])
+            merged.append((out / "checkpoints.csv").read_bytes())
+            assert merged[-1] == expected
+        assert merged[0] == merged[1]
+
+    def test_write_phase_holds_the_arrays_not_their_text(self, tmp_path,
+                                                         monkeypatch):
+        """Writing every checkpoint row of a run costs tracemalloc's peak
+        under 1 MB more than the run itself, whose arrays it writes."""
+        monkeypatch.setenv("DRAA_JOBS", "1")
+        data = load_yaml(ROOT / "configs" / "experiment.yaml")
+        config = validate_config(dict(
+            data, horizon=20_000, num_checkpoints=20_000, seeds=[0],
+            output_dir=str(tmp_path)))
+        runner.execute_run(config, 0, backend="numpy")  # warm every cache
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_peak = peak(lambda: runner.execute_run(config, 0,
+                                                   backend="numpy"))
+        write_peak = peak(lambda: run_experiment(config, backend="numpy",
+                                                 quiet=True))
+        assert write_peak <= run_peak + 10**6
 
     def test_one_beta_table_per_experiment(self, tmp_path, monkeypatch):
         import scipy.special

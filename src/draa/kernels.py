@@ -28,15 +28,15 @@ Two backends implement the same contract:
 
 The numpy kernel walks the epoch in groups of whole consecutive segments
 of at most ``_BLOCK_CELLS`` (round, agent) cells; a longer segment is a
-group of its own.  It works on a group's (rounds x agents) grid at once
-and drops it before drawing the next.  Each stream's ``(t)`` hash prefix
-is mixed once per group and the ``(t, ell)`` prefix once per cell; the
-pull draw (arm field 0), the pulled arm's reward draw and the
-adversary-target draws all continue from those prefixes.  The
-elementwise work runs in blocks of ``_BLOCK_CELLS`` cells, so its
-scratch memory is bounded; only the search in each agent's CDF and each
-agent's regret sums run per agent.  A segment's reward sums come from
-one ``bincount`` over the slots ``ell * kmax + i``, which adds each
+group of its own.  A group's cells live in agent-major (L, rounds)
+arrays, so per-agent broadcasts and CDF searches run along contiguous
+rows; only its charges stay round-major, the budget gate's order.  The
+``(t)`` hash prefixes are mixed once per group and the ``(t, ell)`` ones
+once per cell.  The pull draws are made in the array that later holds the
+clean rewards; the reward draws run in blocks of ``_BLOCK_CELLS`` cells,
+each one (planes, L, rows) array of arms (the pulled arm, then one plane
+per target column) drawn in one hash, uniform and reward pass.  One
+``bincount`` per group, over a bin per segment and slot, adds each
 slot's rewards in round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
@@ -69,15 +69,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import reward_array
-from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np
+from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np, _unit
 
 BACKENDS = ("numba", "numpy")
 
-#: (round, agent) cells per block of the numpy kernel's elementwise work;
-#: a block holds _BLOCK_CELLS // L rounds, which bounds its scratch memory
+#: (round, agent) cells per block of the numpy kernel's reward draws: each
+#: plane of a block holds _BLOCK_CELLS // L rounds, bounding its scratch
 _BLOCK_CELLS = 4096
-
-_U64_11 = np.uint64(11)
 
 try:
     from numba import njit
@@ -281,96 +279,79 @@ def run_segment_numba(plan: SegmentPlan,
     )
 
 
-def _unit(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Top 53 bits of the hashes ``h`` (clobbered) as uniforms in ``out``."""
-    h >>= _U64_11
-    return np.multiply(h, _INV_2_53, out=out)
-
-
-def _pull_slots(plan: SegmentPlan, t: np.ndarray, rows: int,
+def _pull_slots(plan: SegmentPlan, t: np.ndarray,
                 scratch: np.ndarray) -> np.ndarray:
     """``ell * kmax +`` the local index of the arm each agent pulls in each
-    round of ``t``, as a (len(t), L) array; ``scratch`` holds the draws."""
+    round of ``t`` as (L, len(t)); ``scratch`` (same shape) holds the draws."""
     L, kmax = plan.arms.shape
-    agents = np.arange(L, dtype=np.uint64)
-    prefix_t = _mix64_np(t ^ np.uint64(plan.pull_prefix))
-    for r0 in range(0, t.size, rows):
-        h = _mix64_np(prefix_t[r0:r0 + rows, None] ^ agents)
-        # the arm field of a pull draw is 0, and h ^ 0 == h
-        _unit(_mix64_np(h), scratch[r0:r0 + rows])
-    slot = np.empty((t.size, L), dtype=np.int64)
+    h = scratch.view(np.uint64)
+    np.bitwise_xor(np.arange(L, dtype=np.uint64)[:, None],
+                   _mix64_np(t ^ np.uint64(plan.pull_prefix)), out=h)
+    # the arm field of a pull draw is 0, and h ^ 0 == h
+    _unit(_mix64_np(_mix64_np(h)), scratch)
+    slot = np.empty((L, t.size), dtype=np.int64)
     for ell in range(L):
-        slot[:, ell] = np.searchsorted(plan.cdf[ell], scratch[:, ell],
-                                       side="right")
-    slot += np.arange(0, L * kmax, kmax)
+        slot[ell] = np.searchsorted(plan.cdf[ell], scratch[ell], side="right")
+    slot += np.arange(0, L * kmax, kmax)[:, None]
     return slot
 
 
-def _target_draws(plan: SegmentPlan, g: np.ndarray, arm: np.ndarray,
-                  contrib: np.ndarray, observed: np.ndarray) -> None:
-    """Corrupt the targets over one block of rounds, in place.
-
-    ``g`` holds the block's (t, ell) env prefixes and ``arm`` its pulled
-    arms.  Raises ``contrib`` to each cell's largest |corrupted - clean|
-    over its targets, and writes the corrupted reward into ``observed``
-    where the pulled arm is a target (an agent's targets differ, so at
-    most one matches).
-    """
-    for j in range(2):
-        named = plan.targets[:, j] >= 0
-        if not named.any():
-            continue
-        target = np.where(named, plan.targets[:, j], 0)
-        u = _unit(_mix64_np(g ^ target.astype(np.uint64)), np.empty(g.shape))
-        clean = reward_array(plan.reward_model, plan.means, target, u,
-                             plan.beta_table)
-        corrupted = np.clip(clean + plan.pushes[:, j], 0.0, 1.0)
-        np.maximum(contrib, np.abs(corrupted - clean), out=contrib,
-                   where=named)
-        np.copyto(observed, corrupted, where=arm == plan.targets[:, j])
-
-
 def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int,
-                attack: bool):
-    """Pulled slots and rewards of rounds ``t0..t1``, drawn in blocks of
-    ``rows`` rounds.
+                targets: np.ndarray, pushes: np.ndarray):
+    """Pulled slots and rewards of rounds ``t0..t1``, the rewards drawn
+    in blocks of ``rows`` rounds.
 
-    Returns (slot, clean, observed, contrib) as (rounds, L) arrays.
-    Without ``attack`` no target is drawn: ``observed`` is ``clean``
-    itself and ``contrib`` is None.  Otherwise ``contrib`` holds each
-    cell's charge before the budget gate.
+    Returns agent-major (L, rounds) slot, clean and observed arrays and
+    the round-major (rounds, L) ``contrib``, each cell's charge before the
+    gate (``observed`` is ``clean`` and ``contrib`` None without targets).
+    A block's plane 0 is the pulled arm, then one per (planes - 1, L, 1)
+    ``targets`` row; an agent's targets differ, so at most one is pulled.
     """
     L = plan.arms.shape[0]
     t_len = t1 - t0 + 1
     arms_flat = plan.arms.reshape(-1)
     t = np.arange(t0, t1 + 1, dtype=np.uint64)
-    clean = np.empty((t_len, L))
-    slot = _pull_slots(plan, t, rows, scratch=clean)
-    observed = np.empty((t_len, L)) if attack else clean
-    contrib = np.zeros((t_len, L)) if attack else None
+    clean = np.empty((L, t_len))
+    slot = _pull_slots(plan, t, scratch=clean)
+    attack = len(targets) > 0
+    observed = np.empty((L, t_len)) if attack else clean
+    contrib = np.empty((t_len, L)) if attack else None
+    planes = np.empty((1 + len(targets), L, min(rows, t_len)), np.int64)
+    planes[1:] = np.maximum(targets, 0)
 
     t ^= np.uint64(plan.env_prefix)
     env_t = _mix64_np(t)
-    agents = np.arange(L, dtype=np.uint64)
+    agents = np.arange(L, dtype=np.uint64)[:, None]
     for r0 in range(0, t_len, rows):
         r1 = min(r0 + rows, t_len)
+        arm = planes[:, :, :r1 - r0]
+        arm[0] = arms_flat.take(slot[:, r0:r1])
         # the (t, ell) env prefix, shared by the pulled arm and the targets
-        g = _mix64_np(env_t[r0:r1, None] ^ agents)
-        arm = arms_flat[slot[r0:r1]]
-        block = _unit(_mix64_np(g ^ arm.view(np.uint64)), clean[r0:r1])
-        reward_array(plan.reward_model, plan.means, arm, block,
-                     plan.beta_table, out=block)
+        h = _mix64_np(agents ^ env_t[r0:r1])
+        u = _unit(_mix64_np(arm.view(np.uint64) ^ h))
+        reward_array(plan.reward_model, plan.means, arm, u, plan.beta_table,
+                     out=u)
+        clean[:, r0:r1] = u[0]
         if attack:
-            observed[r0:r1] = block
-            _target_draws(plan, g, arm, contrib[r0:r1], observed[r0:r1])
+            block = observed[:, r0:r1]
+            block[...] = u[0]
+            edited = u[1:] + pushes
+            np.clip(edited, 0.0, 1.0, out=edited)
+            for plane, hit in zip(edited, arm[0] == targets):
+                np.copyto(block, plane, where=hit)
+            edited -= u[1:]
+            np.abs(edited, out=edited)
+            # the largest charge over one or two target planes
+            np.maximum(edited[0], edited[-1], out=contrib[r0:r1].T)
     return slot, clean, observed, contrib
 
 
 def _gate(contrib: np.ndarray, observed: np.ndarray, clean: np.ndarray,
           spent: float, budget: float):
-    """Apply the budget rule to a group's cells, round-major and
-    agent-minor, in place: from the first cell whose charge would overrun
-    the budget on, charges are zeroed and clean rewards delivered.
+    """Apply the budget rule to a group's cells in the flat order of the
+    round-major (rounds, L) ``contrib``, in place: from the first cell
+    whose charge would overrun the budget on, charges are zeroed and
+    clean rewards delivered into the agent-major ``observed``.
 
     Returns the spend after the group and whether the gate is still open.
     Starting the cumsum at spent + c[0] makes cum[i] the loop kernel's
@@ -383,10 +364,12 @@ def _gate(contrib: np.ndarray, observed: np.ndarray, clean: np.ndarray,
     flat[0] = first
     accepted = cum <= budget
     first_reject = flat.size if accepted.all() else int(np.argmin(accepted))
-    if first_reject > 0:
-        spent = float(cum[first_reject - 1])
+    spent = float(cum[first_reject - 1]) if first_reject else spent
     flat[first_reject:] = 0.0
-    observed.reshape(-1)[first_reject:] = clean.reshape(-1)[first_reject:]
+    # agents a.. from round r on, the agents before a from round r + 1 on
+    r, a = divmod(first_reject, contrib.shape[1])
+    observed[a:, r:] = clean[a:, r:]
+    observed[:a, r + 1:] = clean[:a, r + 1:]
     return spent, first_reject == flat.size
 
 
@@ -410,42 +393,49 @@ def run_segment_numpy(plan: SegmentPlan,
     regret = np.empty((cuts.size, L))
     corruption = np.zeros((cuts.size, L))
     spent, adv_active = plan.spent, plan.adv_active
+    # the target columns some agent names, as (planes - 1, L, 1) arrays;
+    # an unnamed slot draws arm 0 with push 0, so its charge |c - c| is 0
+    columns = (plan.targets >= 0).any(axis=0)
+    targets = plan.targets.T[columns, :, None]
+    pushes = np.where(targets >= 0, plan.pushes.T[columns, :, None], 0.0)
 
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
         s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + rows - 1, "right")))
         t1 = int(cuts[s1 - 1])
-        attack = adv_active and (plan.targets >= 0).any()
-        slot, clean, observed, contrib = _draw_group(plan, t0, t1, rows,
-                                                     attack)
+        attack = adv_active and len(targets) > 0
+        slot, clean, observed, contrib = _draw_group(
+            plan, t0, t1, rows, targets if attack else targets[:0], pushes)
         if attack:
             spent, adv_active = _gate(contrib, observed, clean, spent,
                                       plan.budget)
 
         ends = (cuts[s0:s1] - (t0 - 1)).tolist()
         bounds = list(zip([0] + ends[:-1], ends))  # segments' group rows
-        bins = slot.reshape(-1)
-        pull_counts += np.bincount(bins, minlength=L * kmax)
-        for s, (a, b) in enumerate(bounds, start=s0):
-            reward_sums += np.bincount(bins[a * L:b * L],
-                                       weights=observed[a:b].reshape(-1),
-                                       minlength=L * kmax)
-            if attack:
-                corruption[s] = contrib[a:b].sum(axis=0)
+        pull_counts += np.bincount(slot.reshape(-1), minlength=L * kmax)
         # one 1-D sum per agent and segment: summing the grid along an
         # axis rounds differently
         pulled = np.empty((s1 - s0, L))
         for ell in range(L):
-            means = slot_means[slot[:, ell]]
+            means = slot_means.take(slot[ell])
             pulled[:, ell] = [means[a:b].sum() for a, b in bounds]
-        lengths = np.array([b - a for a, b in bounds])[:, None]
-        regret[s0:s1] = plan.best_means * lengths - pulled
+        lengths = np.array([b - a for a, b in bounds])
+        regret[s0:s1] = plan.best_means * lengths[:, None] - pulled
 
         if trace is not None:
             span = slice(t0 - plan.t_start, t1 - plan.t_start + 1)
             for out, group in zip(trace, (arms_flat[slot], observed, clean)):
-                out[span] = group
-        del slot, clean, observed, contrib, bins, means
+                out[span] = group.T
+        # one bin per segment and slot: a slot is one agent's, so its bin
+        # adds the segment's rewards in round order
+        slot += np.repeat(np.arange(s1 - s0) * (L * kmax), lengths)
+        sums = np.bincount(slot.reshape(-1), observed.reshape(-1),
+                           (s1 - s0) * L * kmax).reshape(s1 - s0, -1)
+        for s, (a, b) in enumerate(bounds, start=s0):
+            reward_sums += sums[s - s0]
+            if attack:
+                corruption[s] = contrib[a:b].sum(axis=0)
+        del slot, clean, observed, contrib, means
         s0, t0 = s1, t1 + 1
 
     return SegmentResult(

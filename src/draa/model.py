@@ -161,7 +161,8 @@ def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
 
     ``model`` indexes :data:`REWARD_MODELS`.  Bernoulli: 1 if u < mu else
     0, so mu=0 / mu=1 are exactly degenerate.  Beta: linear interpolation
-    into the (K, N) inverse-CDF ``table``.  The loop kernel's scalar
+    into the (K, N) inverse-CDF ``table`` between the flat gathers at
+    ``arms * N + idx`` and one past it.  The loop kernel's scalar
     ``_reward_nb`` applies the same formula, so traces agree bit for bit
     regardless of how the rewards were materialized.  ``out`` (float64,
     may be ``u`` itself) receives the rewards if given.
@@ -171,12 +172,12 @@ def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
             return (u < means[arms]).astype(np.float64)
         return np.less(u, means[arms], out=out)
     n = table.shape[1]
-    pos = u * (n - 1)
-    idx = np.minimum(pos.astype(np.int64), n - 2)
-    frac = pos - idx
-    lo = table[arms, idx]
-    hi = table[arms, idx + 1]
+    frac = np.multiply(u, n - 1, out=out)  # the position, then its fraction
+    whole = np.minimum(np.floor(frac), n - 2)  # int() for u >= 0, but faster
+    frac -= whole
+    idx = whole.astype(np.int64) + arms * n
+    lo = table.take(idx)
+    hi = table.take(idx + 1)
     hi -= lo
     hi *= frac
     return np.add(lo, hi, out=out)
-

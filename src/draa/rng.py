@@ -9,10 +9,11 @@ adding an adversary never shifts the environment or agent randomness.
 
 The mixer is the splitmix64 finalizer, applied once per absorbed key
 field.  Three equivalent implementations are kept in sync: a plain-int
-scalar version (:func:`mix64`), an in-place numpy version (shared by
-:func:`uniform_array` and the numpy kernel) and the loop kernel's
-``kernels._mix64_nb`` (numba-compiled, or plain Python on numpy scalars
-without numba); tests assert they agree exactly.
+scalar version (:func:`mix64`), an in-place numpy version that
+:func:`uniform_array` and the numpy kernel share, with the top-53-bit
+conversion :func:`_unit`, and the loop kernel's ``kernels._mix64_nb`` and
+``_uniform_nb`` (numba-compiled, or plain Python on numpy scalars without
+numba); tests assert they agree exactly.
 """
 from __future__ import annotations
 
@@ -66,6 +67,14 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _unit(h: np.ndarray, out: np.ndarray | None = None):
+    """Top 53 bits of the uint64 hashes ``h`` (clobbered) as uniforms in
+    [0, 1).  Shifted, a hash fits int64, whose conversion to float64 is
+    faster than uint64's and as exact; a 0-d ``h`` gives a scalar."""
+    h >>= np.uint64(11)
+    return np.multiply(h.view(np.int64), _INV_2_53, out=out)
+
+
 def uniform_array(prefix: int, t: np.ndarray | int, agent: int, arm) -> np.ndarray:
     """Vectorized uniforms; ``t`` and/or ``arm`` may be uint64-able arrays.
 
@@ -77,5 +86,5 @@ def uniform_array(prefix: int, t: np.ndarray | int, agent: int, arm) -> np.ndarr
     h ^= np.uint64(agent)
     _mix64_np(h)
     h = _mix64_np(np.asarray(h ^ np.asarray(arm, dtype=np.uint64)))
-    return (h >> np.uint64(11)) * _INV_2_53
+    return _unit(h)
 

@@ -11,6 +11,7 @@ adversary's edit contract: each target is -1 or one of its agent's arms,
 and an agent's two targets differ.
 """
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -317,6 +318,71 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
     assert (result.corruption[seg + 1:] == 0).all()
     assert result.corruption[:seg].sum() > 0
     assert budget % 2.0**-20 != 0  # not a dyadic rational of small scale
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("agent", [0, 1, 2])
+def test_gate_closes_at_every_agent_position(agent, last):
+    """The first overrun falls on each agent of a round in the middle of
+    a 5-round group, or in the group's last round, after two earlier
+    groups carried the spend.  From that cell on, round-major, the
+    numpy kernel delivers clean rewards and charges nothing, as the
+    oracle does."""
+    L, group = 3, 5
+    rng = np.random.default_rng(31)
+    plan = make_plan(rng, L, 2**32 + 9, 6 * group, True, spent=2.3,
+                     budget_frac=1.0, num_arms=12, max_local=8, pad=1,
+                     means=np.linspace(0.1, 0.9, 12))
+    plan.cuts = plan.t_start - 1 + group * np.arange(1, 7)
+    sizes = (plan.arms >= 0).sum(axis=1)
+    plan.targets[:, 0] = plan.arms[np.arange(L), sizes - 1]
+    plan.targets[:, 1] = np.where(sizes > 1, plan.arms[:, 0], -1)
+    plan.pushes[:] = [-0.3719, 0.2903]
+    # pulls split between the two targets, so corrupted rewards land
+    plan.cdf[:] = np.where(np.arange(plan.arms.shape[1]) < sizes[:, None] - 1,
+                           0.5, 1.0)
+    flat = _cell_charges(plan).reshape(-1)
+    cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
+    row = 2 * group + (group - 1 if last else 2)
+    cell = row * L + agent
+    assert flat[cell] > 0
+    plan = dataclasses.replace(plan, budget=cum[cell - 1] + 0.5 * flat[cell])
+    with mock.patch.object(kernels, "_BLOCK_CELLS", group * L):
+        old = assert_same(plan)
+    assert old.spent == cum[cell - 1] and not old.adv_active
+    observed, clean = old.observed.reshape(-1), old.clean.reshape(-1)
+    assert np.array_equal(observed[cell:], clean[cell:])
+    assert not np.array_equal(observed[:cell], clean[:cell])
+
+
+def test_numpy_kernel_peak_memory_per_cell():
+    """An L = 4 Beta plan with two targets per agent over one
+    31,250-round segment, the budget closing inside it.  The kernel's
+    peak is its four (round, agent) arrays of 8 B a cell, the gate's
+    cumsum and mask, and one block's scratch; one more group-sized array,
+    such as a transposed copy of the charges, would pass the bound."""
+    L, rounds = 4, 31_250
+    rng = np.random.default_rng(3)
+    arms = np.array([[0, 2, 3, 6], [0, 3, 4, 7], [1, 4, 5, 6], [1, 2, 5, 7]])
+    means = np.linspace(0.9, 0.1, 8)
+    table = np.sort(rng.random((8, 4097)), axis=1)
+    table[:, 0], table[:, -1] = 0.0, 1.0
+    plan = SegmentPlan(
+        t_start=1, cuts=np.array([rounds]), env_prefix=stream_prefix(1, 0),
+        pull_prefix=stream_prefix(1, 2), arms=arms,
+        cdf=np.tile([0.7, 0.8, 0.9, 1.0], (L, 1)), means=means,
+        best_means=means[arms].max(axis=1), reward_model=1,
+        beta_table=table, targets=arms[:, [0, 3]],
+        pushes=np.tile([-0.5, 0.5], (L, 1)), budget=10_000.3, spent=0.0,
+        adv_active=True)
+    tracemalloc.start()
+    try:
+        result = kernels.run_segment_numpy(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.adv_active and 0 < result.spent <= plan.budget
+    assert peak / (rounds * L) <= 42
 
 
 def test_untraced_result_matches_traced():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import draa
 from draa.errors import ConfigError
+from draa.kernels import _reward_nb
 from draa.model import REWARD_MODELS, build_instance, reward_array
 from draa.rng import ENV_STREAM, stream_prefix, uniform_array
 
@@ -76,6 +77,44 @@ def test_bernoulli_rewards_are_binary_and_degenerate_means_exact():
     assert r[0] == 0.0  # mean 0 never pays
     assert r[1] == 1.0  # mean 1 always pays
     assert r[2] in (0.0, 1.0)
+
+
+#: uniforms at the ends of [0, 1) and on every point of a 4097-entry
+#: table's grid, where the interpolation's integer part changes
+EDGE_UNIFORMS = np.array([0.0, 2.0**-53, *(np.arange(4096) / 4096),
+                          1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("shape", ["agents", "planes"])
+@pytest.mark.parametrize("model", REWARD_MODELS)
+def test_reward_array_matches_the_loop_kernels_scalar_map(model, shape,
+                                                         in_place):
+    """Every reward equals the loop kernel's ``_reward_nb`` bit for bit,
+    with ``arms`` of shape (L,) against uniforms of shape (rows, L), and
+    (P, L, 1) against (P, L, n), into a fresh array and into ``u``."""
+    inst = build_instance(small_descriptor(
+        num_arms=5, means=[0.0, 0.13, 0.5, 0.91, 1.0], reward_model=model,
+        arm_sets=[[0, 1, 2, 3, 4], [1, 2]]))
+    code = REWARD_MODELS.index(model)
+    table = inst.beta_table() if model == "beta" else np.zeros((1, 2))
+    if shape == "agents":
+        arms = np.arange(5)
+        u = np.repeat(EDGE_UNIFORMS[:, None], 5, axis=1)
+    else:
+        arms = np.array([4, 0, 3, 1, 2, 2]).reshape(2, 3, 1)
+        u = np.broadcast_to(EDGE_UNIFORMS, (2, 3, EDGE_UNIFORMS.size)).copy()
+    arm_of = np.broadcast_to(arms, u.shape)
+    want = np.array([_reward_nb(code, inst.means[k], x, table, k)
+                     for k, x in zip(arm_of.reshape(-1).tolist(),
+                                     u.reshape(-1).tolist())]).reshape(u.shape)
+    if in_place:
+        got = reward_array(code, inst.means, arms, u, table, out=u)
+        assert got is u
+    else:
+        got = reward_array(code, inst.means, arms, u, table)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 ROUNDS = np.arange(1, 20001, dtype=np.uint64)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draa.kernels import _uniform_nb
-from draa.rng import (_INV_2_53, ENV_STREAM, MASK64, PULL_STREAM, mix64,
-                      stream_prefix, uniform_array)
+from draa.rng import (_INV_2_53, ENV_STREAM, MASK64, PULL_STREAM, _unit,
+                      mix64, stream_prefix, uniform_array)
 
 
 def uniform(seed, stream, t, agent=0, arm=0):
@@ -54,6 +54,25 @@ def test_vectorized_over_arms():
     arr = uniform_array(prefix, 11, 0, arms)
     ref = np.array([uniform(77, ENV_STREAM, 11, 0, int(k)) for k in arms])
     np.testing.assert_array_equal(arr, ref)
+
+
+def test_unit_is_the_top_53_bits_of_the_hash():
+    """The int64 conversion of the shifted hash is the plain-int
+    ``(h >> 11) * 2**-53``, at the edges of the range and in between,
+    into a fresh array, into ``out`` and as a 0-d scalar."""
+    rng = np.random.default_rng(5)
+    hashes = [0, 2**11 - 1, 2**11, 2**63 - 1, 2**63, 2**64 - 1,
+              *(int(h) for h in rng.integers(0, 2**64, 500, dtype=np.uint64))]
+    want = [(h >> 11) * _INV_2_53 for h in hashes]
+    h = np.array(hashes, dtype=np.uint64)
+    assert _unit(h.copy()).tolist() == want
+    out = np.full(h.shape, np.nan)
+    assert _unit(h.copy(), out) is out
+    assert out.tolist() == want
+    assert want[1] == 0.0 and want[5] == 1.0 - 2.0**-53
+    for hash_, value in zip(hashes[:6], want):
+        scalar = _unit(np.array(hash_, dtype=np.uint64))
+        assert type(scalar) is np.float64 and scalar == value
 
 
 def test_numba_hash_matches_plain_int():

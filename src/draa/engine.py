@@ -8,11 +8,13 @@ and charges in order with one cumulative sum each, whose leading rows
 are the epoch's rows of the ``RunResult.checkpoints`` arrays.  The
 budget runs out at the same cell wherever checkpoints fall.  A traced run
 allocates its (T, L) pulls, delivered and clean arrays once and hands
-each call the epoch's rows of them, which the kernel fills in place.  At
-each epoch boundary agents broadcast, re-estimate, and re-weight; the
-engine snapshots state, enforces hard invariants, and records soft
-invariant violations for the test harness.  Cross-checks run the same
-loop on both kernels (see :mod:`draa.kernels`).
+each call the epoch's rows of them, which the kernel fills in place; the
+numpy kernel's :class:`~draa.kernels.Workspace` is likewise made once per
+numpy run, from every epoch's cuts.  At each epoch boundary agents
+broadcast, re-estimate, and re-weight; the engine snapshots state,
+enforces hard invariants, and records soft invariant violations for the
+test harness.  Cross-checks run the same loop on both kernels (see
+:mod:`draa.kernels`).
 
 The engine owns the run's corruption state.  It asks the (stateless)
 adversary for each epoch's edits, threads the budget spend and whether
@@ -38,7 +40,7 @@ from .agents import (GAP_CAP, GAP_FLOOR, AgentState, EpochSchedule,
                      pool_estimates)
 from .comm import MessageLog, comm_cost
 from .errors import InvariantError
-from .kernels import (SegmentPlan, default_backend, run_segment)
+from .kernels import SegmentPlan, Workspace, default_backend, run_segment
 from .model import REWARD_MODELS, BanditInstance
 from .rng import ENV_STREAM, PULL_STREAM, stream_prefix
 
@@ -187,12 +189,24 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     rows_by_epoch = []  # (regret, C so far, comm cost) of its checkpoints
     epochs: list[EpochRecord] = []
 
+    # each epoch's bounds, checkpoints and cuts (the checkpoints before
+    # its end, then its end)
+    spans = []
+    for m in range(1, schedule.num_epochs + 1):
+        start, end = schedule.epoch_bounds(m)
+        in_epoch = marks[np.searchsorted(marks, start):
+                         np.searchsorted(marks, end, "right")]
+        spans.append((start, end, in_epoch,
+                      np.append(in_epoch[in_epoch < end], end)))
+    # the numpy kernel's arrays, made for all of the run's calls
+    workspace = (Workspace(L, [(start, cuts) for start, _, _, cuts in spans],
+                           beta_table) if backend == "numpy" else None)
+
     # (pulls, observed, clean), filled epoch by epoch by the kernels
     traced = ((np.zeros((T, L), dtype=np.int64), np.zeros((T, L)),
                np.zeros((T, L))) if trace else None)
 
-    for m in range(1, schedule.num_epochs + 1):
-        start, end = schedule.epoch_bounds(m)
+    for m, (start, end, in_epoch, cuts) in enumerate(spans, start=1):
         brackets, gap_range, cdf = _epoch_start(states, m, instance)
         record = EpochRecord(
             m=m, start=start, end=end, length=schedule.epoch_length(m),
@@ -206,9 +220,6 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         )
 
         targets, pushes = adversary.begin_epoch(instance, m, record.estimates)
-        in_epoch = marks[np.searchsorted(marks, start):
-                         np.searchsorted(marks, end, "right")]
-        cuts = np.append(in_epoch[in_epoch < end], end)  # end is always a cut
         plan = SegmentPlan(
             t_start=start, cuts=cuts, env_prefix=env_prefix,
             pull_prefix=pull_prefix, arms=instance.local_arms, cdf=cdf,
@@ -218,7 +229,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             spent=spent, adv_active=active,
         )
         rows = traced and tuple(a[start - 1:end] for a in traced)
-        result = run_segment(plan, backend=backend, trace=rows)
+        result = run_segment(plan, backend=backend, trace=rows,
+                             workspace=workspace)
         for ell, state in enumerate(states):
             n = len(state.arms)
             state.reward_sums = result.reward_sums[ell, :n]

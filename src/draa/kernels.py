@@ -27,55 +27,73 @@ Two backends implement the same contract:
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
 The numpy kernel walks the epoch in groups of whole consecutive segments
-of at most ``_BLOCK_CELLS`` (round, agent) cells; a longer segment is a
-group of its own.  A group's cells live in agent-major (L, rounds)
-arrays, so per-agent broadcasts and CDF searches run along contiguous
-rows; only its charges stay round-major, the budget gate's order.  The
-``(t)`` hash prefixes are mixed once per group and the ``(t, ell)`` ones
-once per cell.  The pull draws are made in the array that later holds the
-clean rewards; the reward draws run in blocks of ``_BLOCK_CELLS`` cells,
-each one (planes, L, rows) array of arms (the pulled arm, then one plane
-per target column) drawn in one hash, uniform and reward pass.  One
-``bincount`` per group, over a bin per segment and slot, adds each
-slot's rewards in round order.
+of at most ``_GROUP_CELLS`` (round, agent) cells; a longer segment is a
+group of its own.  Every call reuses one :class:`Workspace` of flat
+arrays, which ``engine.run_single`` makes once per numpy run, sized from
+all its calls' cuts (a call without one makes its own): no call
+allocates arrays that grow with its cells, so a long run does not fault
+their pages in again group after group.  A group's slots and delivered
+rewards live in agent-major (L, rounds) arrays, so per-agent broadcasts
+and CDF searches run along contiguous rows; only its charges stay
+round-major, the budget gate's order.  The ``(t)`` hash prefixes are
+mixed once per round and the ``(t, ell)`` ones once per cell.  A group's
+pull draws are made in its reward array, each agent's binary-searched in
+its CDF row.  The rewards are drawn in blocks of at most
+``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum`` writing into
+the workspace.  Under attack every target column is one plane, drawn for
+the whole block; a pulled arm that is a target takes its plane's clean
+reward, and only the cells whose pulled arm is no target draw it, in one
+compacted pass.  One ``bincount`` per group, over a bin per segment and
+slot, adds each slot's rewards in round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
 or ``numpy``), overridable per call.  For the same plan, pulls, clean
 and delivered rewards, reward sums, pull counts and the budget state are
-bit-identical across backends.  Regret and the per-agent corruption sums
-may differ in the last ulps because their accumulation order differs,
-and are compared at 1e-9 in tests.
+bit-identical across backends.  Regret may differ in the last ulps
+because its accumulation order differs, and is compared at 1e-9 in
+tests.  So are the per-agent corruption sums, which agree bit for bit
+for L >= 2: the numpy kernel's ``sum(axis=0)`` over round-major rows then
+adds each agent's charges in round order, as the loop does, but it sums
+a single agent's (rounds, 1) column pairwise.
 
 Budget rule shared by both backends: (round, agent) cells are processed
 round-major, agent-minor; a cell is delivered only if the running spend
 stays within budget, and the first overrun disables corruption for the
 rest of the run.  The loop kernel keeps the running spend as
-``spent += c``; the numpy kernel folds each group's starting spend into
-its first cell before its ``cumsum``, which performs the same additions
-in the same order, so both gates close at the same cell.  The kernels
-rely on the edit contract that :meth:`draa.adversary.Adversary.begin_epoch`
-checks once per epoch: an agent's targets are its own arms and differ,
-so a cell is charged the largest edit over its named targets and its
-pulled arm matches at most one of them.  Both search an agent's whole
-padded CDF row, which is at least 1.0 from its last arm on, so no pull
-draw passes that arm.
+``spent += c``; the numpy kernel gates block by block, folding the spend
+carried into a block into its first cell before its ``cumsum``, which
+performs the same additions in the same order, so both gates close at
+the same cell.  Once the gate closes, the rest of the call draws as
+without edits.  The kernels rely on the edit contract that
+:meth:`draa.adversary.Adversary.begin_epoch` checks once per epoch: an
+agent's targets are its own arms and differ, so a cell is charged the
+largest edit over its named targets and its pulled arm matches at most
+one of them.  Both search an agent's whole padded CDF row, which is at
+least 1.0 from its last arm on, so no pull draw passes that arm.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import reward_array
+from .model import _carve, beta_diffs, reward_array
 from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np, _unit
 
 BACKENDS = ("numba", "numpy")
 
-#: (round, agent) cells per block of the numpy kernel's reward draws: each
-#: plane of a block holds _BLOCK_CELLS // L rounds, bounding its scratch
-_BLOCK_CELLS = 4096
+#: (round, agent) cells that whole segments may fill in one group of the
+#: numpy kernel; a longer segment is a group of its own
+_GROUP_CELLS = 4096
+
+#: (round, agent) cells per block of the numpy kernel's reward draws: a
+#: block's arrays in the workspace hold this many cells, and a longer
+#: block covers a group's cells with fewer numpy calls.  At 32768 the
+#: narrow plan of test_numpy_kernel_peak_memory_per_cell exceeds its bound
+_BLOCK_CELLS = 16384
 
 try:
     from numba import njit
@@ -279,163 +297,273 @@ def run_segment_numba(plan: SegmentPlan,
     )
 
 
-def _pull_slots(plan: SegmentPlan, t: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-    """``ell * kmax +`` the local index of the arm each agent pulls in each
-    round of ``t`` as (L, len(t)); ``scratch`` (same shape) holds the draws."""
-    L, kmax = plan.arms.shape
-    h = scratch.view(np.uint64)
-    np.bitwise_xor(np.arange(L, dtype=np.uint64)[:, None],
-                   _mix64_np(t ^ np.uint64(plan.pull_prefix)), out=h)
-    # the arm field of a pull draw is 0, and h ^ 0 == h
-    _unit(_mix64_np(_mix64_np(h)), scratch)
-    slot = np.empty((L, t.size), dtype=np.int64)
-    for ell in range(L):
-        slot[ell] = np.searchsorted(plan.cdf[ell], scratch[ell], side="right")
-    slot += np.arange(0, L * kmax, kmax)[:, None]
-    return slot
+class Workspace:
+    """The numpy kernel's arrays, made once and reused by every call of a
+    run, so that no call allocates arrays of its cells' size.
 
-
-def _draw_group(plan: SegmentPlan, t0: int, t1: int, rows: int,
-                targets: np.ndarray, pushes: np.ndarray):
-    """Pulled slots and rewards of rounds ``t0..t1``, the rewards drawn
-    in blocks of ``rows`` rounds.
-
-    Returns agent-major (L, rounds) slot, clean and observed arrays and
-    the round-major (rounds, L) ``contrib``, each cell's charge before the
-    gate (``observed`` is ``clean`` and ``contrib`` None without targets).
-    A block's plane 0 is the pulled arm, then one per (planes - 1, L, 1)
-    ``targets`` row; an agent's targets differ, so at most one is pulled.
+    It serves calls of ``num_agents`` agents, one ``(t_start, cuts)``
+    pair of a plan per call in ``calls``, and holds the largest group
+    any of them makes: its longest segment, or whole segments of at most
+    ``group_rows`` rounds.  ``beta_table`` is the (K, N) Beta table the
+    calls map with, or (0, 0).  The buffers are flat; a call views their
+    leading entries in the shape it needs (``model._carve``).
     """
-    L = plan.arms.shape[0]
-    t_len = t1 - t0 + 1
-    arms_flat = plan.arms.reshape(-1)
-    t = np.arange(t0, t1 + 1, dtype=np.uint64)
-    clean = np.empty((L, t_len))
-    slot = _pull_slots(plan, t, scratch=clean)
-    attack = len(targets) > 0
-    observed = np.empty((L, t_len)) if attack else clean
-    contrib = np.empty((t_len, L)) if attack else None
-    planes = np.empty((1 + len(targets), L, min(rows, t_len)), np.int64)
-    planes[1:] = np.maximum(targets, 0)
 
-    t ^= np.uint64(plan.env_prefix)
-    env_t = _mix64_np(t)
-    agents = np.arange(L, dtype=np.uint64)[:, None]
-    for r0 in range(0, t_len, rows):
-        r1 = min(r0 + rows, t_len)
-        arm = planes[:, :, :r1 - r0]
-        arm[0] = arms_flat.take(slot[:, r0:r1])
-        # the (t, ell) env prefix, shared by the pulled arm and the targets
-        h = _mix64_np(agents ^ env_t[r0:r1])
-        u = _unit(_mix64_np(arm.view(np.uint64) ^ h))
-        reward_array(plan.reward_model, plan.means, arm, u, plan.beta_table,
-                     out=u)
-        clean[:, r0:r1] = u[0]
-        if attack:
-            block = observed[:, r0:r1]
-            block[...] = u[0]
-            edited = u[1:] + pushes
+    def __init__(self, num_agents: int, calls, beta_table: np.ndarray):
+        #: rounds that whole segments may fill in one group
+        self.group_rows = max(1, _GROUP_CELLS // num_agents)
+        #: rounds per reward block
+        self.rows = max(1, _BLOCK_CELLS // num_agents)
+        group = max(
+            max(int(np.diff(cuts, prepend=t_start - 1).max()),
+                min(self.group_rows, int(cuts[-1]) - t_start + 1))
+            for t_start, cuts in calls)
+        self.block = min(self.rows, group) * num_agents  # cells per block
+        self.group = group * num_agents  # cells per group
+        self.slot = np.empty(self.group, np.int64)
+        self.observed = np.empty(self.group)
+        self.rounds = np.empty(group, np.uint64)  # t hashes, pulled means
+        self.ramp = np.arange(min(self.rows, group), dtype=np.uint64)
+        self.prefix = np.empty(self.block, np.uint64)  # (t, ell) env hashes
+        self.arm = np.empty(self.block, np.int64)  # a block's pulled arms
+        self.scratch = np.empty(2 * self.block, np.uint64)
+        self.diff = beta_diffs(beta_table) if beta_table.size else None
+        self.agents = np.arange(num_agents, dtype=np.uint64)[:, None]
+
+    @cached_property
+    def attack(self) -> tuple:
+        """The arrays that only attacked groups use, made on the first:
+        the group's (rounds, L) charges, then a block's clean rewards,
+        target planes, second scratch, target hits and misses."""
+        return (np.empty(self.group), np.empty(self.block),
+                np.empty(2 * self.block, np.uint64),
+                np.empty(2 * self.block, np.uint64),
+                np.empty(2 * self.block, bool), np.empty(self.block, bool))
+
+
+def _pull_slots(plan: SegmentPlan, ws: Workspace, t0: int, slot: np.ndarray,
+                observed: np.ndarray) -> None:
+    """Write ``ell * kmax +`` the local index of the arm each agent pulls
+    in rounds ``t0..`` into the (L, rounds) ``slot``; the draws are made
+    in ``observed``, with ``slot`` as the mixing scratch.  (A uniform
+    is never written over its own hash: numpy would copy the hashes.)
+    """
+    L, n = slot.shape
+    kmax = plan.arms.shape[1]
+    t = ws.rounds[:n]
+    for r0 in range(0, n, ws.ramp.size):
+        r1 = min(r0 + ws.ramp.size, n)
+        np.add(ws.ramp[:r1 - r0], np.uint64(t0 + r0), out=t[r0:r1])
+    t ^= np.uint64(plan.pull_prefix)
+    scratch = slot.view(np.uint64)
+    _mix64_np(t, scratch.reshape(-1)[:n])
+    h = observed.view(np.uint64)
+    np.bitwise_xor(ws.agents, t, out=h)
+    # the arm field of a pull draw is 0, and h ^ 0 == h
+    _mix64_np(_mix64_np(h, scratch), scratch)
+    # each row's search returns before its result replaces the row
+    uniforms = _unit(h, slot.view(np.float64))
+    for ell in range(L):
+        slot[ell] = np.searchsorted(plan.cdf[ell], uniforms[ell],
+                                    side="right")
+    slot += np.arange(0, L * kmax, kmax)[:, None]
+
+
+def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
+                contrib, edits, spent: float, trace):
+    """Draw the rewards of the rounds ``t0..`` of the (L, rounds) ``slot``
+    into ``observed``, block by block, and trace each block's rows.
+
+    ``edits`` is None, or the (planes, L, 1) targets (-1 unused), the
+    arms drawn for them and their pushes; then each cell's charge goes to
+    the round-major ``contrib`` and each block is gated, its spend carried
+    from ``spent``.  Once the gate closes, the rest of the group draws as
+    without edits and charges nothing.  Returns the spend and whether the
+    gate is still open.
+    """
+    L, n = slot.shape
+    arms_flat = plan.arms.reshape(-1)
+    env = np.uint64(plan.env_prefix)
+    model, means, table = plan.reward_model, plan.means, plan.beta_table
+    C = ws.block
+    scratch, ints = ws.scratch, ws.scratch.view(np.int64)
+    floats = scratch.view(np.float64)
+    live = edits is not None
+    for r0 in range(0, n, ws.rows):
+        r1 = min(r0 + ws.rows, n)
+        m = r1 - r0
+        # take would copy the strided slot columns; copy them first
+        arm = _carve(ws.arm, (L, m))
+        h = _carve(ws.prefix, (L, m))
+        np.copyto(h.view(np.int64), slot[:, r0:r1])
+        arms_flat.take(h.view(np.int64), out=arm, mode="wrap")
+        # the (t, ell) env prefix, shared by the pulled arm and the targets;
+        # the block's rewards are not drawn yet, so out is mixing scratch
+        out = observed[:, r0:r1]
+        t = ws.rounds[:m]
+        np.add(ws.ramp[:m], np.uint64(t0 + r0), out=t)
+        t ^= env
+        _mix64_np(t, scratch[:m])
+        np.bitwise_xor(ws.agents, t, out=h)
+        _mix64_np(h, out.view(np.uint64))
+        # each draw below: hashes, their uniforms in another array (over
+        # the hashes numpy would copy them), then the rewards
+        if not live:
+            h ^= arm.view(np.uint64)
+            u = _unit(_mix64_np(h, out.view(np.uint64)), out)
+            reward_array(model, means, arm, u, table, out=out, diff=ws.diff,
+                         scratch=(ints, ws.prefix.view(np.float64)))
+            clean = out
+        else:
+            _, clean_buf, planes, spare, hit_buf, miss_buf = ws.attack
+            targets, drawn, pushes = edits
+            P = len(targets)
+            clean = _carve(clean_buf, (L, m))
+            hits = _carve(hit_buf, (P, L, m))
+            np.equal(arm, targets, out=hits)
+            # the cells whose pulled arm is no target draw it on their own
+            miss = _carve(miss_buf, (L, m))
+            np.logical_or.reduce(hits, axis=0, out=miss)
+            np.logical_not(miss, out=miss)
+            where = np.flatnonzero(miss)
+            if where.size:
+                k = where.size
+                h_k, arm_k = spare[:k], spare[C:C + k].view(np.int64)
+                h.take(where, out=h_k, mode="wrap")
+                arm.take(where, out=arm_k, mode="wrap")
+                h_k ^= arm_k.view(np.uint64)
+                u = _unit(_mix64_np(h_k, scratch[:k]), floats[:k])
+                reward_array(model, means, arm_k, u, table, out=u,
+                             diff=ws.diff, scratch=(ints[C:],
+                                                    spare.view(np.float64)))
+                clean.put(where, u, mode="wrap")
+            # one plane per target column, whose hits give the rest
+            h_p = _carve(planes, (P, L, m))
+            np.bitwise_xor(h, drawn.view(np.uint64), out=h_p)
+            u = _unit(_mix64_np(h_p, _carve(scratch, (P, L, m))),
+                      _carve(spare.view(np.float64), (P, L, m)))
+            reward_array(model, means, drawn, u, table, out=u, diff=ws.diff,
+                         scratch=(ints, planes.view(np.float64)))
+            for plane, hit in zip(u, hits):
+                np.copyto(clean, plane, where=hit)
+            edited = _carve(planes.view(np.float64), (P, L, m))
+            np.add(u, pushes, out=edited)
             np.clip(edited, 0.0, 1.0, out=edited)
-            for plane, hit in zip(edited, arm[0] == targets):
-                np.copyto(block, plane, where=hit)
-            edited -= u[1:]
+            np.copyto(out, clean)
+            for plane, hit in zip(edited, hits):
+                np.copyto(out, plane, where=hit)
+            edited -= u
             np.abs(edited, out=edited)
             # the largest charge over one or two target planes
-            np.maximum(edited[0], edited[-1], out=contrib[r0:r1].T)
-    return slot, clean, observed, contrib
+            charges = contrib[r0:r1]
+            np.maximum(edited[0], edited[-1], out=charges.T)
+            spent, live = _gate(charges, out, clean, spent, plan.budget,
+                                floats)
+            if not live:
+                contrib[r1:] = 0.0
+        if trace is not None:
+            span = slice(t0 - plan.t_start + r0, t0 - plan.t_start + r1)
+            for rows_out, block in zip(trace, (arm, out, clean)):
+                rows_out[span] = block.T
+    return spent, live
 
 
-def _gate(contrib: np.ndarray, observed: np.ndarray, clean: np.ndarray,
-          spent: float, budget: float):
-    """Apply the budget rule to a group's cells in the flat order of the
-    round-major (rounds, L) ``contrib``, in place: from the first cell
+def _gate(charges: np.ndarray, observed: np.ndarray, clean: np.ndarray,
+          spent: float, budget: float, scratch: np.ndarray):
+    """Apply the budget rule to a block's cells in the flat order of the
+    round-major (rounds, L) ``charges``, in place: from the first cell
     whose charge would overrun the budget on, charges are zeroed and
     clean rewards delivered into the agent-major ``observed``.
 
-    Returns the spend after the group and whether the gate is still open.
+    Returns the spend after the block and whether the gate is still open.
     Starting the cumsum at spent + c[0] makes cum[i] the loop kernel's
-    ``spent += c`` chain, carried from group to group.
+    ``spent += c`` chain, carried from block to block; charges are at
+    least 0, so the cumsum never decreases and a binary search finds the
+    first overrun.
     """
-    flat = contrib.reshape(-1)
+    flat = charges.reshape(-1)
     first = flat[0]
     flat[0] += spent
-    cum = np.cumsum(flat)
+    cum = np.cumsum(flat, out=scratch[:flat.size])
     flat[0] = first
-    accepted = cum <= budget
-    first_reject = flat.size if accepted.all() else int(np.argmin(accepted))
+    first_reject = int(np.searchsorted(cum, budget, "right"))
     spent = float(cum[first_reject - 1]) if first_reject else spent
     flat[first_reject:] = 0.0
     # agents a.. from round r on, the agents before a from round r + 1 on
-    r, a = divmod(first_reject, contrib.shape[1])
+    r, a = divmod(first_reject, charges.shape[1])
     observed[a:, r:] = clean[a:, r:]
     observed[:a, r + 1:] = clean[:a, r + 1:]
     return spent, first_reject == flat.size
 
 
-def run_segment_numpy(plan: SegmentPlan,
-                      trace: tuple | None = None) -> SegmentResult:
+def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
+                      workspace: Workspace | None = None) -> SegmentResult:
     """Execute a plan with vectorized numpy (fallback backend).
 
     The rounds are drawn in groups of whole consecutive segments holding
-    at most ``_BLOCK_CELLS`` cells; a longer segment is a group of its
-    own.  Each group's arrays are dropped before the next one is drawn.
-    The budget spend carries from group to group, and every sum is
-    reduced per segment, so the grouping changes no result bit.
+    at most ``_GROUP_CELLS`` cells; a longer segment is a group of its
+    own.  Every group reuses the arrays of ``workspace``, which is made
+    for this call when not given.  The budget spend carries from block to
+    block, and every sum is reduced per segment, so neither the grouping
+    nor the blocks change a result bit.
     """
     L, kmax = plan.arms.shape
-    rows = max(1, _BLOCK_CELLS // L)
-    arms_flat = plan.arms.reshape(-1)
-    slot_means = plan.means[arms_flat]  # -1 pads read means[-1], never pulled
     cuts = plan.cuts
+    ws = workspace or Workspace(L, [(plan.t_start, cuts)], plan.beta_table)
+    # -1 pads read means[-1] and are never pulled
+    slot_means = plan.means[plan.arms.reshape(-1)]
     reward_sums = np.zeros(L * kmax)
     pull_counts = np.zeros(L * kmax, dtype=np.int64)
     regret = np.empty((cuts.size, L))
     corruption = np.zeros((cuts.size, L))
     spent, adv_active = plan.spent, plan.adv_active
-    # the target columns some agent names, as (planes - 1, L, 1) arrays;
-    # an unnamed slot draws arm 0 with push 0, so its charge |c - c| is 0
+    # the target columns some agent names, as (planes, L, 1) arrays; an
+    # unnamed slot draws arm 0 with push 0, so its charge |c - c| is 0
     columns = (plan.targets >= 0).any(axis=0)
     targets = plan.targets.T[columns, :, None]
-    pushes = np.where(targets >= 0, plan.pushes.T[columns, :, None], 0.0)
+    edits = (targets, np.maximum(targets, 0),
+             np.where(targets >= 0, plan.pushes.T[columns, :, None], 0.0))
 
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
-        s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + rows - 1, "right")))
+        s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + ws.group_rows - 1,
+                                             "right")))
         t1 = int(cuts[s1 - 1])
+        n = t1 - t0 + 1
+        slot = _carve(ws.slot, (L, n))
+        observed = _carve(ws.observed, (L, n))
+        _pull_slots(plan, ws, t0, slot, observed)
         attack = adv_active and len(targets) > 0
-        slot, clean, observed, contrib = _draw_group(
-            plan, t0, t1, rows, targets if attack else targets[:0], pushes)
-        if attack:
-            spent, adv_active = _gate(contrib, observed, clean, spent,
-                                      plan.budget)
+        contrib = _carve(ws.attack[0], (n, L)) if attack else None
+        spent, gate_open = _draw_group(
+            plan, ws, t0, slot, observed, contrib, edits if attack else None,
+            spent, trace)
+        adv_active = gate_open if attack else adv_active
 
         ends = (cuts[s0:s1] - (t0 - 1)).tolist()
         bounds = list(zip([0] + ends[:-1], ends))  # segments' group rows
         pull_counts += np.bincount(slot.reshape(-1), minlength=L * kmax)
         # one 1-D sum per agent and segment: summing the grid along an
-        # axis rounds differently
+        # axis rounds differently (np.add.reduce is ndarray.sum without
+        # its Python wrapper)
         pulled = np.empty((s1 - s0, L))
+        means = ws.rounds[:n].view(np.float64)
         for ell in range(L):
-            means = slot_means.take(slot[ell])
-            pulled[:, ell] = [means[a:b].sum() for a, b in bounds]
+            slot_means.take(slot[ell], out=means, mode="wrap")
+            pulled[:, ell] = [np.add.reduce(means[a:b]) for a, b in bounds]
         lengths = np.array([b - a for a, b in bounds])
         regret[s0:s1] = plan.best_means * lengths[:, None] - pulled
 
-        if trace is not None:
-            span = slice(t0 - plan.t_start, t1 - plan.t_start + 1)
-            for out, group in zip(trace, (arms_flat[slot], observed, clean)):
-                out[span] = group.T
         # one bin per segment and slot: a slot is one agent's, so its bin
         # adds the segment's rewards in round order
-        slot += np.repeat(np.arange(s1 - s0) * (L * kmax), lengths)
+        for s, (a, b) in enumerate(bounds[1:], start=1):
+            slot[:, a:b] += s * L * kmax
         sums = np.bincount(slot.reshape(-1), observed.reshape(-1),
                            (s1 - s0) * L * kmax).reshape(s1 - s0, -1)
         for s, (a, b) in enumerate(bounds, start=s0):
             reward_sums += sums[s - s0]
             if attack:
                 corruption[s] = contrib[a:b].sum(axis=0)
-        del slot, clean, observed, contrib, means
         s0, t0 = s1, t1 + 1
 
     return SegmentResult(
@@ -447,17 +575,19 @@ def run_segment_numpy(plan: SegmentPlan,
 
 
 def run_segment(plan: SegmentPlan, backend: str | None = None,
-                trace: tuple | None = None) -> SegmentResult:
+                trace: tuple | None = None,
+                workspace: Workspace | None = None) -> SegmentResult:
     """Dispatch a plan to the requested (or default) backend.
 
     ``trace``, if given, is a (pulls, observed, clean) triple of
     (rounds, L) int64, float64 and float64 arrays; the kernel writes
     each round's pulled arm ids, delivered rewards and clean rewards
-    into its rows.
+    into its rows.  ``workspace``, which only the numpy kernel reads,
+    holds its arrays across the calls of a run.
     """
     backend = backend or default_backend()
     if backend == "numba":
         return run_segment_numba(plan, trace)
     if backend == "numpy":
-        return run_segment_numpy(plan, trace)
+        return run_segment_numpy(plan, trace, workspace)
     raise ConfigError(f"unknown backend {backend!r}")

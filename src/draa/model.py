@@ -9,6 +9,7 @@ inverse ``scipy.special.betaincinv``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,28 +157,56 @@ def build_instance(config: dict) -> BanditInstance:
 
 
 def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
-                 out: np.ndarray | None = None):
+                 out: np.ndarray | None = None, diff: np.ndarray | None = None,
+                 scratch: tuple | None = None):
     """Map uniforms ``u`` to rewards of ``arms`` (broadcast together).
 
     ``model`` indexes :data:`REWARD_MODELS`.  Bernoulli: 1 if u < mu else
     0, so mu=0 / mu=1 are exactly degenerate.  Beta: linear interpolation
-    into the (K, N) inverse-CDF ``table`` between the flat gathers at
-    ``arms * N + idx`` and one past it.  The loop kernel's scalar
-    ``_reward_nb`` applies the same formula, so traces agree bit for bit
-    regardless of how the rewards were materialized.  ``out`` (float64,
-    may be ``u`` itself) receives the rewards if given.
+    into the (K, N) inverse-CDF ``table``: the flat gather ``lo`` at
+    ``arms * N + idx``, plus ``frac`` times the gather at the same place
+    of ``diff`` (:func:`beta_diffs` of the table, made here if not given),
+    whose entry is ``hi - lo``.  The loop kernel's scalar ``_reward_nb``
+    applies the same formula, so traces agree bit for bit regardless of
+    how the rewards were materialized.  ``out`` (float64, may be ``u``
+    itself) receives the rewards if given.  ``scratch``, a flat int64 and
+    a flat float64 array of at least ``u.size`` entries each, holds the
+    temporaries: with ``out`` and ``scratch`` given, nothing of u's size
+    is allocated.
     """
+    index, gathered = ((np.empty(u.size, np.int64), np.empty(u.size))
+                       if scratch is None else scratch)
     if REWARD_MODELS[model] == "bernoulli":
+        arms = np.asarray(arms)
+        mu = means.take(arms, out=_carve(gathered, arms.shape), mode="wrap")
         if out is None:
-            return (u < means[arms]).astype(np.float64)
-        return np.less(u, means[arms], out=out)
+            return (u < mu).astype(np.float64)
+        return np.less(u, mu, out=out)
+    if diff is None:
+        diff = beta_diffs(table)
     n = table.shape[1]
     frac = np.multiply(u, n - 1, out=out)  # the position, then its fraction
-    whole = np.minimum(np.floor(frac), n - 2)  # int() for u >= 0, but faster
+    whole = _carve(gathered, u.shape)
+    np.floor(frac, out=whole)  # int() for u >= 0, but faster
+    np.minimum(whole, n - 2, out=whole)
     frac -= whole
-    idx = whole.astype(np.int64) + arms * n
-    lo = table.take(idx)
-    hi = table.take(idx + 1)
-    hi -= lo
-    hi *= frac
-    return np.add(lo, hi, out=out)
+    idx = _carve(index, u.shape)
+    np.copyto(idx, whole, casting="unsafe")
+    # arms * n, in as many entries as ``arms`` has; whole is spent
+    idx += np.multiply(arms, n, out=_carve(gathered.view(np.int64),
+                                           np.shape(arms)))
+    frac *= diff.take(idx, out=whole, mode="wrap")
+    return np.add(table.take(idx, out=whole, mode="wrap"), frac, out=frac)
+
+
+def beta_diffs(table: np.ndarray) -> np.ndarray:
+    """The (K, N) steps ``table[:, i + 1] - table[:, i]`` of an inverse-CDF
+    table, 0 in the last column, which no lookup reads."""
+    diff = np.zeros_like(table)
+    np.subtract(table[:, 1:], table[:, :-1], out=diff[:, :-1])
+    return diff
+
+
+def _carve(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of a flat ``buffer`` as an array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)

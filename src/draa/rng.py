@@ -51,19 +51,20 @@ def stream_prefix(seed: int, stream: int) -> int:
     return mix64(mix64(seed & MASK64) ^ (stream & MASK64))
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
+def _mix64_np(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer applied in place to a uint64 ndarray; returns it.
 
     ``x`` must be an ndarray the caller owns (0-d is fine).  Only in-place
     array ufuncs run here, and those wrap silently; numpy scalars would
-    warn on the (intended) overflow.
+    warn on the (intended) overflow.  ``scratch``, a uint64 array of x's
+    shape, receives the shifted copies, which are otherwise allocated.
     """
     x += _U64_GAMMA
-    x ^= x >> _U64_30
+    x ^= np.right_shift(x, _U64_30, out=scratch)
     x *= _U64_MUL1
-    x ^= x >> _U64_27
+    x ^= np.right_shift(x, _U64_27, out=scratch)
     x *= _U64_MUL2
-    x ^= x >> _U64_31
+    x ^= np.right_shift(x, _U64_31, out=scratch)
     return x
 
 

@@ -23,7 +23,6 @@ import json
 import os
 import shutil
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import repeat
 from pathlib import Path
@@ -145,8 +144,13 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
     out_dir = resolve_output_dir(config)
     check_output_dir(out_dir)
     with ExitStack() as stack:
-        mapper = map if jobs == 1 else stack.enter_context(
-            ProcessPoolExecutor(max_workers=jobs)).map
+        if jobs == 1:
+            mapper = map
+        else:
+            # imported here: multiprocessing is needless in a one-job run
+            from concurrent.futures import ProcessPoolExecutor
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=jobs)).map
         outputs = list(mapper(_worker, repeat(config), config.seeds,
                               repeat(backend)))
 

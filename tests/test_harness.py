@@ -1,4 +1,5 @@
 """Config validation, persistence, sweeps, env overrides and the CLI."""
+import concurrent.futures
 import contextlib
 import copy
 import hashlib
@@ -470,7 +471,9 @@ def built_pools(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    # the runner imports the pool class where it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     return built
 
 
@@ -542,6 +545,36 @@ class TestRunPersistence:
         summaries = run_experiment(config, backend="numpy", quiet=True)
         assert built_pools == pool_sizes
         assert [s["seed"] for s in summaries] == [3, 1, 2]
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        """A one-job run never needs a process pool, so importing the CLI
+        does not import ``multiprocessing``."""
+        src = str(Path(draa.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, draa.cli; "
+             "print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_numpy_run_leaves_numpy_ma_out(self, tmp_path):
+        """A Bernoulli numpy-kernel run under attack does not import
+        ``numpy.ma``, which some numpy set routines import on first use
+        (``np.union1d`` does) and which adds about 1.6 MiB to a run's peak
+        RSS.  (A Beta run imports it with scipy.)"""
+        path = write_config(
+            tmp_path,
+            adversary={"kind": "gap_flip", "magnitude": 0.5, "budget": 50.0})
+        src = str(Path(draa.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from draa.cli import main; "
+             f"main(['run', {str(path)!r}, '--backend', 'numpy']); "
+             "print('numpy.ma' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_merged_csv_is_the_seed_files_in_config_order(self, tmp_path,
                                                           monkeypatch):

@@ -10,6 +10,7 @@ The vectorized kernel must reproduce every field of its
 adversary's edit contract: each target is -1 or one of its agent's arms,
 and an agent's two targets differ.
 """
+import contextlib
 import dataclasses
 import tracemalloc
 import warnings
@@ -190,6 +191,15 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
     return dataclasses.replace(plan, budget=spent + budget_frac * unbudgeted)
 
 
+def caps(cells):
+    """Groups and blocks of at most ``cells`` cells each, as one constant
+    capped both before they were split; None keeps the kernel's caps."""
+    if cells is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(kernels, _GROUP_CELLS=cells,
+                               _BLOCK_CELLS=cells)
+
+
 def assert_same(plan):
     old = _oracle_segment(plan)
     assert_identical(traced(plan, "numpy"), old)
@@ -202,7 +212,7 @@ def assert_same(plan):
        spent=st.sampled_from([0.0, 0.1, 3.7, 41.3]),
        budget_frac=st.floats(0.0, 1.2), adv_active=st.booleans(),
        pad=st.integers(0, 2), num_cuts=st.integers(1, 40),
-       block_cells=st.sampled_from([kernels._BLOCK_CELLS, 1, 37, 256]))
+       block_cells=st.sampled_from([None, 1, 37, 256]))
 @settings(max_examples=150, deadline=None)
 def test_matches_per_agent_oracle(seed, L, t_start, t_len, beta, spent,
                                   budget_frac, adv_active, pad, num_cuts,
@@ -210,7 +220,7 @@ def test_matches_per_agent_oracle(seed, L, t_start, t_len, beta, spent,
     rng = np.random.default_rng(seed)
     plan = make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
                      adv_active=adv_active, pad=pad, num_cuts=num_cuts)
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with caps(block_cells):
         assert_same(plan)
 
 
@@ -233,7 +243,7 @@ def test_budget_crossed_inside_ragged_blocks(L, beta):
         plan.targets[0] = [-1, -1]
     plan = dataclasses.replace(
         plan, budget=plan.spent + 0.55 * _oracle_segment(plan).corruption.sum())
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with caps(block_cells):
         old = assert_same(plan)
     assert (plan.t_end - plan.t_start + 1) % rows != 0
     assert (plan.arms == -1).any()
@@ -253,7 +263,7 @@ def test_rounds_beyond_block_and_default_block():
        t_len=st.integers(1, 150), beta=st.booleans(),
        spent=st.sampled_from([0.0, 2.9]), budget_frac=st.floats(0.0, 1.2),
        num_cuts=st.integers(1, 150),
-       block_cells=st.sampled_from([kernels._BLOCK_CELLS, 1, 37]))
+       block_cells=st.sampled_from([None, 1, 37]))
 @settings(max_examples=40, deadline=None)
 def test_cuts_change_no_bit(seed, L, t_len, beta, spent, budget_frac,
                             num_cuts, block_cells):
@@ -262,7 +272,7 @@ def test_cuts_change_no_bit(seed, L, t_len, beta, spent, budget_frac,
     rng = np.random.default_rng(seed)
     plan = make_plan(rng, L, 1 + seed % 5000, t_len, beta, spent,
                      budget_frac, num_cuts=num_cuts)
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with caps(block_cells):
         run_plan(plan)
 
 
@@ -275,7 +285,7 @@ def _cell_charges(plan):
 
 
 @pytest.mark.parametrize("where", ["short", "long", "cut"])
-@pytest.mark.parametrize("block_cells", [1, 37, kernels._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [1, 37, kernels._GROUP_CELLS])
 @pytest.mark.parametrize("beta", [False, True])
 @pytest.mark.parametrize("L", [1, 3, 64])
 def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
@@ -312,7 +322,7 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
                     if flat[c])
         budget = cum[cell - 1] + 0.5 * flat[cell]
     plan = dataclasses.replace(plan, budget=budget)
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with caps(block_cells):
         result = run_plan(plan)
     assert result.spent == cum[cell - 1] and not result.adv_active
     assert (result.corruption[seg + 1:] == 0).all()
@@ -320,20 +330,34 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
     assert budget % 2.0**-20 != 0  # not a dyadic rational of small scale
 
 
-@pytest.mark.parametrize("last", [False, True])
-@pytest.mark.parametrize("agent", [0, 1, 2])
-def test_gate_closes_at_every_agent_position(agent, last):
-    """The first overrun falls on each agent of a round in the middle of
-    a 5-round group, or in the group's last round, after two earlier
-    groups carried the spend.  From that cell on, round-major, the
+def _gate_positions():
+    """(agent, row, group rounds) of the first overrun, blocks of 5 rounds.
+
+    With 5-round groups: each agent of a round in the middle of the
+    third group, or of its last round.  With one 30-round group: the
+    first cell of its third block, and the last cell of that block,
+    which does not end the group.
+    """
+    for last in (False, True):
+        for agent in range(3):
+            yield pytest.param(agent, 14 if last else 12, 5,
+                               id=f"{agent}-{last}")
+    yield pytest.param(0, 10, 30, id="block-start")
+    yield pytest.param(2, 14, 30, id="block-end")
+
+
+@pytest.mark.parametrize("agent,row,group", _gate_positions())
+def test_gate_closes_at_every_agent_position(agent, row, group):
+    """The first overrun falls on the given cell, after two earlier
+    blocks carried the spend.  From that cell on, round-major, the
     numpy kernel delivers clean rewards and charges nothing, as the
     oracle does."""
-    L, group = 3, 5
+    L, block = 3, 5
     rng = np.random.default_rng(31)
-    plan = make_plan(rng, L, 2**32 + 9, 6 * group, True, spent=2.3,
+    plan = make_plan(rng, L, 2**32 + 9, 6 * block, True, spent=2.3,
                      budget_frac=1.0, num_arms=12, max_local=8, pad=1,
                      means=np.linspace(0.1, 0.9, 12))
-    plan.cuts = plan.t_start - 1 + group * np.arange(1, 7)
+    plan.cuts = plan.t_start - 1 + block * np.arange(1, 7)
     sizes = (plan.arms >= 0).sum(axis=1)
     plan.targets[:, 0] = plan.arms[np.arange(L), sizes - 1]
     plan.targets[:, 1] = np.where(sizes > 1, plan.arms[:, 0], -1)
@@ -343,11 +367,11 @@ def test_gate_closes_at_every_agent_position(agent, last):
                            0.5, 1.0)
     flat = _cell_charges(plan).reshape(-1)
     cum = np.cumsum(np.concatenate(([plan.spent], flat)))[1:]
-    row = 2 * group + (group - 1 if last else 2)
     cell = row * L + agent
     assert flat[cell] > 0
     plan = dataclasses.replace(plan, budget=cum[cell - 1] + 0.5 * flat[cell])
-    with mock.patch.object(kernels, "_BLOCK_CELLS", group * L):
+    with mock.patch.multiple(kernels, _GROUP_CELLS=group * L,
+                             _BLOCK_CELLS=block * L):
         old = assert_same(plan)
     assert old.spent == cum[cell - 1] and not old.adv_active
     observed, clean = old.observed.reshape(-1), old.clean.reshape(-1)
@@ -355,19 +379,16 @@ def test_gate_closes_at_every_agent_position(agent, last):
     assert not np.array_equal(observed[:cell], clean[:cell])
 
 
-def test_numpy_kernel_peak_memory_per_cell():
-    """An L = 4 Beta plan with two targets per agent over one
-    31,250-round segment, the budget closing inside it.  The kernel's
-    peak is its four (round, agent) arrays of 8 B a cell, the gate's
-    cumsum and mask, and one block's scratch; one more group-sized array,
-    such as a transposed copy of the charges, would pass the bound."""
+def _narrow_plan():
+    """L = 4, Beta, two targets per agent, one 31,250-round segment whose
+    budget closes inside it."""
     L, rounds = 4, 31_250
     rng = np.random.default_rng(3)
     arms = np.array([[0, 2, 3, 6], [0, 3, 4, 7], [1, 4, 5, 6], [1, 2, 5, 7]])
     means = np.linspace(0.9, 0.1, 8)
     table = np.sort(rng.random((8, 4097)), axis=1)
     table[:, 0], table[:, -1] = 0.0, 1.0
-    plan = SegmentPlan(
+    return SegmentPlan(
         t_start=1, cuts=np.array([rounds]), env_prefix=stream_prefix(1, 0),
         pull_prefix=stream_prefix(1, 2), arms=arms,
         cdf=np.tile([0.7, 0.8, 0.9, 1.0], (L, 1)), means=means,
@@ -375,14 +396,59 @@ def test_numpy_kernel_peak_memory_per_cell():
         beta_table=table, targets=arms[:, [0, 3]],
         pushes=np.tile([-0.5, 0.5], (L, 1)), budget=10_000.3, spent=0.0,
         adv_active=True)
+
+
+def _wide_plan():
+    """L = 64, Bernoulli, 128 of 512 arms per agent, no targets, one
+    875-round segment: the largest plan of a wide-boundary run."""
+    L, K, held, rounds = 64, 512, 128, 875
+    arms = np.sort((8 * np.arange(L)[:, None] + np.arange(held)) % K, axis=1)
+    means = np.linspace(0.05, 0.95, K)
+    cdf = np.cumsum(np.full((L, held), 1.0 / held), axis=1)
+    cdf[:, -1] = 1.0
+    return SegmentPlan(
+        t_start=1, cuts=np.array([rounds]), env_prefix=stream_prefix(1, 0),
+        pull_prefix=stream_prefix(1, 2), arms=arms, cdf=cdf, means=means,
+        best_means=means[arms].max(axis=1), reward_model=0,
+        beta_table=np.zeros((0, 0)), targets=np.full((L, 2), -1),
+        pushes=np.zeros((L, 2)), budget=0.0, spent=0.0, adv_active=True)
+
+
+@pytest.mark.parametrize("layout", ["narrow", "wide"])
+def test_numpy_kernel_peak_memory_per_cell(layout):
+    """The kernel's peak, its own workspace included, stays within 42 B
+    per (round, agent) cell.  Narrow: the group's slots, rewards and
+    charges at 8 B a cell, its rounds, the Beta steps and one block's
+    arrays; one more group-sized array, such as a transposed copy of the
+    charges, would pass the bound.  Wide: slots and rewards, the blocks
+    and the binary search's rows."""
+    plan = _narrow_plan() if layout == "narrow" else _wide_plan()
     tracemalloc.start()
     try:
         result = kernels.run_segment_numpy(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not result.adv_active and 0 < result.spent <= plan.budget
-    assert peak / (rounds * L) <= 42
+    if layout == "narrow":
+        assert not result.adv_active and 0 < result.spent <= plan.budget
+    assert peak / plan.arms.shape[0] / plan.t_end <= 42
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(12))
+def test_corruption_rows_match_the_loop_kernel(L, seed):
+    """With two agents or more, the numpy kernel's per-segment charges,
+    ``contrib[a:b].sum(axis=0)`` over round-major (rounds, L) rows, add
+    each agent's column in round order from 0.0, as the loop kernel's
+    running sums do, so the rows agree bit for bit.  With one agent numpy
+    sums the (rounds, 1) column pairwise instead, and the last bits may
+    differ, so L = 1 is left out."""
+    rng = np.random.default_rng(seed)
+    plan = make_plan(rng, L, 1 + seed, 120, True, spent=0.7,
+                     budget_frac=0.8, num_cuts=4)
+    loop, vec = (traced(plan, backend) for backend in BACKENDS)
+    assert np.count_nonzero(vec.corruption) > 1
+    assert np.array_equal(loop.corruption, vec.corruption)
 
 
 def test_untraced_result_matches_traced():

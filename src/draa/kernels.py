@@ -34,17 +34,23 @@ all its calls' cuts (a call without one makes its own): no call
 allocates arrays that grow with its cells, so a long run does not fault
 their pages in again group after group.  A group's slots and delivered
 rewards live in agent-major (L, rounds) arrays, so per-agent broadcasts
-and CDF searches run along contiguous rows; only its charges stay
-round-major, the budget gate's order.  The ``(t)`` hash prefixes are
-mixed once per round and the ``(t, ell)`` ones once per cell.  A group's
-pull draws are made in its reward array, each agent's binary-searched in
-its CDF row.  The rewards are drawn in blocks of at most
-``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum`` writing into
-the workspace.  Under attack every target column is one plane, drawn for
-the whole block; a pulled arm that is a target takes its plane's clean
-reward, and only the cells whose pulled arm is no target draw it, in one
-compacted pass.  One ``bincount`` per group, over a bin per segment and
-slot, adds each slot's rewards in round order.
+run along contiguous rows; only its charges stay round-major, the budget
+gate's order.  The ``(t)`` hash prefixes are mixed once per round and
+the ``(t, ell)`` ones once per cell.  A group's pull hashes are made in
+its reward array and searched as integers, not as uniforms: a hash h
+draws u = (h >> 11) * 2**-53, and u >= c holds exactly when
+h >> 11 >= ceil(c * 2**53), since the scaling and the ceiling are exact.
+Each call turns the CDF rows into these thresholds once and indexes
+them with a guide per agent (the indexed search of Chen and Asau, in
+Devroye 1986, III.2.4): the top bits of h pick a bucket, and a bucket
+that no threshold splits holds its slot, so one ``take`` draws most
+cells; the rest search the thresholds.  The rewards are drawn in blocks
+of at most ``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum``
+writing into the workspace.  Under attack every target column is one
+plane, drawn for the whole block; a pulled arm that is a target takes
+its plane's clean reward, and only the cells whose pulled arm is no
+target draw it, in one compacted pass.  One ``bincount`` per group, over
+a bin per segment and slot, adds each slot's rewards in round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
 or ``numpy``), overridable per call.  For the same plan, pulls, clean
@@ -94,6 +100,18 @@ _GROUP_CELLS = 4096
 #: block covers a group's cells with fewer numpy calls.  At 32768 the
 #: narrow plan of test_numpy_kernel_peak_memory_per_cell exceeds its bound
 _BLOCK_CELLS = 16384
+
+#: the top bits of a pull hash that pick its bucket of the agent's guide
+_GUIDE_BITS = 8
+
+#: rows whose search keys share one sorted run: a key is a threshold of
+#: at most 2**53 plus its row's offset in the run times 2**53, so the
+#: largest, 1023 * 2**53, fits int64
+_KEY_ROWS = 1023
+
+_SIGN = np.int64(np.iinfo(np.int64).min)  # a guide entry's sentinel bit
+_U64_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
+_GUIDE_ROW = (1 << _GUIDE_BITS) + 1  # a guide row's buckets, then 2**53's
 
 try:
     from numba import njit
@@ -306,7 +324,8 @@ class Workspace:
     any of them makes: its longest segment, or whole segments of at most
     ``group_rows`` rounds.  ``beta_table`` is the (K, N) Beta table the
     calls map with, or (0, 0).  The buffers are flat; a call views their
-    leading entries in the shape it needs (``model._carve``).
+    leading entries in the shape it needs (``model._carve``).  Each call
+    also makes the pull search's tables for its CDF here (:meth:`index`).
     """
 
     def __init__(self, num_agents: int, calls, beta_table: np.ndarray):
@@ -329,6 +348,78 @@ class Workspace:
         self.scratch = np.empty(2 * self.block, np.uint64)
         self.diff = beta_diffs(beta_table) if beta_table.size else None
         self.agents = np.arange(num_agents, dtype=np.uint64)[:, None]
+        # each agent's first entry of the guide
+        self.guide_rows = self.agents.astype(np.int64) * _GUIDE_ROW
+
+    def index(self, cdf: np.ndarray) -> None:
+        """Make the pull search's tables for the (L, kmax) ``cdf``: the
+        ``guide``, a row of 2**_GUIDE_BITS buckets per agent (and one
+        entry that no hash reads), and the ``keys`` that its sentinels
+        search.
+
+        Entry c of row ell becomes the threshold ceil(min(c, 1) * 2**53);
+        the clamp changes no count, for no hash reaches 2**53.  Bucket b
+        holds the 53-bit hashes [b * w, (b + 1) * w), w = 2**(53 -
+        _GUIDE_BITS).  If no threshold lies strictly inside it, they all
+        count the thresholds up to b * w, idx, and it holds the slot
+        ell * kmax + idx; else it holds the sentinel _SIGN + the row's
+        offset (ell % _KEY_ROWS) * 2**53.  A key is a threshold plus its
+        row's offset, so each run of _KEY_ROWS rows of keys is sorted.
+        """
+        L, kmax = cdf.shape
+        shift = 53 - _GUIDE_BITS
+        keys = np.ceil(np.minimum(cdf, 1.0) * 2.0**53).astype(np.int64)
+        rows = np.arange(L)[:, None]
+        # each threshold's bucket; those of 2**53 go to the row's last entry
+        cells = rows * _GUIDE_ROW + (keys >> shift)
+        # per bucket, the thresholds below its end: in a bucket that none
+        # splits, those up to its first hash
+        guide = np.bincount(cells.reshape(-1), minlength=L * _GUIDE_ROW)
+        table = guide.reshape(L, _GUIDE_ROW)
+        np.cumsum(table, axis=1, out=table)
+        table += rows * kmax
+        offset = (rows % _KEY_ROWS) << 53
+        split = (keys & ((1 << shift) - 1)) != 0
+        guide[cells[split]] = np.broadcast_to(offset + _SIGN,
+                                              split.shape)[split]
+        keys += offset
+        self.guide, self.keys = guide, keys.reshape(-1)
+
+    def search(self, h: np.ndarray, slot: np.ndarray) -> None:
+        """Write into the (L, n) ``slot`` each cell's ``ell * kmax +`` the
+        index its uint64 hash in ``h`` draws from the CDF of the last
+        :meth:`index`: the count of agent ell's entries c with
+        u = (h >> 11) * 2**-53 >= c.
+
+        That is the count of thresholds ceil(c * 2**53) at most h >> 11:
+        multiplying by 2**53 is exact, and an integer is at least a real
+        number exactly when it is at least its ceiling.  The top bits of
+        h pick the bucket, whose guide entry is the slot unless a
+        threshold splits the bucket.  A sentinel's key, the row offset
+        it holds plus h >> 11, is searched in its run of ``keys``: the
+        count of keys at most it is the slot, less the run's first slot.
+        """
+        L, n = slot.shape
+        kmax = self.keys.size // L
+        np.right_shift(h, _U64_GUIDE_SHIFT, out=slot.view(np.uint64))
+        slot += self.guide_rows
+        # each cell's index is read before its guide entry replaces it
+        self.guide.take(slot, out=slot, mode="wrap")
+        where = np.flatnonzero(slot < 0)
+        if not where.size:
+            return
+        keys = slot.take(where)
+        keys ^= _SIGN
+        bits = h.take(where)
+        bits >>= np.uint64(11)
+        keys |= bits.view(np.int64)
+        # the cells are row-major, so each run's rows are a range of them
+        for r0 in range(0, L, _KEY_ROWS):
+            a, b = np.searchsorted(where, (r0 * n, (r0 + _KEY_ROWS) * n))
+            found = np.searchsorted(self.keys[r0 * kmax:(r0 + _KEY_ROWS)
+                                              * kmax], keys[a:b], "right")
+            found += r0 * kmax
+            slot.put(where[a:b], found)
 
     @cached_property
     def attack(self) -> tuple:
@@ -344,12 +435,11 @@ class Workspace:
 def _pull_slots(plan: SegmentPlan, ws: Workspace, t0: int, slot: np.ndarray,
                 observed: np.ndarray) -> None:
     """Write ``ell * kmax +`` the local index of the arm each agent pulls
-    in rounds ``t0..`` into the (L, rounds) ``slot``; the draws are made
-    in ``observed``, with ``slot`` as the mixing scratch.  (A uniform
-    is never written over its own hash: numpy would copy the hashes.)
+    in rounds ``t0..`` into the (L, rounds) ``slot``; the hashes are made
+    in ``observed``, with ``slot`` as the mixing scratch, and searched by
+    :meth:`Workspace.search`.
     """
-    L, n = slot.shape
-    kmax = plan.arms.shape[1]
+    n = slot.shape[1]
     t = ws.rounds[:n]
     for r0 in range(0, n, ws.ramp.size):
         r1 = min(r0 + ws.ramp.size, n)
@@ -361,12 +451,7 @@ def _pull_slots(plan: SegmentPlan, ws: Workspace, t0: int, slot: np.ndarray,
     np.bitwise_xor(ws.agents, t, out=h)
     # the arm field of a pull draw is 0, and h ^ 0 == h
     _mix64_np(_mix64_np(h, scratch), scratch)
-    # each row's search returns before its result replaces the row
-    uniforms = _unit(h, slot.view(np.float64))
-    for ell in range(L):
-        slot[ell] = np.searchsorted(plan.cdf[ell], uniforms[ell],
-                                    side="right")
-    slot += np.arange(0, L * kmax, kmax)[:, None]
+    ws.search(h, slot)
 
 
 def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
@@ -510,6 +595,7 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
     L, kmax = plan.arms.shape
     cuts = plan.cuts
     ws = workspace or Workspace(L, [(plan.t_start, cuts)], plan.beta_table)
+    ws.index(plan.cdf)
     # -1 pads read means[-1] and are never pulled
     slot_means = plan.means[plan.arms.reshape(-1)]
     reward_sums = np.zeros(L * kmax)

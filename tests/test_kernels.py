@@ -25,7 +25,7 @@ from draa import kernels
 from draa.kernels import BACKENDS, SegmentPlan, run_segment
 from draa.rng import _mix64_np, stream_prefix, uniform_array
 
-from conftest import Traced, assert_identical, run_plan, traced
+from conftest import Traced, assert_identical, run_plan, trace_rows, traced
 
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _U64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -379,6 +379,145 @@ def test_gate_closes_at_every_agent_position(agent, row, group):
     assert not np.array_equal(observed[:cell], clean[:cell])
 
 
+_BUCKET = 2.0 ** -kernels._GUIDE_BITS  # one guide bucket's share of [0, 1)
+
+
+def _search_cdf(rng, L, max_width, pad):
+    """(L, kmax) CDF rows that stress the pull search: rows of 1 to
+    ``max_width`` arms whose entries lie on bucket edges, on multiples of
+    2**-53 next to them, at tiny values or anywhere, closed at 1.0 or a
+    few ulps above from the last arm on, then ``pad`` columns more."""
+    widths = rng.integers(1, max_width + 1, size=L)
+    kmax = int(widths.max()) + pad
+    cdf = np.empty((L, kmax))
+    for ell, n in enumerate(widths):
+        edges = rng.integers(0, 257, n) * _BUCKET
+        pools = (edges, edges + rng.integers(-3, 4, n) * 2.0**-53,
+                 rng.choice([5e-324, 1e-300, 2.0**-60, 2.0**-53, 3 * 2.0**-53,
+                             0.0], n),
+                 rng.random(n) * _BUCKET * rng.integers(1, 257, n))
+        row = np.sort(np.clip(np.choose(rng.integers(0, 4, n), pools), 0, 1))
+        tail = 1.0
+        for _ in range(int(rng.integers(0, 4))):
+            tail = np.nextafter(tail, 2.0)
+        cdf[ell, :n - 1] = row[:n - 1]
+        cdf[ell, n - 1:] = np.maximum.accumulate(
+            tail + rng.integers(0, 3, kmax - n + 1) * 2.0**-52)
+    return cdf
+
+
+def _search_hashes(rng, cdf):
+    """(L, n) pull hashes whose top 53 bits are 0, 2**53 - 1, each of the
+    row's thresholds ceil(c * 2**53) less 1, at it and 1 above, each
+    bucket edge and the hash below it, then random; low bits random."""
+    top = 2**53 - 1
+    thresholds = np.ceil(np.minimum(cdf, 1.0) * 2.0**53).astype(np.int64)
+    edges = np.arange(257, dtype=np.int64) << (53 - kernels._GUIDE_BITS)
+    rows = [np.concatenate(([0, top], thresholds[ell] - 1, thresholds[ell],
+                            thresholds[ell] + 1, edges, edges - 1))
+            for ell in range(cdf.shape[0])]
+    n = max(map(len, rows)) + 8
+    bits = rng.integers(0, 2**53, size=(cdf.shape[0], n))
+    for ell, row in enumerate(rows):
+        bits[ell, :len(row)] = np.clip(row, 0, top)
+    low = rng.integers(0, 2**11, size=bits.shape)
+    return bits.astype(np.uint64) << np.uint64(11) | low.astype(np.uint64)
+
+
+def assert_search_exact(cdf, hashes):
+    """The workspace's guided search of ``hashes`` gives the float binary
+    search of their uniforms in each CDF row, offset by ``ell * kmax``;
+    returns the workspace."""
+    L, kmax = cdf.shape
+    ws = kernels.Workspace(L, [(1, np.array([1]))], np.zeros((0, 0)))
+    ws.index(cdf)
+    slot = np.empty(hashes.shape, dtype=np.int64)
+    ws.search(hashes, slot)
+    uniforms = (hashes >> np.uint64(11)).astype(np.int64) * 2.0**-53
+    for ell in range(L):
+        expected = np.searchsorted(cdf[ell], uniforms[ell], "right")
+        np.testing.assert_array_equal(slot[ell] - ell * kmax, expected,
+                                      err_msg=f"row {ell}")
+    return ws
+
+
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 8),
+       max_width=st.sampled_from([1, 3, 40, 300]), pad=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_guided_pull_search_is_exact(seed, L, max_width, pad):
+    """Rows up to 300 arms wide, some with more thresholds than buckets;
+    entries on bucket edges, on multiples of 2**-53 or tiny; tails of 1.0
+    and a few ulps above; hashes at 0, at the top, around every threshold
+    and at every bucket edge."""
+    rng = np.random.default_rng(seed)
+    cdf = _search_cdf(rng, L, max_width, pad)
+    assert_search_exact(cdf, _search_hashes(rng, cdf))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_guided_pull_search_past_one_key_run(seed):
+    """1100 rows: a row offset of 1100 * 2**53 would overflow int64, and
+    rows from 1023 on search a second run of keys."""
+    rng = np.random.default_rng(seed)
+    cdf = _search_cdf(rng, 1100, 6, 1)
+    hashes = _search_hashes(rng, cdf)
+    ws = assert_search_exact(cdf, hashes)
+    # both runs hold cells that the key search placed
+    buckets = (hashes >> np.uint64(64 - kernels._GUIDE_BITS)).astype(np.int64)
+    split = np.take_along_axis(ws.guide.reshape(1100, -1), buckets, 1) < 0
+    assert split[:kernels._KEY_ROWS].any() and split[kernels._KEY_ROWS:].any()
+
+
+def _pull_buckets(plan):
+    """The guide bucket of each (agent, round) pull hash of ``plan``."""
+    ts = np.arange(plan.t_start, plan.t_end + 1, dtype=np.uint64)
+    h = _oracle_mix64(np.uint64(plan.pull_prefix) ^ ts)
+    agents = np.arange(plan.arms.shape[0], dtype=np.uint64)[:, None]
+    h = _oracle_mix64(_oracle_mix64(h ^ agents) ^ np.uint64(0))
+    return (h >> np.uint64(64 - kernels._GUIDE_BITS)).astype(np.int64)
+
+
+def test_reused_workspace_indexes_every_plan():
+    """Plans with other CDFs and widths, one of 300 arms, more than the
+    guide's 256 buckets, run through one workspace: each equals a run on
+    a fresh workspace, and the loop kernel's pulls and rewards, bit for
+    bit.  Most cells of the wide plan take the key search, the rest the
+    guide."""
+    L, t_len = 5, 300
+    rng = np.random.default_rng(19)
+    narrow = [make_plan(rng, L, 1 + 400 * i, t_len, False, spent=0.0,
+                        budget_frac=0.5, num_arms=400) for i in range(3)]
+    # 300 arms per agent: one of them holds 0.4 of the mass and the rest
+    # share 0.6, so each of their buckets holds a threshold
+    arms = np.sort((7 * np.arange(L)[:, None] + np.arange(300)) % 400, axis=1)
+    p = np.full((L, 300), 0.6 / 299)
+    p[np.arange(L), rng.integers(0, 300, L)] = 0.4
+    cdf = np.cumsum(p, axis=1)
+    cdf[:, -1] = 1.0
+    wide = dataclasses.replace(
+        narrow[1], t_start=1201, cuts=np.array([1200 + t_len]), arms=arms,
+        cdf=cdf, best_means=narrow[1].means[arms].max(axis=1),
+        targets=arms[:, [0, 5]], pushes=np.tile([0.3, -0.3], (L, 1)))
+    plans = [narrow[0], wide, narrow[1], wide, narrow[2]]
+    ws = kernels.Workspace(L, [(p.t_start, p.cuts) for p in plans],
+                           np.zeros((0, 0)))
+    for plan in plans:
+        rows = trace_rows(plan)
+        reused = run_segment(plan, backend="numpy", trace=rows, workspace=ws)
+        reused = Traced(**vars(reused), pulls=rows[0], observed=rows[1],
+                        clean=rows[2])
+        assert_identical(reused, traced(plan, "numpy"))
+        loop = traced(plan, "numba")
+        for name in ("pulls", "observed", "clean", "reward_sums",
+                     "pull_counts", "spent", "adv_active"):
+            assert np.array_equal(getattr(reused, name),
+                                  getattr(loop, name)), name
+    ws.index(wide.cdf)
+    guide = ws.guide.reshape(L, -1)
+    split = np.take_along_axis(guide, _pull_buckets(wide), 1) < 0
+    assert 0.5 < split.mean() < 1.0
+
+
 def _narrow_plan():
     """L = 4, Beta, two targets per agent, one 31,250-round segment whose
     budget closes inside it."""
@@ -421,7 +560,7 @@ def test_numpy_kernel_peak_memory_per_cell(layout):
     charges at 8 B a cell, its rounds, the Beta steps and one block's
     arrays; one more group-sized array, such as a transposed copy of the
     charges, would pass the bound.  Wide: slots and rewards, the blocks
-    and the binary search's rows."""
+    and the pull search's guide and keys."""
     plan = _narrow_plan() if layout == "narrow" else _wide_plan()
     tracemalloc.start()
     try:

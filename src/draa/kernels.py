@@ -410,9 +410,7 @@ class Workspace:
             return
         keys = slot.take(where)
         keys ^= _SIGN
-        bits = h.take(where)
-        bits >>= np.uint64(11)
-        keys |= bits.view(np.int64)
+        keys |= (h.take(where) >> np.uint64(11)).view(np.int64)
         # the cells are row-major, so each run's rows are a range of them
         for r0 in range(0, L, _KEY_ROWS):
             a, b = np.searchsorted(where, (r0 * n, (r0 + _KEY_ROWS) * n))

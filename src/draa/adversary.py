@@ -78,12 +78,13 @@ class Adversary:
 def _check_edits(instance: BanditInstance, edits) -> None:
     """Raise ``InvariantError`` unless ``edits`` is a (targets, pushes)
     pair, each agent's two targets are -1 or arms of its own and differ,
-    and every push is finite."""
+    and every push is a finite real number."""
     targets, pushes = (edits if isinstance(edits, tuple) and len(edits) == 2
                        else (None, None))
     L = instance.num_agents
     if not (isinstance(targets, np.ndarray) and targets.shape == (L, 2)
-            and targets.dtype.kind in "iu" and np.shape(pushes) == (L, 2)
+            and targets.dtype.kind in "iu" and isinstance(pushes, np.ndarray)
+            and pushes.shape == (L, 2) and pushes.dtype.kind in "fiu"
             and np.isfinite(pushes).all()):
         raise InvariantError("adversary edits", f"epoch_edits must return a "
                              f"(targets, pushes) pair of ({L}, 2) arrays of "

@@ -35,32 +35,33 @@ allocates arrays that grow with its cells, so a long run does not fault
 their pages in again group after group.  A group's slots and delivered
 rewards live in agent-major (L, rounds) arrays, so per-agent broadcasts
 run along contiguous rows; only its charges stay round-major, the budget
-gate's order.  The ``(t)`` hash prefixes are mixed once per round and
-the ``(t, ell)`` ones once per cell.  A group's pull hashes are made in
-its reward array and searched as integers, not as uniforms: a hash h
-draws u = (h >> 11) * 2**-53, and u >= c holds exactly when
-h >> 11 >= ceil(c * 2**53), since the scaling and the ceiling are exact.
-Each call turns the CDF rows into these thresholds once and indexes
-them with a guide per agent (the indexed search of Chen and Asau, in
-Devroye 1986, III.2.4): the top bits of h pick a bucket, and a bucket
-that no threshold splits holds its slot, so one ``take`` draws most
-cells; the rest search the thresholds.  The rewards are drawn in blocks
-of at most ``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum``
-writing into the workspace.  Under attack every target column is one
-plane, drawn for the whole block; a pulled arm that is a target takes
-its plane's clean reward, and only the cells whose pulled arm is no
-target draw it, in one compacted pass.  One ``bincount`` per group, over
-a bin per segment and slot, adds each slot's rewards in round order.
+gate's order.  The group is drawn in blocks of at most ``_BLOCK_CELLS``
+cells, each ufunc, ``take`` and ``cumsum`` writing into the workspace.
+A block first draws its pulls, then their rewards; for both streams the
+``(t)`` hash prefixes are mixed once per round and the ``(t, ell)`` ones
+once per cell.  The pull hashes are searched as integers, not as
+uniforms: a hash h draws u = (h >> 11) * 2**-53, and u >= c holds
+exactly when h >> 11 >= ceil(c * 2**53), since the scaling and the
+ceiling are exact.  Each call turns the CDF rows into these thresholds
+once and indexes them with a guide per agent (the indexed search of Chen
+and Asau, in Devroye 1986, III.2.4): the top bits of h pick a bucket,
+and a bucket that no threshold splits holds its slot, so one ``take``
+draws most cells; the rest search the thresholds.  Under attack every
+target column is one plane, drawn for the whole block; a pulled arm that
+is a target takes its plane's clean reward, and only the cells whose
+pulled arm is no target draw it, in one compacted pass.  Each group is
+then folded in whole-array passes: one ``bincount``, over a bin per
+segment and slot, adds each slot's rewards in round order; one ``take``
+gives every cell its pulled arm's mean, summed per segment along each
+agent's row; and a ``cumsum`` per segment adds each agent's charges in
+round order.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
 or ``numpy``), overridable per call.  For the same plan, pulls, clean
-and delivered rewards, reward sums, pull counts and the budget state are
-bit-identical across backends.  Regret may differ in the last ulps
-because its accumulation order differs, and is compared at 1e-9 in
-tests.  So are the per-agent corruption sums, which agree bit for bit
-for L >= 2: the numpy kernel's ``sum(axis=0)`` over round-major rows then
-adds each agent's charges in round order, as the loop does, but it sums
-a single agent's (rounds, 1) column pairwise.
+and delivered rewards, reward sums, pull counts, the per-agent
+corruption sums and the budget state are bit-identical across backends,
+with any number of agents.  Regret may differ in the last ulps because
+its accumulation order differs, and is compared at 1e-9 in tests.
 
 Budget rule shared by both backends: (round, agent) cells are processed
 round-major, agent-minor; a cell is delivered only if the running spend
@@ -324,7 +325,9 @@ class Workspace:
     any of them makes: its longest segment, or whole segments of at most
     ``group_rows`` rounds.  ``beta_table`` is the (K, N) Beta table the
     calls map with, or (0, 0).  The buffers are flat; a call views their
-    leading entries in the shape it needs (``model._carve``).  Each call
+    leading entries in the shape it needs (``model._carve``).  A group's
+    slots and rewards are group-sized; the hashes, pulled arms and scratch
+    hold one block, whose pulls and rewards are drawn together.  Each call
     also makes the pull search's tables for its CDF here (:meth:`index`).
     """
 
@@ -337,13 +340,13 @@ class Workspace:
             max(int(np.diff(cuts, prepend=t_start - 1).max()),
                 min(self.group_rows, int(cuts[-1]) - t_start + 1))
             for t_start, cuts in calls)
-        self.block = min(self.rows, group) * num_agents  # cells per block
+        self.ramp = np.arange(min(self.rows, group), dtype=np.uint64)
+        self.rounds = np.empty_like(self.ramp)  # a block's t hashes
+        self.block = self.ramp.size * num_agents  # cells per block
         self.group = group * num_agents  # cells per group
         self.slot = np.empty(self.group, np.int64)
         self.observed = np.empty(self.group)
-        self.rounds = np.empty(group, np.uint64)  # t hashes, pulled means
-        self.ramp = np.arange(min(self.rows, group), dtype=np.uint64)
-        self.prefix = np.empty(self.block, np.uint64)  # (t, ell) env hashes
+        self.prefix = np.empty(self.block, np.uint64)  # (t, ell) hashes
         self.arm = np.empty(self.block, np.int64)  # a block's pulled arms
         self.scratch = np.empty(2 * self.block, np.uint64)
         self.diff = beta_diffs(beta_table) if beta_table.size else None
@@ -430,32 +433,24 @@ class Workspace:
                 np.empty(2 * self.block, bool), np.empty(self.block, bool))
 
 
-def _pull_slots(plan: SegmentPlan, ws: Workspace, t0: int, slot: np.ndarray,
-                observed: np.ndarray) -> None:
-    """Write ``ell * kmax +`` the local index of the arm each agent pulls
-    in rounds ``t0..`` into the (L, rounds) ``slot``; the hashes are made
-    in ``observed``, with ``slot`` as the mixing scratch, and searched by
-    :meth:`Workspace.search`.
-    """
-    n = slot.shape[1]
-    t = ws.rounds[:n]
-    for r0 in range(0, n, ws.ramp.size):
-        r1 = min(r0 + ws.ramp.size, n)
-        np.add(ws.ramp[:r1 - r0], np.uint64(t0 + r0), out=t[r0:r1])
-    t ^= np.uint64(plan.pull_prefix)
-    scratch = slot.view(np.uint64)
-    _mix64_np(t, scratch.reshape(-1)[:n])
-    h = observed.view(np.uint64)
+def _cell_hashes(ws: Workspace, prefix: int, t0: int, h: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Mix into the (L, m) ``h`` the (t, ell) hash prefixes of the stream
+    ``prefix`` in rounds ``t0..``, with ``scratch`` of h's shape; returns h."""
+    t = ws.rounds[:h.shape[1]]
+    np.add(ws.ramp[:t.size], np.uint64(t0), out=t)
+    t ^= np.uint64(prefix)
+    _mix64_np(t, scratch[0])
     np.bitwise_xor(ws.agents, t, out=h)
-    # the arm field of a pull draw is 0, and h ^ 0 == h
-    _mix64_np(_mix64_np(h, scratch), scratch)
-    ws.search(h, slot)
+    return _mix64_np(h, scratch)
 
 
 def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
                 contrib, edits, spent: float, trace):
-    """Draw the rewards of the rounds ``t0..`` of the (L, rounds) ``slot``
-    into ``observed``, block by block, and trace each block's rows.
+    """Draw the pulls and rewards of the rounds ``t0..`` block by block:
+    each block's slots ``ell * kmax + idx`` go to its columns of the (L,
+    rounds) ``slot`` and its delivered rewards to those of ``observed``,
+    and its rows are traced.
 
     ``edits`` is None, or the (planes, L, 1) targets (-1 unused), the
     arms drawn for them and their pushes; then each cell's charge goes to
@@ -466,7 +461,6 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
     """
     L, n = slot.shape
     arms_flat = plan.arms.reshape(-1)
-    env = np.uint64(plan.env_prefix)
     model, means, table = plan.reward_model, plan.means, plan.beta_table
     C = ws.block
     scratch, ints = ws.scratch, ws.scratch.view(np.int64)
@@ -475,25 +469,22 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
     for r0 in range(0, n, ws.rows):
         r1 = min(r0 + ws.rows, n)
         m = r1 - r0
-        # take would copy the strided slot columns; copy them first
         arm = _carve(ws.arm, (L, m))
         h = _carve(ws.prefix, (L, m))
-        np.copyto(h.view(np.int64), slot[:, r0:r1])
-        arms_flat.take(h.view(np.int64), out=arm, mode="wrap")
-        # the (t, ell) env prefix, shared by the pulled arm and the targets;
-        # the block's rewards are not drawn yet, so out is mixing scratch
+        mix = _carve(scratch, (L, m))
+        # the arm field of a pull draw is 0, and h ^ 0 == h
+        _cell_hashes(ws, plan.pull_prefix, t0 + r0, h, mix)
+        ws.search(_mix64_np(h, mix), arm)
+        slot[:, r0:r1] = arm
+        arms_flat.take(arm, out=arm, mode="wrap")
+        # the (t, ell) env prefix, shared by the pulled arm and the targets
+        _cell_hashes(ws, plan.env_prefix, t0 + r0, h, mix)
         out = observed[:, r0:r1]
-        t = ws.rounds[:m]
-        np.add(ws.ramp[:m], np.uint64(t0 + r0), out=t)
-        t ^= env
-        _mix64_np(t, scratch[:m])
-        np.bitwise_xor(ws.agents, t, out=h)
-        _mix64_np(h, out.view(np.uint64))
         # each draw below: hashes, their uniforms in another array (over
         # the hashes numpy would copy them), then the rewards
         if not live:
             h ^= arm.view(np.uint64)
-            u = _unit(_mix64_np(h, out.view(np.uint64)), out)
+            u = _unit(_mix64_np(h, mix), out)
             reward_array(model, means, arm, u, table, out=out, diff=ws.diff,
                          scratch=(ints, ws.prefix.view(np.float64)))
             clean = out
@@ -616,7 +607,6 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
         n = t1 - t0 + 1
         slot = _carve(ws.slot, (L, n))
         observed = _carve(ws.observed, (L, n))
-        _pull_slots(plan, ws, t0, slot, observed)
         attack = adv_active and len(targets) > 0
         contrib = _carve(ws.attack[0], (n, L)) if attack else None
         spent, gate_open = _draw_group(
@@ -627,27 +617,25 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
         ends = (cuts[s0:s1] - (t0 - 1)).tolist()
         bounds = list(zip([0] + ends[:-1], ends))  # segments' group rows
         pull_counts += np.bincount(slot.reshape(-1), minlength=L * kmax)
-        # one 1-D sum per agent and segment: summing the grid along an
-        # axis rounds differently (np.add.reduce is ndarray.sum without
-        # its Python wrapper)
-        pulled = np.empty((s1 - s0, L))
-        means = ws.rounds[:n].view(np.float64)
-        for ell in range(L):
-            slot_means.take(slot[ell], out=means, mode="wrap")
-            pulled[:, ell] = [np.add.reduce(means[a:b]) for a, b in bounds]
-        lengths = np.array([b - a for a, b in bounds])
-        regret[s0:s1] = plan.best_means * lengths[:, None] - pulled
-
         # one bin per segment and slot: a slot is one agent's, so its bin
         # adds the segment's rewards in round order
         for s, (a, b) in enumerate(bounds[1:], start=1):
             slot[:, a:b] += s * L * kmax
         sums = np.bincount(slot.reshape(-1), observed.reshape(-1),
                            (s1 - s0) * L * kmax).reshape(s1 - s0, -1)
+        # the rewards are summed, so their array takes each cell's pulled
+        # mean (wrap drops the bins' offsets), and the spent slots' takes
+        # the charges' running sums: in round order at every L, as the
+        # loop kernel adds them
+        means = slot_means.take(slot, out=observed, mode="wrap")
+        charged = _carve(ws.slot.view(np.float64), (n, L))
         for s, (a, b) in enumerate(bounds, start=s0):
             reward_sums += sums[s - s0]
+            regret[s] = (plan.best_means * (b - a)
+                         - np.add.reduce(means[:, a:b], axis=1))
             if attack:
-                corruption[s] = contrib[a:b].sum(axis=0)
+                corruption[s] = np.cumsum(contrib[a:b], axis=0,
+                                          out=charged[a:b])[-1]
         s0, t0 = s1, t1 + 1
 
     return SegmentResult(

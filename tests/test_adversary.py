@@ -233,9 +233,14 @@ class TestEditContract:
         ([[0, 1], [1, -1], [2, -1]], 0.5, r"\(2, 2\) arrays"),
         ([[0.0, -1.0], [-1.0, -1.0]], 0.5, "arrays of integers"),
         ([[0, -1], [-1, -1]], np.nan, "finite floats"),
+        # pushes that are no real numbers: isfinite raises a TypeError on
+        # the first two, and the kernels cannot add the third
+        ([[0, -1], [-1, -1]], "0.5", "finite floats"),
+        ([[0, -1], [-1, -1]], None, "finite floats"),
+        ([[0, -1], [-1, -1]], 0.5 + 0j, "finite floats"),
         (None, None, r"must return a \(targets, pushes\) pair"),
     ], ids=["arm-outside-set", "one-arm-twice", "wrong-shape", "float-arms",
-            "nan-push", "none"])
+            "nan-push", "string-push", "none-push", "complex-push", "none"])
     def test_broken_edits_raise_before_any_kernel_call(self, inst, targets,
                                                        push, msg):
         class Broken(Adversary):

@@ -126,7 +126,9 @@ def _oracle_segment(plan):
         regret[:, ell] = [plan.best_means[ell] * (b - a)
                           - plan.means[pulled_arm[a:b, ell]].sum()
                           for a, b in bounds]
-    corruption = np.array([charges[a:b].sum(axis=0) for a, b in bounds])
+    # each agent's charges in round order, as the loop kernel adds them
+    corruption = np.array([np.cumsum(charges[a:b], axis=0)[-1]
+                           for a, b in bounds])
 
     return Traced(
         reward_sums=reward_sums, pull_counts=pull_counts, regret=regret,
@@ -252,10 +254,13 @@ def test_budget_crossed_inside_ragged_blocks(L, beta):
     assert not np.array_equal(old.observed, old.clean)
 
 
-def test_rounds_beyond_block_and_default_block():
+@pytest.mark.parametrize("L", [1, 4, 64])
+def test_rounds_beyond_block_and_default_block(L):
+    """Groups of several blocks at the kernel's own caps: each block draws
+    its pulls, and each segment's rows are reduced whole."""
     rng = np.random.default_rng(7)
-    plan = make_plan(rng, 4, 1, 3 * kernels._BLOCK_CELLS // 4 + 5, True,
-                     spent=0.0, budget_frac=0.4)
+    plan = make_plan(rng, L, 1, 3 * kernels._BLOCK_CELLS // L + 5, True,
+                     spent=0.0, budget_frac=0.4, num_cuts=3)
     assert_same(plan)
 
 
@@ -573,15 +578,13 @@ def test_numpy_kernel_peak_memory_per_cell(layout):
     assert peak / plan.arms.shape[0] / plan.t_end <= 42
 
 
-@pytest.mark.parametrize("L", [2, 3, 5])
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
 @pytest.mark.parametrize("seed", range(12))
 def test_corruption_rows_match_the_loop_kernel(L, seed):
-    """With two agents or more, the numpy kernel's per-segment charges,
-    ``contrib[a:b].sum(axis=0)`` over round-major (rounds, L) rows, add
-    each agent's column in round order from 0.0, as the loop kernel's
-    running sums do, so the rows agree bit for bit.  With one agent numpy
-    sums the (rounds, 1) column pairwise instead, and the last bits may
-    differ, so L = 1 is left out."""
+    """The numpy kernel's per-segment charges, the last row of a
+    ``cumsum`` over round-major (rounds, L) rows, add each agent's column
+    in round order, as the loop kernel's running sums do, so the rows
+    agree bit for bit at every L, a single agent's included."""
     rng = np.random.default_rng(seed)
     plan = make_plan(rng, L, 1 + seed, 120, True, spent=0.7,
                      budget_frac=0.8, num_cuts=4)

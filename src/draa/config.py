@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -45,9 +46,29 @@ from .model import BanditInstance, build_instance
 
 SCHEMA_VERSION = 1
 
-#: libyaml's parser when PyYAML was built with it; both loaders share the
-#: pure-Python resolver and constructor, so they build equal dicts
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_INT_TAG = "tag:yaml.org,2002:int"
+_DECIMAL = re.compile("0|[1-9][0-9]*")
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser when PyYAML was built with it; both parsers share
+    the pure-Python resolver and constructor, so they build equal dicts.
+    A plain decimal integer in a sequence (most of ``arm_sets``) is built
+    directly; every other node goes through the constructor."""
+
+
+def _construct_sequence(loader, node):
+    items = []
+    yield items  # first, as SafeConstructor does: an item may alias it
+    items.extend(
+        int(child.value)
+        if child.tag == _INT_TAG and type(child.value) is str
+        and _DECIMAL.fullmatch(child.value)
+        else loader.construct_object(child) for child in node.value)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:seq", _construct_sequence)
+YAML_LOADER = _Loader
 
 _TOP_LEVEL_KEYS = {
     "schema_version", "instance", "adversary", "algorithm", "horizon",

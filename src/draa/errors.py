@@ -19,7 +19,8 @@ def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
     hi) if ``strict``; booleans, strings, non-finite values, fractional
     ints and values out of range raise :class:`ConfigError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        hint = _exponent_hint(value) if isinstance(value, str) else ""
+        raise ConfigError(f"{name} must be a number, got {value!r}{hint}")
     try:
         number = kind(value)
     except (OverflowError, ValueError):  # int(nan), float(10**400)
@@ -36,6 +37,24 @@ def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
     span = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
     raise ConfigError(f"{name} {number} out of range {span}" if kind is int
                       else f"{name} outside {span}, got {number}")
+
+
+def _exponent_hint(text: str) -> str:
+    """How to write ``text`` if it is a finite number with an exponent that
+    YAML 1.1 reads as a string (it needs a dot in the mantissa and a sign
+    in the exponent, as in ``1.0e+4``); else ''."""
+    mantissa, e, exponent = text.lower().partition("e")
+    dot = "" if "." in mantissa else ".0"
+    sign = "" if exponent[:1] in ("+", "-") else "+"
+    try:
+        number = float(text)
+    except ValueError:
+        return ""
+    if not e or not (dot or sign) or not math.isfinite(number):
+        return ""  # no exponent, a quoted YAML float, or too large
+    plain = f"{int(number)} or " if number.is_integer() else ""
+    return (f" (YAML 1.1 reads this as text; "
+            f"write {plain}{mantissa}{dot}e{sign}{exponent})")
 
 
 def checked_as(name: str, value, kind):

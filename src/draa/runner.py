@@ -25,6 +25,8 @@ import shutil
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from itertools import repeat
+from json.encoder import encode_basestring, encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,64 @@ def summarize(result: RunResult, config: ExperimentConfig) -> dict:
     }
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+class _IndentedEncoder(json.JSONEncoder):
+    """A ``json.JSONEncoder`` whose indented output is made a list at a
+    time; its bytes are the base class's.
+
+    Before Python 3.13 an indented encode runs json's pure-Python encoder,
+    one generator step per number.  Here a non-empty list or tuple of exact
+    ``int`` and finite ``float`` items is one ``join``, a dict with str keys
+    is one chunk per key, a str, bool, None or number is its own text, and
+    anything else (an empty container, a dict with other keys, a subclass)
+    is the base class's encoding, re-indented to its depth."""
+
+    def iterencode(self, o, _one_shot=False):
+        if self.indent is None:
+            return super().iterencode(o, _one_shot)
+        step = (self.indent if isinstance(self.indent, str)
+                else " " * self.indent)
+        string = (encode_basestring_ascii if self.ensure_ascii
+                  else encode_basestring)
+        base = super().iterencode
+
+        def chunks(o, newline):
+            kind = type(o)
+            inner = newline + step
+            if kind is str:
+                yield string(o)
+            elif o is None or kind is bool:
+                yield _LITERALS[o]
+            elif kind is int or kind is float and isfinite(o):
+                yield repr(o)
+            elif kind is dict and o and all(type(k) is str for k in o):
+                head = "{" + inner
+                for key in sorted(o) if self.sort_keys else o:
+                    yield head + string(key) + self.key_separator
+                    yield from chunks(o[key], inner)
+                    head = self.item_separator + inner
+                yield newline + "}"
+            elif (kind is list or kind is tuple) and o:
+                sep = self.item_separator + inner
+                if {*map(type, o)} <= {int, float}:
+                    text = sep.join(map(repr, o))
+                    if "n" not in text:  # neither nan nor inf
+                        yield "[" + inner + text + newline + "]"
+                        return
+                head = "[" + inner
+                for item in o:
+                    yield head
+                    yield from chunks(item, inner)
+                    head = sep
+                yield newline + "]"
+            else:  # json writes no raw newline inside a string
+                yield "".join(base(o)).replace("\n", newline)
+
+        return chunks(o, "\n")
+
+
 def _worker(config: ExperimentConfig, seed: int, backend: str | None):
     result = execute_run(config, seed, backend=backend)
     return result.checkpoints, summarize(result, config)
@@ -166,7 +226,8 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
                     merged.write(header)
                 shutil.copyfileobj(fh, merged)
             with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
+                json.dump(summary, fh, indent=2, sort_keys=True,
+                          cls=_IndentedEncoder)
             summaries.append(summary)
             if not quiet:
                 print(f"seed {seed}: regret {summary['regret_total']:.2f}, "

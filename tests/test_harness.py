@@ -743,12 +743,68 @@ class TestCli:
     ])
     def test_yaml_loaders_agree(self, tmp_path, monkeypatch, overrides):
         if yaml.__with_libyaml__:
-            assert config_module.YAML_LOADER is yaml.CSafeLoader
+            assert issubclass(config_module.YAML_LOADER, yaml.CSafeLoader)
         path = write_config(tmp_path, **overrides)
         default = load_yaml(path)
         monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
         assert load_yaml(path) == default
         assert default == base_config(output_dir=str(tmp_path), **overrides)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0", 0), ("12", 12), ("007", 7), ("0x1F", 31), ("0b101", 5),
+        ("1_000", 1000), ("+5", 5), ("-3", -3), ("1:30", 90),
+        ('!!int "12"', 12), ("'12'", "12"), ("1.5", 1.5), ("true", True),
+        ("~", None), ("!!str 5", "5"),
+    ])
+    def test_yaml_integer_forms_agree(self, tmp_path, monkeypatch, text,
+                                      expected):
+        # sequence items take the loader's own integer path; a mapping
+        # value does not
+        path = tmp_path / "forms.yaml"
+        path.write_text(f"seq: [{text}, 4]\nnested: [[{text}]]\n"
+                        f"key: {text}\n")
+        default = load_yaml(path)
+        # repr tells 1, 1.0 and True apart
+        assert repr(default) == repr(
+            {"seq": [expected, 4], "nested": [[expected]], "key": expected})
+        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        assert repr(load_yaml(path)) == repr(default)
+
+    def test_yaml_aliased_integers_agree(self, tmp_path, monkeypatch):
+        path = tmp_path / "alias.yaml"
+        path.write_text("a: [&n 5, *n, [*n, &m 0]]\nb: *m\nc: &s [1, 2]\n"
+                        "d: [*s, *s]\n")
+        default = load_yaml(path)
+        assert default == {"a": [5, 5, [5, 0]], "b": 0, "c": [1, 2],
+                           "d": [[1, 2], [1, 2]]}
+        assert default["d"][0] is default["c"]  # an alias is one object
+        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        assert load_yaml(path) == default
+
+    def test_non_scalar_int_tag_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + "bad: [!!int [1]]\n")
+        assert main(["run", str(path)]) == 2
+        assert "could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1.0e4", "1e4"])
+    def test_unsigned_exponent_hint(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, horizon=2000)
+        path.write_text(path.read_text().replace("horizon: 2000",
+                                                 f"horizon: {text}"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (f"horizon must be a number, got '{text}' (YAML 1.1 reads "
+                f"this as text; write 10000 or 1.0e+4)") in err
+        assert not (tmp_path / "unit").exists()
+
+    def test_signed_exponent_runs(self, tmp_path):
+        path = write_config(tmp_path, horizon=2000)
+        path.write_text(path.read_text().replace("horizon: 2000",
+                                                 "horizon: 1.0e+4"))
+        assert main(["run", str(path), "--backend", "numpy"]) == 0
+        with open(tmp_path / "unit" / "seed_7_summary.json") as fh:
+            assert json.load(fh)["horizon"] == 10000
 
     @pytest.mark.parametrize("command,flag", [
         ("run", False), ("run", True), ("verify", True)])
@@ -1009,7 +1065,7 @@ def _pin_config(**overrides):
     return data
 
 
-#: sha256 of every file ``draa run --backend numpy`` writes for three
+#: sha256 of every file ``draa run --backend numpy`` writes for four
 #: configs, per seed and merged; the summaries embed the config, so its
 #: ``output_dir`` stays fixed and ``DRAA_OUTPUT_DIR`` redirects the files.
 #: The Beta case's inverse-CDF table comes from scipy, so a scipy whose
@@ -1055,7 +1111,66 @@ _PINNED_OUTPUTS = [
         "checkpoints.csv":
             "90e0446740362a235b3385088325d6b4d284de53b6d6f11d6b15ea5532a24b11",
     }, id="checkpoint-every-round"),
+    # K=64, L=16, 16 arms each: the summary is mostly long per-agent lists
+    pytest.param(_pin_config(horizon=6000, num_checkpoints=8, instance={
+        "num_arms": 64, "num_agents": 16,
+        "arm_sets": [[(4 * ell + j) % 64 for j in range(16)]
+                     for ell in range(16)],
+        "means": [0.05 + 0.9 * k / 63 for k in range(64)]}), {
+        "seed_3_checkpoints.csv":
+            "05ef7d99f81eabccac7c81ab20efb8bf17e3974ff5a03353b09998626ddd6a16",
+        "seed_3_summary.json":
+            "2c68f679c5eccf3393a0475dda22f07e3047dbf317074fb7d614a19973f0730a",
+        "seed_11_checkpoints.csv":
+            "7dfb1a0e92d3ffdf887efff418684fa5f8fd812c1fc53ad46873eacd307df5a9",
+        "seed_11_summary.json":
+            "4867a7c75b449e8ff0c5bc0714ae440175be7332e27072c49661e6b0a2eaaa9d",
+        "checkpoints.csv":
+            "578ca69f26936d475c81ccd4f1b7d4ce1bf948943fc1f4e9a922ed9f839e6eb7",
+    }, id="wide-16-agents"),
 ]
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, np.float64(-0.0),
+     np.float64(math.nan)])
+_NUMBERS = st.one_of(st.integers(), st.floats(), _SPECIAL_FLOATS)
+_LEAVES = st.one_of(st.none(), st.booleans(), _NUMBERS,
+                    st.floats().map(np.float64), st.text(max_size=8))
+#: number lists, now and then with a bool, None or np.float64 among them
+_NUMBER_LISTS = st.lists(
+    st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _LEAVES), min_size=1)
+
+
+def _json_trees(depth: int):
+    """JSON-like values nested at most ``depth`` containers deep."""
+    if depth == 0:
+        return st.one_of(_LEAVES, _NUMBER_LISTS)
+    inner = _json_trees(depth - 1)
+    return st.one_of(
+        _LEAVES, _NUMBER_LISTS,
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.dictionaries(st.integers(), inner, max_size=2))
+
+
+@settings(deadline=None)
+@given(value=_json_trees(4),
+       options=st.fixed_dictionaries({
+           "indent": st.sampled_from([2, 2, 0, "\t"]),
+           "sort_keys": st.booleans(),
+           "ensure_ascii": st.booleans()}))
+@example(value={"a": [0.0, -0.0, math.nan, 1, True, None],
+                "b": [np.float64(2.5), 3.0], "c": [], "d": {}, "é": ("x",),
+                "e": {1: [1.5]}}, options={"indent": 2, "sort_keys": True,
+                                           "ensure_ascii": True})
+def test_summary_writer_matches_json(value, options):
+    """The summary encoder writes what json's own indented encoder writes,
+    for trees up to 5 containers deep."""
+    out = io.StringIO()
+    json.dump(value, out, cls=runner._IndentedEncoder, **options)
+    assert out.getvalue() == json.dumps(value, **options)
 
 
 @pytest.mark.parametrize("data,digests", _PINNED_OUTPUTS)

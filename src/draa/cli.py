@@ -4,8 +4,8 @@ Subcommands:
 
 * ``draa run <config.yaml>``: execute all seeds, write CSV + JSON.
 * ``draa sweep <sweep.yaml>``: run a one- or two-axis sweep.
-* ``draa verify <config.yaml>``: oracle cross-checks (determinism,
-  the pooled estimator's expectation, pull-count expectations).
+* ``draa verify <config.yaml>``: replay the first seed's run and test its
+  pull counts (:mod:`draa.oracle`); a table, then one line of JSON.
 * ``draa show <summary.json>``: pretty-print a stored run summary.
 
 Exit codes: 0 success, 2 invalid or unreadable configuration, 3
@@ -20,15 +20,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .agents import pool_estimates
-from .comm import freeze_broadcast
 from .config import load_config, load_sweep
 from .errors import ConfigError, InvariantError, checked, checked_as
 from .kernels import BACKENDS, default_backend
-from .model import build_instance
-from .oracle import compare, exhaustive_estimator_mean, replay_check
+from .oracle import pull_count_reports, replay_check
 from .runner import execute_run, run_experiment, run_sweep
 
 
@@ -45,34 +40,10 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_reports(config, backend):
-    reports = []
-    # determinism: run the first seed as `draa run` does, replay it, diff
-    reference = execute_run(config, config.seeds[0], backend, trace=True)
-    reports.append(replay_check(config, reference, backend=backend))
-
-    # estimator expectation on an enumerable fixture (shared arm, 2 agents):
-    # the estimator is linear in the reward sums, so pool their means T*p*mu
-    fixture = build_instance({"num_arms": 2, "num_agents": 2,
-                              "arm_sets": [[0, 1], [0, 1]],
-                              "means": [0.5, 0.25]})
-    probs = [np.array([0.5, 0.5]), np.array([0.75, 0.25])]
-    expected = [freeze_broadcast(ell, 1, [0, 1], 2 * p * fixture.means, p)
-                for ell, p in enumerate(probs)]
-    reports.append(compare(
-        "weighted estimator expectation",
-        exhaustive_estimator_mean(fixture, probs, 2, 0),
-        pool_estimates(expected, 2, 2, "weighted")[0], 1e-12))
-
-    # expected pulls versus realized counts in epoch 1 of the reference run
-    epoch1 = reference.epochs[0]
-    worst = 0.0
-    for ell, counts in enumerate(epoch1.pull_counts):
-        expect = epoch1.probs[ell] * epoch1.length
-        sigma = np.sqrt(np.maximum(expect * (1.0 - epoch1.probs[ell]), 1.0))
-        worst = max(worst, float(np.max(np.abs(counts - expect) / sigma)))
-    reports.append(compare("epoch-1 pull counts (worst z-score)", 0.0, worst,
-                           5.0, samples=int(epoch1.length)))
-    return reports
+    # the first seed, run as `draa run` runs it
+    reference = execute_run(config, config.seeds[0], backend)
+    return [replay_check(config, reference, backend=backend),
+            *pull_count_reports(reference, config.instance.arm_sets)]
 
 
 def cmd_verify(args) -> int:
@@ -81,14 +52,12 @@ def cmd_verify(args) -> int:
     header = f"{'quantity':<40} {'oracle':>12} {'engine':>12} {'abs dev':>10}  status"
     print(header)
     print("-" * len(header))
-    ok = True
     for r in reports:
         status = "ok" if r.matches else f"FAIL ({r.note})"
-        ok = ok and r.matches
         print(f"{r.quantity:<40} {r.oracle_value:>12.6g} "
               f"{r.engine_value:>12.6g} {r.abs_deviation:>10.3g}  {status}")
-    print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
-    return 0 if ok else 1
+    print(json.dumps([dataclasses.asdict(r) for r in reports]))
+    return 0 if all(r.matches for r in reports) else 1
 
 
 def cmd_show(args) -> int:

@@ -1,12 +1,15 @@
 """Shared helpers: run a plan, or a few rounds of an instance, through both
-kernels."""
+kernels; and the exact expectation of the weighted estimator, by
+enumeration."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from draa.errors import ConfigError
 from draa.kernels import BACKENDS, SegmentPlan, SegmentResult, run_segment
-from draa.model import REWARD_MODELS
+from draa.model import REWARD_MODELS, BanditInstance
 from draa.rng import ENV_STREAM, PULL_STREAM, stream_prefix
 
 
@@ -144,3 +147,63 @@ def run_rounds(inst, probs, edits=None, budget=0.0, spent=0.0, active=True,
 @pytest.fixture
 def rounds():
     return run_rounds
+
+
+#: refuse enumerations beyond this many (pulls x rewards) atoms
+_MAX_ATOMS = 2_000_000
+
+
+def exhaustive_estimator_mean(instance: BanditInstance, probabilities,
+                              epoch_len: int, arm: int) -> float:
+    """Exact E[weighted estimate of one arm] by brute-force enumeration.
+
+    ``probabilities`` is one vector per agent over that agent's local
+    arms.  Every joint pull assignment over (agents x rounds) slots and
+    every Bernoulli outcome of the pulled entries is enumerated and
+    weighted by its probability.  Bernoulli rewards only.
+    """
+    if instance.reward_model != "bernoulli":
+        raise ConfigError("exhaustive oracle supports Bernoulli rewards only")
+    L = instance.num_agents
+    probs = [np.asarray(p, dtype=np.float64) for p in probabilities]
+    holders = [ell for ell in range(L) if arm in instance.arm_sets[ell]]
+    if not holders:
+        raise ConfigError(f"arm {arm} is not held by any agent")
+    n_slots = L * epoch_len
+    n_pull_atoms = 1
+    for ell in range(L):
+        n_pull_atoms *= len(instance.arm_sets[ell]) ** epoch_len
+    if n_pull_atoms * (2 ** n_slots) > _MAX_ATOMS:
+        raise ConfigError("enumeration state space too large")
+
+    slot_agents = [ell for ell in range(L) for _ in range(epoch_len)]
+    choice_lists = [list(range(len(instance.arm_sets[ell])))
+                    for ell in slot_agents]
+
+    total = 0.0
+    for assignment in itertools.product(*choice_lists):
+        p_pulls = 1.0
+        pulled_arms = []
+        for slot, local_idx in enumerate(assignment):
+            ell = slot_agents[slot]
+            p_pulls *= probs[ell][local_idx]
+            pulled_arms.append(instance.arm_sets[ell][local_idx])
+        for outcome in itertools.product((0.0, 1.0), repeat=n_slots):
+            p_rewards = 1.0
+            sums = {ell: 0.0 for ell in holders}
+            for slot, r in enumerate(outcome):
+                mu = instance.means[pulled_arms[slot]]
+                p_rewards *= mu if r == 1.0 else (1.0 - mu)
+                if p_rewards == 0.0:
+                    break
+                ell = slot_agents[slot]
+                if ell in sums and pulled_arms[slot] == arm:
+                    sums[ell] += r
+            if p_rewards == 0.0:
+                continue
+            est = sum(
+                sums[ell] / probs[ell][instance.arm_sets[ell].index(arm)]
+                for ell in holders
+            ) / (len(holders) * epoch_len)
+            total += p_pulls * p_rewards * est
+    return total

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import draa
 from draa import cli
 from draa import config as config_module
-from draa import kernels, runner
+from draa import engine, kernels, runner
 from draa.agents import build_schedule
 from draa.cli import main
 from draa.config import (load_config, load_yaml, validate_config,
@@ -979,16 +980,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert "replay" in out and "ok" in out
 
-    def test_verify_checks_the_pooled_estimator(self, tmp_path, monkeypatch,
-                                                capsys):
-        real = cli.pool_estimates
-        monkeypatch.setattr(cli, "pool_estimates",
-                            lambda *args: real(*args) + 1e-3)
-        path = write_config(tmp_path, horizon=1500)
+    def test_verify_prints_its_json_report_last(self, tmp_path, capsys):
+        path = write_config(tmp_path, horizon=20_000)
+        assert main(["verify", str(path), "--backend", "numpy"]) == 0
+        *table, last = capsys.readouterr().out.splitlines()
+        rows = json.loads(last)
+        assert [row["quantity"] for row in rows] == [
+            line.split("  ")[0].rstrip() for line in table[2:]]
+        config = load_config(path)
+        epochs = build_schedule(config.instance, config.horizon, config.delta,
+                                config.lam_scale).num_epochs
+        assert [row["quantity"].split(" pulls (agent ")[0]
+                for row in rows[1:]] == [
+            f"epoch {m}" for m in range(1, epochs + 1)]
+        assert all(row["note"] == "" for row in rows)
+
+    def test_verify_fails_on_a_cdf_error_both_kernels_share(
+            self, tmp_path, monkeypatch, capsys):
+        real = engine._epoch_start
+
+        def shifted(*args):
+            brackets, gap_range, cdf = real(*args)
+            return brackets, gap_range, cdf * 1.01
+
+        monkeypatch.setattr(engine, "_epoch_start", shifted)
+        path = write_config(tmp_path, horizon=100_000)
         assert main(["verify", str(path), "--backend", "numpy"]) == 1
-        row = next(line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("weighted estimator expectation"))
-        assert "FAIL" in row
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if "FAIL" in line]
+        assert failing
+        assert all(re.match(r"epoch \d+ pulls \(agent \d+, arm \d+\) ", line)
+                   for line in failing)
+
+    def test_verify_requests_no_trace(self, monkeypatch):
+        traces = []
+        real = runner.run_single
+
+        def run_single(*args, trace=False, **kwargs):
+            traces.append(trace)
+            return real(*args, trace=trace, **kwargs)
+
+        monkeypatch.setattr(runner, "run_single", run_single)
+        config = validate_config(base_config())
+        assert all(r.matches for r in cli._verify_reports(config, "numpy"))
+        assert traces == [False, False]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = str(Path(draa.__file__).resolve().parents[1])
+        code = "import sys, draa.cli; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_verify_into_closed_pipe(self, tmp_path, unbuffered):

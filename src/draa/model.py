@@ -4,8 +4,8 @@ Arms and agents are 0-indexed throughout.  Rewards are bounded in [0, 1]
 and drawn i.i.d. per (round, agent, arm) from either a Bernoulli law or
 a Beta law with the requested mean, via the counter-based environment
 stream, so sampling is stateless given (seed, t).  A Beta arm's rewards
-come from a table of its inverse CDF, the regularized incomplete-beta
-inverse ``scipy.special.betaincinv``.
+come from a table of its inverse CDF (:mod:`draa.beta_tables`), which a
+process loads from the user's cache or builds with scipy.
 """
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ import numpy as np
 from .errors import ConfigError, checked, checked_as, checked_keys
 
 REWARD_MODELS = ("bernoulli", "beta")
-
-#: resolution of the precomputed Beta inverse-CDF tables
-_BETA_TABLE_SIZE = 4097
 
 #: means closer than this are considered tied when picking local best arms
 _TIE_EPS = 1e-12
@@ -54,18 +51,15 @@ class BanditInstance:
     _beta_table: np.ndarray = field(default=None, repr=False)
 
     def beta_table(self) -> np.ndarray:
-        """Per-arm inverse-CDF lookup tables, built lazily (Beta model only)."""
+        """Per-arm inverse-CDF lookup tables, made once per instance (Beta
+        model only): loaded from the user's cache when a valid file is
+        there, else built with scipy and stored there
+        (:func:`draa.beta_tables.beta_table`)."""
         if self._beta_table is None:
-            from scipy.special import betaincinv
+            # imported here: a Bernoulli run neither loads nor compiles it
+            from .beta_tables import beta_table
 
-            nu = self.beta_concentration
-            grid = np.linspace(0.0, 1.0, _BETA_TABLE_SIZE)
-            table = np.empty((self.num_arms, _BETA_TABLE_SIZE))
-            for k, mu in enumerate(self.means):
-                if mu <= 0.0 or mu >= 1.0:
-                    table[k] = mu  # degenerate: constant reward
-                else:
-                    table[k] = betaincinv(mu * nu, (1.0 - mu) * nu, grid)
+            table = beta_table(self.means, self.beta_concentration)
             table.flags.writeable = False
             object.__setattr__(self, "_beta_table", table)
         return self._beta_table

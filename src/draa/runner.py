@@ -10,11 +10,12 @@ Artifacts per experiment land in ``<output_dir>/<name>/``:
   file's rows in seed order; writing holds the arrays, not their text.
 
 Configs arrive validated (:mod:`draa.config`); every seed runs from that
-one :class:`ExperimentConfig`, so one process builds one Beta table.
+one :class:`ExperimentConfig`, so one process loads or builds one Beta table.
 
 Environment overrides: ``DRAA_OUTPUT_DIR`` replaces the config's output
 directory; ``DRAA_JOBS`` sets the number of worker processes (default
-1, sequential), capped at the number of seeds and at the CPU count.
+1, sequential), capped at the number of seeds and at the number of CPUs
+the process may run on.
 """
 from __future__ import annotations
 
@@ -48,6 +49,14 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 def resolve_jobs() -> int:
     raw = os.environ.get("DRAA_JOBS", "1")
     return checked("DRAA_JOBS", int(raw) if raw.isdecimal() else raw, int, 1)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def evenly_spaced_checkpoints(horizon: int, count: int) -> list[int]:
@@ -200,7 +209,7 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
     """Run every seed, in seed order, then persist the artifacts and
     return the summaries; a seed that fails leaves no file behind."""
     backend = default_backend(backend)
-    jobs = min(resolve_jobs(), len(config.seeds), os.cpu_count() or 1)
+    jobs = min(resolve_jobs(), len(config.seeds), usable_cpus())
     out_dir = resolve_output_dir(config)
     check_output_dir(out_dir)
     with ExitStack() as stack:

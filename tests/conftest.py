@@ -1,6 +1,6 @@
 """Shared helpers: run a plan, or a few rounds of an instance, through both
 kernels; and the exact expectation of the weighted estimator, by
-enumeration."""
+enumeration.  Every test gets an empty Beta table cache of its own."""
 import dataclasses
 import itertools
 
@@ -11,6 +11,16 @@ from draa.errors import ConfigError
 from draa.kernels import BACKENDS, SegmentPlan, SegmentResult, run_segment
 from draa.model import REWARD_MODELS, BanditInstance
 from draa.rng import ENV_STREAM, PULL_STREAM, stream_prefix
+
+
+@pytest.fixture(autouse=True)
+def cold_beta_cache(tmp_path_factory, monkeypatch):
+    """Point the Beta table cache (``$XDG_CACHE_HOME/draa``) at a fresh
+    directory, so that no test reads or writes the user's cache and each
+    one starts cold.  Subprocesses inherit it."""
+    cache = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
 
 
 @dataclasses.dataclass

@@ -454,6 +454,17 @@ def test_checkpoint_spacing():
     assert cps_small == [1, 2, 3, 4, 5]
 
 
+def set_cpus(monkeypatch, affinity, count=64):
+    """Let the process run on ``affinity`` CPUs of a machine with ``count``;
+    ``affinity`` None stands for a platform with no affinity mask."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
+
+
 @pytest.fixture
 def built_pools(monkeypatch):
     """The ``max_workers`` of each process pool ``run_experiment`` builds;
@@ -528,7 +539,7 @@ class TestRunPersistence:
                                                   ([5], [])])
     def test_jobs_capped_at_seed_count(self, tmp_path, monkeypatch,
                                        built_pools, seeds, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        set_cpus(monkeypatch, 64)
         monkeypatch.setenv("DRAA_JOBS", "64")
         config = validate_config(base_config(output_dir=str(tmp_path),
                                              seeds=seeds))
@@ -539,7 +550,22 @@ class TestRunPersistence:
     @pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
     def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch,
                                       built_pools, cpus, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        """Without an affinity mask, the cap is ``os.cpu_count()``, and 1
+        when that is unknown."""
+        set_cpus(monkeypatch, None, cpus)
+        monkeypatch.setenv("DRAA_JOBS", "64")
+        config = validate_config(base_config(output_dir=str(tmp_path),
+                                             seeds=[3, 1, 2]))
+        summaries = run_experiment(config, backend="numpy", quiet=True)
+        assert built_pools == pool_sizes
+        assert [s["seed"] for s in summaries] == [3, 1, 2]
+
+    @pytest.mark.parametrize("affinity,pool_sizes", [(2, [2]), (1, [])])
+    def test_jobs_capped_at_affinity(self, tmp_path, monkeypatch,
+                                     built_pools, affinity, pool_sizes):
+        """The cap is the number of CPUs the process may run on, not the
+        number the machine has."""
+        set_cpus(monkeypatch, affinity, 64)
         monkeypatch.setenv("DRAA_JOBS", "64")
         config = validate_config(base_config(output_dir=str(tmp_path),
                                              seeds=[3, 1, 2]))
@@ -563,7 +589,8 @@ class TestRunPersistence:
         """A Bernoulli numpy-kernel run under attack does not import
         ``numpy.ma``, which some numpy set routines import on first use
         (``np.union1d`` does) and which adds about 1.6 MiB to a run's peak
-        RSS.  (A Beta run imports it with scipy.)"""
+        RSS.  (A Beta run imports it with scipy.)  Nor does it import
+        the Beta table module or the ``hashlib`` of its cache key."""
         path = write_config(
             tmp_path,
             adversary={"kind": "gap_flip", "magnitude": 0.5, "budget": 50.0})
@@ -571,18 +598,19 @@ class TestRunPersistence:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from draa.cli import main; "
              f"main(['run', {str(path)!r}, '--backend', 'numpy']); "
-             "print('numpy.ma' in sys.modules)"],
+             "print([m for m in ('numpy.ma', 'hashlib', 'draa.beta_tables')"
+             " if m in sys.modules])"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_merged_csv_is_the_seed_files_in_config_order(self, tmp_path,
                                                           monkeypatch):
         """``checkpoints.csv`` is the first seed file's header, then each
         seed file's rows in config order, whatever the job count; two
         jobs send every seed's checkpoints back through a pickle."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         merged = []
         for jobs in ("1", "2"):
             monkeypatch.setenv("DRAA_JOBS", jobs)
@@ -639,6 +667,26 @@ class TestRunPersistence:
         run_experiment(config, backend="numpy", quiet=True)
         # one table holds one inverse-CDF evaluation per arm
         assert len(calls) == config.instance.num_arms
+
+    def test_two_jobs_share_a_cold_beta_cache(self, tmp_path, monkeypatch,
+                                              cold_beta_cache):
+        """Two workers that both miss the cache leave one whole table file
+        and write what one job writes."""
+        set_cpus(monkeypatch, 2)
+        written = {}
+        for jobs in ("2", "1"):
+            monkeypatch.setenv("DRAA_JOBS", jobs)
+            config = validate_config(base_config(
+                output_dir=str(tmp_path), seeds=[1, 2],
+                instance=instance(reward_model="beta")))
+            run_experiment(config, backend="numpy", quiet=True)
+            out = tmp_path / "unit"
+            written[jobs] = {f.name: f.read_bytes() for f in out.iterdir()}
+            [table] = (cold_beta_cache / "draa").iterdir()
+            assert table.name.startswith("beta-") and table.suffix == ".npy"
+            loaded = np.load(table, allow_pickle=False)
+            assert loaded.shape == (3, 4097) and loaded.dtype == np.float64
+        assert written["1"] == written["2"]
 
     def test_bad_jobs_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DRAA_JOBS", "many")
@@ -1233,3 +1281,58 @@ def test_run_output_bytes_pinned(tmp_path, monkeypatch, data, digests):
         # the gate closed short of the budget, with epochs left to run
         assert 0 < corruption["C"] < data["adversary"]["budget"]
         assert corruption["C_per_epoch"][-1] == 0.0
+
+
+def test_pinned_beta_outputs_cold_and_warm(tmp_path, monkeypatch,
+                                           cold_beta_cache):
+    """The pinned Beta run writes its recorded bytes both when it builds
+    its table and when it loads the table from the cache."""
+    [(data, digests)] = [case.values for case in _PINNED_OUTPUTS
+                         if case.id == "beta-gap-flip-13-checkpoints"]
+    for run in ("cold", "warm"):
+        (tmp_path / run).mkdir()
+        test_run_output_bytes_pinned(tmp_path / run, monkeypatch, data,
+                                     digests)
+        assert len(list((cold_beta_cache / "draa").iterdir())) == 1
+
+
+def _blocked_by_a_file(cache):
+    cache.write_text("")
+
+
+def _read_only(cache):
+    # a process with root's rights writes here anyway; the model tests
+    # make the write itself fail
+    (cache / "draa").mkdir(parents=True)
+    (cache / "draa").chmod(0o500)
+
+
+def _draa_is_a_file(cache):
+    cache.mkdir()
+    (cache / "draa").write_text("")
+
+
+@pytest.mark.parametrize("block", [_blocked_by_a_file, _read_only,
+                                   _draa_is_a_file],
+                         ids=["cache-is-a-file", "read-only",
+                              "draa-is-a-file"])
+def test_unusable_beta_cache_changes_no_output(tmp_path, monkeypatch, block):
+    """A cache location that cannot be read or written still gives exit 0
+    and the bytes a usable cache gives."""
+    path = write_config(tmp_path, instance=instance(reward_model="beta"),
+                        seeds=[1, 2])
+    written = {}
+    for run in ("usable", "unusable"):
+        cache = tmp_path / f"{run}-cache"
+        if run == "unusable":
+            block(cache)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setenv("DRAA_OUTPUT_DIR", str(tmp_path / run))
+        try:
+            assert main(["run", str(path), "--backend", "numpy"]) == 0
+        finally:
+            if (cache / "draa").is_dir():
+                (cache / "draa").chmod(0o700)
+        out = tmp_path / run / "unit"
+        written[run] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert written["unusable"] == written["usable"]

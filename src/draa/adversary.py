@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, checked
+from .errors import ConfigError, InvariantError, checked, checked_as
 from .model import BanditInstance
 
 
@@ -118,7 +118,8 @@ class BudgetedTargetedAdversary(Adversary):
         self.target_arm = checked("adversary target_arm", target_arm, int)
         self.magnitude = checked("adversary magnitude", magnitude, float, 0)
         self.agents = None if agents is None else tuple(
-            checked("adversary agent", a, int) for a in agents)
+            checked("adversary agent", a, int)
+            for a in checked_as("adversary agents", agents, list))
 
     def check(self, instance):
         checked("adversary target_arm", self.target_arm, int, 0,

@@ -248,9 +248,9 @@ def update_gaps(r_max: float, estimates: np.ndarray) -> np.ndarray:
 
 
 def make_broadcast(state: AgentState) -> EpochBroadcast:
-    """Freeze this epoch's accumulators and metadata for posting."""
-    return freeze_broadcast(state.ell, state.epoch, state.arms,
-                            state.reward_sums, state.probs)
+    """Freeze this epoch's arms, reward sums and probabilities for
+    posting."""
+    return freeze_broadcast(state.arms, state.reward_sums, state.probs)
 
 
 def advance_epoch(state: AgentState, broadcasts: list[EpochBroadcast],

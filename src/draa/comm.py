@@ -2,10 +2,11 @@
 
 The network is ideal (instantaneous, lossless, fully connected): a post
 is immediately visible to every agent.  The cost metric counts messages,
-one per broadcast.  Every agent broadcasts once at the end of each
-epoch, so the log keeps only the (epoch, sender) pairs that enforce
-that rule, and a count read before an epoch's posts (or after a run's
-last post) is L times the number of completed epochs.
+one per broadcast, so the log is a count of posts.  Every agent
+broadcasts once at the end of each epoch, so a count read before an
+epoch's posts (or after a run's last post) is L times the number of
+completed epochs; the tests and the benchmark's output check hold every
+run to that figure.
 """
 from __future__ import annotations
 
@@ -13,51 +14,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateBroadcastError
-
 
 @dataclass(frozen=True)
 class EpochBroadcast:
     """One agent's end-of-epoch message (value-copied on post).
 
     Carries the reward sums and probabilities over exactly the sender's
-    local arms, which is what the estimators read.
+    local arms, which is all the estimators read.
     """
 
-    sender: int
-    epoch: int
     arms: np.ndarray  # int64
     reward_sums: np.ndarray
     probs: np.ndarray
 
 
-def freeze_broadcast(sender: int, epoch: int, arms, reward_sums,
-                     probs) -> EpochBroadcast:
+def freeze_broadcast(arms, reward_sums, probs) -> EpochBroadcast:
     """Snapshot mutable agent state into an immutable broadcast."""
     k = np.array(arms, dtype=np.int64)
     r = np.array(reward_sums, dtype=np.float64)
     p = np.array(probs, dtype=np.float64)
     for a in (k, r, p):
         a.flags.writeable = False
-    return EpochBroadcast(sender=sender, epoch=epoch, arms=k, reward_sums=r,
-                          probs=p)
+    return EpochBroadcast(arms=k, reward_sums=r, probs=p)
 
 
 class MessageLog:
-    """Broadcast log with a once-per-epoch rule per sender."""
+    """Broadcast log: the number of messages posted."""
 
     def __init__(self):
-        self._posted: set[tuple[int, int]] = set()  # (epoch, sender)
+        self._count = 0
 
     def post(self, broadcast: EpochBroadcast) -> None:
-        key = (broadcast.epoch, broadcast.sender)
-        if key in self._posted:
-            raise DuplicateBroadcastError(
-                f"agent {broadcast.sender} already posted in epoch {broadcast.epoch}"
-            )
-        self._posted.add(key)
+        self._count += 1
 
 
 def comm_cost(log: MessageLog) -> int:
     """Messages posted so far, one per broadcast."""
-    return len(log._posted)
+    return log._count

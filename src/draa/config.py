@@ -129,7 +129,8 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     algo = checked_as("'algorithm'", data.get("algorithm") or {}, dict)
     checked_keys("algorithm", algo, ("estimator", "delta", "lam_scale"))
-    estimator = str(algo.get("estimator", "weighted"))
+    estimator = checked_as("estimator", algo.get("estimator", "weighted"),
+                           str)
     if estimator not in ESTIMATORS:
         names = " or ".join(map(repr, ESTIMATORS))
         raise ConfigError(f"estimator must be {names}, got {estimator!r}")

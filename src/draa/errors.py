@@ -95,7 +95,3 @@ class InvariantError(DraaError):
         self.invariant = invariant
         msg = invariant if not detail else f"{invariant}: {detail}"
         super().__init__(msg)
-
-
-class DuplicateBroadcastError(DraaError):
-    """An agent posted twice in the same epoch."""

@@ -89,7 +89,8 @@ def build_instance(config: dict) -> BanditInstance:
     means = np.array([checked(f"arm {k} mean", mu, float, 0, 1)
                       for k, mu in enumerate(means_raw)])
 
-    reward_model = str(config.get("reward_model", "bernoulli"))
+    reward_model = checked_as("reward_model",
+                              config.get("reward_model", "bernoulli"), str)
     if reward_model not in REWARD_MODELS:
         raise ConfigError(f"unknown reward model {reward_model!r}")
 

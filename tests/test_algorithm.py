@@ -209,8 +209,8 @@ class TestRecordObservation:
 
 def two_agent_broadcasts(probs, sums):
     return [
-        freeze_broadcast(0, 1, [0], [sums[0]], [probs[0]]),
-        freeze_broadcast(1, 1, [0], [sums[1]], [probs[1]]),
+        freeze_broadcast([0], [sums[0]], [probs[0]]),
+        freeze_broadcast([0], [sums[1]], [probs[1]]),
     ]
 
 
@@ -231,7 +231,7 @@ class TestEstimators:
         assert pool_estimates(bc, 1, 100, "naive")[0] == 0.0
 
     def test_single_holder_estimators_coincide(self):
-        bc = [freeze_broadcast(0, 1, [0, 1, 2, 3], [1.0, 2.0, 3.0, 12.0],
+        bc = [freeze_broadcast([0, 1, 2, 3], [1.0, 2.0, 3.0, 12.0],
                                [0.2, 0.2, 0.2, 0.4])]
         w = pool_estimates(bc, 4, 50, "weighted")[3]
         n = pool_estimates(bc, 4, 50, "naive")[3]
@@ -240,12 +240,12 @@ class TestEstimators:
 
     def test_weighted_not_clipped(self):
         # heavy reward sum with a tiny probability overshoots 1
-        bc = [freeze_broadcast(0, 1, [0], [10.0], [0.05])]
+        bc = [freeze_broadcast([0], [10.0], [0.05])]
         assert pool_estimates(bc, 1, 20, "weighted")[0] > 1.0
 
     def test_uncovered_arm_rejected(self):
-        bc = [freeze_broadcast(0, 1, [0, 3], [1.0, 2.0], [0.5, 0.5]),
-              freeze_broadcast(1, 1, [2], [1.0], [1.0])]
+        bc = [freeze_broadcast([0, 3], [1.0, 2.0], [0.5, 0.5]),
+              freeze_broadcast([2], [1.0], [1.0])]
         for estimator in ("weighted", "naive"):
             with pytest.raises(ValueError, match="arm 1$"):
                 pool_estimates(bc, 4, 10, estimator)
@@ -289,11 +289,11 @@ def epoch_broadcasts(draw):
     for k in set(range(num_arms)) - set().union(*arm_sets):
         arm_sets[k % num_agents].append(k)
     broadcasts = []
-    for ell, arms in enumerate(arm_sets):
+    for arms in arm_sets:
         n = len(arms)
         sums = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
         probs = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
-        broadcasts.append(freeze_broadcast(ell, 1, arms, sums, probs))
+        broadcasts.append(freeze_broadcast(arms, sums, probs))
     return broadcasts, num_arms
 
 
@@ -327,7 +327,10 @@ def test_engine_boundary_estimates_match_oracle(estimator):
     assert spy.call_count == sched.num_epochs - 1
     for m, call in enumerate(spy.call_args_list, start=1):
         broadcasts = call.args[0]
-        assert [b.epoch for b in broadcasts] == [m] * inst.num_agents
+        # broadcast ell is agent ell's, of epoch m
+        for ell, b in enumerate(broadcasts):
+            assert np.array_equal(b.probs, result.epochs[m - 1].probs[ell])
+            assert b.arms.tolist() == list(inst.arm_sets[ell])
         expected = per_arm_oracle(broadcasts,
                                   inst.num_arms, sched.epoch_length(m),
                                   estimator)

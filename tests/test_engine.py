@@ -15,6 +15,7 @@ from draa import engine
 from draa.adversary import make_adversary
 from draa.agents import build_schedule, init_epoch1
 from draa.cli import main
+from draa.comm import MessageLog
 from draa.config import validate_config
 from draa.engine import default_checkpoints, run_single
 from draa.errors import InvariantError
@@ -397,6 +398,31 @@ def run_ragged():
     sched = build_schedule(inst, RAGGED_HORIZON, delta=0.05, lam_scale=16)
     assert sched.num_epochs == 4
     return run_single(inst, sched, make_adversary(None), 0, backend="numpy")
+
+
+def test_each_agent_posts_once_per_epoch(monkeypatch):
+    """Each epoch's kernel call is followed by L posts, post k carrying
+    agent k's arms, so the log's count is L per completed epoch."""
+    events = []
+    run_segment, post = engine.run_segment, MessageLog.post
+
+    def segment(*args, **kwargs):
+        events.append("epoch")
+        return run_segment(*args, **kwargs)
+
+    def spy(log, broadcast):
+        events.append(broadcast.arms.tolist())
+        post(log, broadcast)
+
+    monkeypatch.setattr(engine, "run_segment", segment)
+    monkeypatch.setattr(MessageLog, "post", spy)
+    inst = build_instance(RAGGED)
+    sched = build_schedule(inst, RAGGED_HORIZON, delta=0.05, lam_scale=16)
+    result = run_single(inst, sched, make_adversary(ADVERSARIES[2]), 0,
+                        backend="numpy")
+    assert result.corruption["C"] > 0
+    assert events == (["epoch"] + RAGGED["arm_sets"]) * sched.num_epochs
+    assert result.comm_cost == inst.num_agents * sched.num_epochs
 
 
 THREE_ACTIVE = [True, True, True, False]

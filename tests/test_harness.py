@@ -328,6 +328,11 @@ class TestConfigValidation:
         ({"name": "x" * 300}, "name must name one directory entry"),
         # 128 characters, 256 bytes in UTF-8
         ({"name": "é" * 128}, "name must name one directory entry"),
+        ({"algorithm": {"estimator": 1}}, "estimator must be a str, got 1"),
+        ({"algorithm": {"estimator": None}},
+         "estimator must be a str, got None"),
+        ({"algorithm": {"estimator": ["weighted"]}},
+         "estimator must be a str, got"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -715,6 +720,26 @@ class TestSweep:
         assert [r["adversary.budget"] for r in rows] == [0, 50, 100]
         assert (tmp_path / "unit_sweep.csv").exists()
 
+    def test_parallel_jobs_match_sequential(self, tmp_path, monkeypatch):
+        # two seeds per point, so that DRAA_JOBS=2 starts two workers; one
+        # config, redirected by DRAA_OUTPUT_DIR, so the summaries match
+        set_cpus(monkeypatch, 2)
+        data = self.sweep_data(tmp_path / "config_dir",
+                               [{"field": "adversary.budget",
+                                 "values": [0, 50]}])
+        data["base"]["seeds"] = [1, 2]
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            monkeypatch.setenv("DRAA_JOBS", jobs)
+            monkeypatch.setenv("DRAA_OUTPUT_DIR", str(out))
+            run_sweep(validate_sweep(data), backend="numpy", quiet=True)
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        # the sweep CSV, and per point a CSV and two seeds' summary and CSV
+        assert len(trees[0]) == 11
+        assert trees[0] == trees[1]
+
     def test_point_summaries_name_their_point(self, tmp_path):
         spec = validate_sweep(self.sweep_data(
             tmp_path, [{"field": "algorithm.estimator",
@@ -905,6 +930,10 @@ class TestCli:
         pytest.param({"kind": "budgeted_targeted", "target_arm": 1,
                       "magnitude": 0.5, "budget": 50.0, "agents": [0.9]},
                      "agent", id="fractional-agent"),
+        pytest.param({"kind": "budgeted_targeted", "target_arm": 1,
+                      "magnitude": 0.5, "budget": 50.0, "agents": 5},
+                     "adversary agents must be a list, got 5",
+                     id="int-agents"),
         pytest.param({"kind": "budgeted_targeted", "target_arm": 0,
                       "magnitude": True, "budget": 50.0},
                      "magnitude", id="bool-magnitude"),

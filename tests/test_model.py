@@ -56,6 +56,9 @@ def test_tie_break_lowest_index():
     ({"num_arms": 0}, "must be positive"),
     ({"reward_model": "gaussian"}, "unknown reward model"),
     ({"means": [0.9, 0.5]}, "expected 3 means"),
+    ({"reward_model": 1}, "reward_model must be a str, got 1"),
+    ({"reward_model": None}, "reward_model must be a str, got None"),
+    ({"reward_model": ["beta"]}, "reward_model must be a str, got"),
 ])
 def test_invalid_descriptors(patch, msg):
     with pytest.raises(ConfigError, match=msg):

@@ -51,8 +51,8 @@ class TestExhaustiveEstimator:
         # means T*p*mu gives the estimate's expectation
         inst = shared_arm_instance()
         probs = [np.array([0.5, 0.5]), np.array([0.75, 0.25])]
-        expected = [freeze_broadcast(ell, 1, [0, 1], 2 * p * inst.means, p)
-                    for ell, p in enumerate(probs)]
+        expected = [freeze_broadcast([0, 1], 2 * p * inst.means, p)
+                    for p in probs]
         pooled = pool_estimates(expected, 2, 2, "weighted")
         for arm in (0, 1):
             exact = exhaustive_estimator_mean(inst, probs, 2, arm)

@@ -38,9 +38,12 @@ checked when they are built and, against the instance, by
 """
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from .errors import ConfigError, InvariantError, checked, checked_as
+from .errors import (ConfigError, InvariantError, checked, checked_as,
+                     checked_keys)
 from .model import BanditInstance
 
 
@@ -153,7 +156,8 @@ class EpochFloodAdversary(BudgetedTargetedAdversary):
     def __init__(self, target_arm: int, start_epoch: int, direction: str,
                  budget: float, magnitude: float = 1.0):
         if direction not in ("up", "down"):
-            raise ConfigError("direction must be 'up' or 'down'")
+            raise ConfigError(f"adversary direction must be 'up' or 'down', "
+                              f"got {direction!r}")
         super().__init__(target_arm, magnitude, budget)
         self.start_epoch = checked("adversary start_epoch", start_epoch, int, 1)
         self.sign = 1.0 if direction == "up" else -1.0
@@ -199,9 +203,9 @@ def make_adversary(config: dict | None) -> Adversary:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown adversary kind {kind!r}")
-    # as strings, so that the TypeError for an unknown key names it
-    params = {str(k): v for k, v in config.items() if k != "kind"}
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for adversary {kind!r}: {exc}") from exc
+    parameters = inspect.signature(cls).parameters
+    checked_keys("adversary", config, {"kind", *parameters})
+    for name, parameter in parameters.items():
+        if parameter.default is parameter.empty and name not in config:
+            raise ConfigError(f"adversary {name} is required")
+    return cls(**{k: v for k, v in config.items() if k != "kind"})

@@ -8,14 +8,15 @@ scipy and builds it; every later one loads the same bits.  A file is
 the table's ``.npy`` followed by the sha256 of its data, and is read
 only if its header names the expected shape and dtype and the digest
 matches; it is written through a temporary file and a rename.  A cache
-that cannot be read or written only costs the build.
+that cannot be read or written only costs the build.  Both digests use
+the interpreter's built-in SHA-256, so a process that loads a table maps
+no OpenSSL.
 
 :mod:`draa.model` imports this module when a Beta instance first needs
 its table, so a Bernoulli run neither imports nor compiles it.
 """
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import os
 import platform
@@ -23,6 +24,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+# the interpreter's own SHA-256, as the standard library's random picks
+# its sha512: hashlib would map OpenSSL's libcrypto to hash one table
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: resolution of the tables
 _TABLE_SIZE = 4097
@@ -85,7 +96,7 @@ def cache_path(means: np.ndarray, concentration: float) -> Path | None:
         root = os.path.join(os.path.expanduser("~"), ".cache")
         if not os.path.isabs(root):
             return None
-    key = hashlib.sha256()
+    key = sha256()
     for part in (source, str(_TABLE_SIZE).encode(),
                  np.float64(concentration).tobytes(),
                  np.asarray(means, dtype=np.float64).tobytes(),
@@ -109,7 +120,7 @@ def _load(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
                     or fmt.read_array_header_1_0(fh)
                     != (shape, False, np.dtype(np.float64))
                     or fh.readinto(table.data.cast("B")) != table.nbytes
-                    or fh.read() != hashlib.sha256(table).digest()):
+                    or fh.read() != sha256(table).digest()):
                 return None
     except (OSError, ValueError):
         return None
@@ -130,7 +141,7 @@ def _store(path: Path, table: np.ndarray) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, table, allow_pickle=False)
-            fh.write(hashlib.sha256(table).digest())
+            fh.write(sha256(table).digest())
         os.replace(temporary, path)
     except OSError:
         try:

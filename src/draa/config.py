@@ -53,8 +53,16 @@ _DECIMAL = re.compile("0|[1-9][0-9]*")
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser when PyYAML was built with it; both parsers share
     the pure-Python resolver and constructor, so they build equal dicts.
-    A plain decimal integer in a sequence (most of ``arm_sets``) is built
-    directly; every other node goes through the constructor."""
+    A plain decimal integer is tagged before the resolver's regex table
+    runs, and built directly in a sequence (most of ``arm_sets``); every
+    other node goes through the resolver and the constructor."""
+
+    def resolve(self, kind, value, implicit):
+        # no YAML 1.1 pattern before int's matches a plain decimal
+        if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(
+                value):
+            return _INT_TAG
+        return super().resolve(kind, value, implicit)
 
 
 def _construct_sequence(loader, node):

@@ -34,12 +34,12 @@ all its calls' cuts (a call without one makes its own): no call
 allocates arrays that grow with its cells, so a long run does not fault
 their pages in again group after group.  A group's slots and delivered
 rewards live in agent-major (L, rounds) arrays, so per-agent broadcasts
-run along contiguous rows; only its charges stay round-major, the budget
-gate's order.  The group is drawn in blocks of at most ``_BLOCK_CELLS``
-cells, each ufunc, ``take`` and ``cumsum`` writing into the workspace.
-A block first draws its pulls, then their rewards; for both streams the
-``(t)`` hash prefixes are mixed once per round and the ``(t, ell)`` ones
-once per cell.  The pull hashes are searched as integers, not as
+run along contiguous rows.  The group is drawn in blocks of at most
+``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum`` writing into
+the workspace; only a block's charges, one block in size, are
+round-major, the budget gate's order.  A block first draws its pulls,
+then their rewards; for both streams the ``(t)`` hash prefixes are mixed
+once per round and the ``(t, ell)`` ones once per cell.  The pull hashes are searched as integers, not as
 uniforms: a hash h draws u = (h >> 11) * 2**-53, and u >= c holds
 exactly when h >> 11 >= ceil(c * 2**53), since the scaling and the
 ceiling are exact.  Each call turns the CDF rows into these thresholds
@@ -49,12 +49,13 @@ and a bucket that no threshold splits holds its slot, so one ``take``
 draws most cells; the rest search the thresholds.  Under attack every
 target column is one plane, drawn for the whole block; a pulled arm that
 is a target takes its plane's clean reward, and only the cells whose
-pulled arm is no target draw it, in one compacted pass.  Each group is
-then folded in whole-array passes: one ``bincount``, over a bin per
-segment and slot, adds each slot's rewards in round order; one ``take``
-gives every cell its pulled arm's mean, summed per segment along each
-agent's row; and a ``cumsum`` per segment adds each agent's charges in
-round order.
+pulled arm is no target draw it, in one compacted pass.  Once gated, a
+block's charges are folded at once: a ``cumsum`` per segment, its first
+row seeded with the segment's total so far, adds each agent's charges
+in round order.  Each group is then folded in whole-array passes: one
+``bincount``, over a bin per segment and slot, adds each slot's rewards
+in round order; and one ``take`` gives every cell its pulled arm's mean,
+summed per segment along each agent's row.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
 or ``numpy``), overridable per call.  For the same plan, pulls, clean
@@ -326,8 +327,9 @@ class Workspace:
     ``group_rows`` rounds.  ``beta_table`` is the (K, N) Beta table the
     calls map with, or (0, 0).  The buffers are flat; a call views their
     leading entries in the shape it needs (``model._carve``).  A group's
-    slots and rewards are group-sized; the hashes, pulled arms and scratch
-    hold one block, whose pulls and rewards are drawn together.  Each call
+    slots and rewards are group-sized; the hashes, pulled arms, charges
+    and scratch hold one block, whose pulls and rewards are drawn
+    together.  Each call
     also makes the pull search's tables for its CDF here (:meth:`index`).
     """
 
@@ -424,10 +426,10 @@ class Workspace:
 
     @cached_property
     def attack(self) -> tuple:
-        """The arrays that only attacked groups use, made on the first:
-        the group's (rounds, L) charges, then a block's clean rewards,
-        target planes, second scratch, target hits and misses."""
-        return (np.empty(self.group), np.empty(self.block),
+        """The arrays that only attacked groups use, made on the first,
+        each of one block: its (rounds, L) charges, clean rewards, target
+        planes, second scratch, target hits and misses."""
+        return (np.empty(self.block), np.empty(self.block),
                 np.empty(2 * self.block, np.uint64),
                 np.empty(2 * self.block, np.uint64),
                 np.empty(2 * self.block, bool), np.empty(self.block, bool))
@@ -446,16 +448,17 @@ def _cell_hashes(ws: Workspace, prefix: int, t0: int, h: np.ndarray,
 
 
 def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
-                contrib, edits, spent: float, trace):
+                corruption, bounds, edits, spent: float, trace):
     """Draw the pulls and rewards of the rounds ``t0..`` block by block:
     each block's slots ``ell * kmax + idx`` go to its columns of the (L,
     rounds) ``slot`` and its delivered rewards to those of ``observed``,
     and its rows are traced.
 
     ``edits`` is None, or the (planes, L, 1) targets (-1 unused), the
-    arms drawn for them and their pushes; then each cell's charge goes to
-    the round-major ``contrib`` and each block is gated, its spend carried
-    from ``spent``.  Once the gate closes, the rest of the group draws as
+    arms drawn for them and their pushes; then each block's round-major
+    charges are gated, its spend carried from ``spent``, and added into
+    row s of ``corruption`` for each segment s, the group rows [a, b) of
+    ``bounds[s]``.  Once the gate closes, the rest of the group draws as
     without edits and charges nothing.  Returns the spend and whether the
     gate is still open.
     """
@@ -489,7 +492,7 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
                          scratch=(ints, ws.prefix.view(np.float64)))
             clean = out
         else:
-            _, clean_buf, planes, spare, hit_buf, miss_buf = ws.attack
+            charge_buf, clean_buf, planes, spare, hit_buf, miss_buf = ws.attack
             targets, drawn, pushes = edits
             P = len(targets)
             clean = _carve(clean_buf, (L, m))
@@ -529,12 +532,20 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
             edited -= u
             np.abs(edited, out=edited)
             # the largest charge over one or two target planes
-            charges = contrib[r0:r1]
+            charges = _carve(charge_buf, (m, L))
             np.maximum(edited[0], edited[-1], out=charges.T)
             spent, live = _gate(charges, out, clean, spent, plan.budget,
                                 floats)
-            if not live:
-                contrib[r1:] = 0.0
+            # each segment's running sums in round order, as the loop
+            # kernel adds them: seeding its first row here with the total
+            # of its earlier blocks (0.0 in its first, which adds exactly)
+            # is the gate's own carry
+            for s, (a, b) in enumerate(bounds):
+                if a < r1 and r0 < b:
+                    rows = charges[max(a, r0) - r0:min(b, r1) - r0]
+                    rows[0] += corruption[s]
+                    corruption[s] = np.cumsum(
+                        rows, axis=0, out=_carve(floats, rows.shape))[-1]
         if trace is not None:
             span = slice(t0 - plan.t_start + r0, t0 - plan.t_start + r1)
             for rows_out, block in zip(trace, (arm, out, clean)):
@@ -607,15 +618,14 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
         n = t1 - t0 + 1
         slot = _carve(ws.slot, (L, n))
         observed = _carve(ws.observed, (L, n))
-        attack = adv_active and len(targets) > 0
-        contrib = _carve(ws.attack[0], (n, L)) if attack else None
-        spent, gate_open = _draw_group(
-            plan, ws, t0, slot, observed, contrib, edits if attack else None,
-            spent, trace)
-        adv_active = gate_open if attack else adv_active
-
         ends = (cuts[s0:s1] - (t0 - 1)).tolist()
         bounds = list(zip([0] + ends[:-1], ends))  # segments' group rows
+        attack = adv_active and len(targets) > 0
+        spent, gate_open = _draw_group(
+            plan, ws, t0, slot, observed, corruption[s0:s1], bounds,
+            edits if attack else None, spent, trace)
+        adv_active = gate_open if attack else adv_active
+
         pull_counts += np.bincount(slot.reshape(-1), minlength=L * kmax)
         # one bin per segment and slot: a slot is one agent's, so its bin
         # adds the segment's rewards in round order
@@ -624,18 +634,12 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
         sums = np.bincount(slot.reshape(-1), observed.reshape(-1),
                            (s1 - s0) * L * kmax).reshape(s1 - s0, -1)
         # the rewards are summed, so their array takes each cell's pulled
-        # mean (wrap drops the bins' offsets), and the spent slots' takes
-        # the charges' running sums: in round order at every L, as the
-        # loop kernel adds them
+        # mean (wrap drops the bins' offsets)
         means = slot_means.take(slot, out=observed, mode="wrap")
-        charged = _carve(ws.slot.view(np.float64), (n, L))
         for s, (a, b) in enumerate(bounds, start=s0):
             reward_sums += sums[s - s0]
             regret[s] = (plan.best_means * (b - a)
                          - np.add.reduce(means[:, a:b], axis=1))
-            if attack:
-                corruption[s] = np.cumsum(contrib[a:b], axis=0,
-                                          out=charged[a:b])[-1]
         s0, t0 = s1, t1 + 1
 
     return SegmentResult(

@@ -4,6 +4,7 @@ Corruption is delivered by the segment kernels; the ``rounds`` fixture
 (conftest.py) runs rounds through both of them with fixed pulls and
 constant clean rewards.
 """
+import re
 from unittest import mock
 
 import numpy as np
@@ -152,6 +153,17 @@ class TestEpochFlood:
         edits = adv.begin_epoch(inst, 1, ones(inst))
         out = rounds(inst, (0, 1), edits, adv.budget, rewards=CLEAN)
         assert out.observed[0, 1] == 1.0  # agent 1 pulls arm 2
+
+
+    @pytest.mark.parametrize("direction,shown", [
+        (1, "1"), (None, "None"), (["up"], "['up']")])
+    def test_bad_direction(self, direction, shown):
+        with pytest.raises(ConfigError) as raised:
+            make_adversary({"kind": "epoch_flood", "target_arm": 0,
+                            "start_epoch": 1, "direction": direction,
+                            "budget": 10.0})
+        assert str(raised.value) == ("adversary direction must be 'up' or "
+                                     f"'down', got {shown}")
 
 
 class TestGapFlip:
@@ -313,7 +325,14 @@ class TestFactory:
             make_adversary({"kind": "byzantine"})
 
     def test_bad_parameters(self):
-        with pytest.raises(ConfigError, match="bad parameters"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown adversary keys: ['wrong_field']")):
             make_adversary({"kind": "gap_flip", "wrong_field": 1})
+        with pytest.raises(ConfigError,
+                           match="^adversary budget is required$"):
+            make_adversary({"kind": "gap_flip", "magnitude": 0.5})
+        with pytest.raises(ConfigError,
+                           match="^adversary target_arm is required$"):
+            make_adversary({"kind": "budgeted_targeted"})
         with pytest.raises(ConfigError, match="nonnegative"):
             make_adversary({"kind": "gap_flip", "magnitude": -1, "budget": 5})

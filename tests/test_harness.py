@@ -844,6 +844,23 @@ class TestCli:
         monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
         assert repr(load_yaml(path)) == repr(default)
 
+    @given(value=st.one_of(
+        st.sampled_from(["0", "7", "12", "-3", "+5", "0x1f", "017", "09",
+                         "00", "1_000", "1:30", ".5", "1.0", "~", "yes", "",
+                         " 1", "1\n", "１２"]),
+        st.from_regex(r"[-+]?[0-9]{1,4}", fullmatch=True),
+        st.from_regex(r"[-+]?[0-9_:.xe]{0,6}", fullmatch=True),
+        st.text(max_size=6)), plain=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_yaml_resolver_shortcut_agrees(self, value, plain):
+        """The loader's plain-decimal shortcut tags every plain and quoted
+        scalar as PyYAML's own resolver does."""
+        loader = config_module.YAML_LOADER("")
+        implicit = (plain, not plain)
+        assert (loader.resolve(yaml.ScalarNode, value, implicit)
+                == yaml.resolver.Resolver.resolve(loader, yaml.ScalarNode,
+                                                  value, implicit))
+
     def test_yaml_aliased_integers_agree(self, tmp_path, monkeypatch):
         path = tmp_path / "alias.yaml"
         path.write_text("a: [&n 5, *n, [*n, &m 0]]\nb: *m\nc: &s [1, 2]\n"
@@ -920,7 +937,14 @@ class TestCli:
                       "magnitude": 0.5, "budget": 50.0, "agents": [0, 2]},
                      "agent 2", id="agent-past-L"),
         pytest.param({"kind": "gap_flip", "magnitude": 0.5, "budget": 50.0,
-                      "strength": 2}, "strength", id="unknown-key"),
+                      "strength": 2}, "unknown adversary keys: ['strength']",
+                     id="unknown-key"),
+        pytest.param({"kind": "gap_flip", "magnitude": 0.5},
+                     "adversary budget is required", id="missing-budget"),
+        pytest.param({"kind": "epoch_flood", "target_arm": 0,
+                      "start_epoch": 1, "direction": 1, "budget": 50.0},
+                     "adversary direction must be 'up' or 'down', got 1",
+                     id="int-direction"),
         pytest.param({"kind": "budgeted_targeted", "target_arm": 1.7,
                       "magnitude": 0.5, "budget": 50.0},
                      "target_arm", id="fractional-target-arm"),

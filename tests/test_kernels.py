@@ -560,12 +560,12 @@ def _wide_plan():
 
 @pytest.mark.parametrize("layout", ["narrow", "wide"])
 def test_numpy_kernel_peak_memory_per_cell(layout):
-    """The kernel's peak, its own workspace included, stays within 42 B
-    per (round, agent) cell.  Narrow: the group's slots, rewards and
-    charges at 8 B a cell, its rounds, the Beta steps and one block's
-    arrays; one more group-sized array, such as a transposed copy of the
-    charges, would pass the bound.  Wide: slots and rewards, the blocks
-    and the pull search's guide and keys."""
+    """The kernel's peak, its own workspace included, per (round, agent)
+    cell.  Narrow, within 34 B: the group's slots and rewards at 8 B a
+    cell, its rounds, the Beta steps and one block's arrays, the charges
+    among them (31 B); one more group-sized array of 8 B a cell, such as
+    the group's charges, would exceed the bound.  Wide, within 42 B:
+    slots and rewards, the blocks and the pull search's guide and keys."""
     plan = _narrow_plan() if layout == "narrow" else _wide_plan()
     tracemalloc.start()
     try:
@@ -575,7 +575,8 @@ def test_numpy_kernel_peak_memory_per_cell(layout):
         tracemalloc.stop()
     if layout == "narrow":
         assert not result.adv_active and 0 < result.spent <= plan.budget
-    assert peak / plan.arms.shape[0] / plan.t_end <= 42
+    bound = 34 if layout == "narrow" else 42
+    assert peak / plan.arms.shape[0] / plan.t_end <= bound
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 5])
@@ -591,6 +592,25 @@ def test_corruption_rows_match_the_loop_kernel(L, seed):
     loop, vec = (traced(plan, backend) for backend in BACKENDS)
     assert np.count_nonzero(vec.corruption) > 1
     assert np.array_equal(loop.corruption, vec.corruption)
+
+
+@pytest.mark.parametrize("budget_frac", [0.9, 1.2])
+@pytest.mark.parametrize("seed", range(4))
+def test_corruption_rows_carried_across_blocks(seed, budget_frac):
+    """Groups of 40 rounds drawn in blocks of 7, so segments start and
+    end inside blocks and span several: each block's charges are added
+    into their segments' rows as it is gated, and every row matches the
+    oracle bit for bit, whether or not the budget closes."""
+    L = 3
+    rng = np.random.default_rng(100 + seed)
+    plan = make_plan(rng, L, 1 + seed, 100, seed % 2 == 1, spent=0.4,
+                     budget_frac=budget_frac, num_cuts=12)
+    assert np.diff(plan.cuts).max() > 7
+    with mock.patch.multiple(kernels, _GROUP_CELLS=40 * L,
+                             _BLOCK_CELLS=7 * L):
+        old = assert_same(plan)
+    assert np.count_nonzero(old.corruption.sum(axis=1)) > 4
+    assert old.adv_active == (budget_frac > 1)
 
 
 def test_untraced_result_matches_traced():

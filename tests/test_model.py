@@ -171,6 +171,14 @@ def test_beta_table_is_the_beta_ppf(means, nu):
         np.testing.assert_array_equal(row, expected)
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports this draa."""
+    src = str(Path(draa.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_beta_run_leaves_scipy_stats_unimported(tmp_path):
     config = {"schema_version": 1, "name": "beta", "horizon": 500,
               "seeds": [1], "output_dir": str(tmp_path),
@@ -183,10 +191,7 @@ def test_beta_run_leaves_scipy_stats_unimported(tmp_path):
               f"assert main({argv!r}) == 0\n"
               "assert 'scipy.special' in sys.modules\n"
               "sys.exit('scipy.stats' in sys.modules)\n")
-    src = str(Path(draa.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "beta" / "seed_1_summary.json").exists()
 
@@ -344,7 +349,8 @@ def test_beta_cache_location(monkeypatch, tmp_path):
 
 def test_warm_beta_run_leaves_scipy_unimported(tmp_path):
     """After one run has filled the cache, a fresh process runs the same
-    Beta instance without importing scipy at all."""
+    Beta instance without importing scipy at all, nor hashlib, whose
+    OpenSSL the table's digest does not need."""
     from draa.cli import main
 
     config = {"schema_version": 1, "name": "beta", "horizon": 500,
@@ -357,11 +363,38 @@ def test_warm_beta_run_leaves_scipy_unimported(tmp_path):
     script = ("import sys\n"
               "from draa.cli import main\n"
               f"assert main({argv!r}) == 0\n"
-              "scipy = [m for m in sys.modules\n"
-              "         if m.split('.')[0] == 'scipy']\n"
-              "assert not scipy, scipy\n")
-    src = str(Path(draa.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+              "unwanted = [m for m in sys.modules\n"
+              "            if m.split('.')[0] in ('scipy', 'hashlib',\n"
+              "                                   '_hashlib')]\n"
+              "assert not unwanted, unwanted\n")
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stored_digest_is_sha256_of_the_data(cold_beta_cache):
+    """The built-in SHA-256 writes the digest hashlib computes."""
+    import hashlib
+
+    table = build_instance(small_descriptor(reward_model="beta")).beta_table()
+    [path] = cached_files(cold_beta_cache)
+    assert path.read_bytes()[-32:] == hashlib.sha256(table).digest()
+
+
+def test_beta_cache_falls_back_to_hashlib():
+    """Without the interpreter's built-in SHA-256 modules the cache hashes
+    with hashlib, and a stored table still loads."""
+    script = ("import sys\n"
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "import hashlib\n"
+              "import numpy as np\n"
+              "from draa import beta_tables\n"
+              "assert beta_tables.sha256 is hashlib.sha256\n"
+              "means = np.array([0.9, 0.5, 0.4])\n"
+              "path = beta_tables.cache_path(means, 4.0)\n"
+              "built = beta_tables.beta_table(means, 4.0)\n"
+              "assert path.exists()\n"
+              "beta_tables._build = None  # a load must not build\n"
+              "loaded = beta_tables.beta_table(means, 4.0)\n"
+              "assert loaded.tobytes() == built.tobytes()\n")
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr

@@ -211,30 +211,26 @@ def pool_estimates(broadcasts: list[EpochBroadcast], num_arms: int,
 
     ``weighted`` averages R~/p over the agents holding an arm and divides
     by the epoch length (unbiased, can land outside [0,1]); ``naive``
-    divides the total reward by the total expected pulls.  Broadcasts
-    are summed in list order, one vector add per sender, so each arm
-    sees the same float operations in the same order as a per-arm,
-    sender-ascending loop would perform.
+    divides the total reward by the total expected pulls.  Each sum is
+    one ``np.bincount`` over the broadcasts concatenated in list order,
+    which adds an arm's terms from 0.0 in sender order, exactly as a
+    per-arm, sender-ascending loop would.
     """
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
+    # the empty head keeps each field's dtype, and an empty list valid
+    arms, sums, probs = (
+        np.concatenate([np.empty(0, dtype),
+                        *(getattr(b, field) for b in broadcasts)])
+        for field, dtype in (("arms", np.int64), ("reward_sums", float),
+                             ("probs", float)))
+    holders = np.bincount(arms, minlength=num_arms)
+    if not holders.all():  # argmin is the first arm no broadcast holds
+        raise ValueError(f"no broadcast covers arm {int(holders.argmin())}")
     weighted = estimator == "weighted"
-    num = np.zeros(num_arms)
-    prob_totals = np.zeros(num_arms)
-    holders = np.zeros(num_arms, dtype=np.int64)
-    for b in broadcasts:
-        holders[b.arms] += 1
-        if weighted:
-            num[b.arms] += b.reward_sums / b.probs
-        else:
-            num[b.arms] += b.reward_sums
-            prob_totals[b.arms] += b.probs
-    uncovered = np.flatnonzero(holders == 0)
-    if uncovered.size:
-        raise ValueError(f"no broadcast covers arm {int(uncovered[0])}")
-    if weighted:
-        return num / (holders * epoch_len)
-    return num / (prob_totals * epoch_len)
+    num = np.bincount(arms, sums / probs if weighted else sums, num_arms)
+    den = holders if weighted else np.bincount(arms, probs, num_arms)
+    return num / (den * epoch_len)
 
 
 def update_rmax(estimates: np.ndarray, prev_gaps: np.ndarray) -> float:

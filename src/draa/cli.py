@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         if func is not cmd_show:
             command.add_argument(
                 "--backend", choices=BACKENDS, default=None,
-                help="simulation backend (default: DRAA_BACKEND or numba)")
+                help="simulation backend (default: DRAA_BACKEND, else numba "
+                "if installed, else numpy)")
         command.set_defaults(func=func)
     return parser
 

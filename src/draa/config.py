@@ -47,6 +47,7 @@ from .model import BanditInstance, build_instance
 SCHEMA_VERSION = 1
 
 _INT_TAG = "tag:yaml.org,2002:int"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 _DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
@@ -55,7 +56,31 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     the pure-Python resolver and constructor, so they build equal dicts.
     A plain decimal integer is tagged before the resolver's regex table
     runs, and built directly in a sequence (most of ``arm_sets``); every
-    other node goes through the resolver and the constructor."""
+    other node goes through the resolver and the constructor.  A
+    mapping that repeats one of its own keys is an error."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.checked_mappings = set()  # nodes whose own keys were compared
+
+    def flatten_mapping(self, node):
+        # A ``<<`` merge may repeat a key on purpose, and a complex key is
+        # not compared.  Each node is checked once, on its first flatten,
+        # which is the last time its pairs are its own.
+        if node not in self.checked_mappings:
+            self.checked_mappings.add(node)
+            keys = set()
+            for key_node, _ in node.value:
+                if (type(key_node) is yaml.ScalarNode
+                        and key_node.tag != _MERGE_TAG):
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}",
+                            key_node.start_mark)
+                    keys.add(key)
+        super().flatten_mapping(node)
 
     def resolve(self, kind, value, implicit):
         # no YAML 1.1 pattern before int's matches a plain decimal
@@ -150,6 +175,9 @@ def validate_config(data: dict) -> ExperimentConfig:
                          delta, lam_scale)  # raises if it overflows
 
     if "seeds" in data:  # each seed is one 64-bit hash key
+        if "num_seeds" in data or "seed_base" in data:
+            raise ConfigError(
+                "give seeds, or num_seeds and seed_base, not both")
         seeds = tuple(checked("seed", s, int, 0, 2**64 - 1)
                       for s in checked_as("seeds", data["seeds"], list))
     else:

@@ -152,33 +152,24 @@ def build_instance(config: dict) -> BanditInstance:
 
 
 def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
-                 out: np.ndarray | None = None, diff: np.ndarray | None = None,
-                 scratch: tuple | None = None):
-    """Map uniforms ``u`` to rewards of ``arms`` (broadcast together).
+                 out: np.ndarray, diff: np.ndarray | None, scratch: tuple):
+    """Map uniforms ``u`` to rewards of the int64 ``arms`` (broadcast
+    together) into the float64 ``out``, which may be ``u``; returns it.
 
     ``model`` indexes :data:`REWARD_MODELS`.  Bernoulli: 1 if u < mu else
     0, so mu=0 / mu=1 are exactly degenerate.  Beta: linear interpolation
     into the (K, N) inverse-CDF ``table``: the flat gather ``lo`` at
     ``arms * N + idx``, plus ``frac`` times the gather at the same place
-    of ``diff`` (:func:`beta_diffs` of the table, made here if not given),
-    whose entry is ``hi - lo``.  The loop kernel's scalar ``_reward_nb``
-    applies the same formula, so traces agree bit for bit regardless of
-    how the rewards were materialized.  ``out`` (float64, may be ``u``
-    itself) receives the rewards if given.  ``scratch``, a flat int64 and
-    a flat float64 array of at least ``u.size`` entries each, holds the
-    temporaries: with ``out`` and ``scratch`` given, nothing of u's size
-    is allocated.
+    of ``diff`` (:func:`beta_diffs` of the table, None for Bernoulli),
+    whose entry is ``hi - lo``, as the loop kernel's scalar ``_reward_nb``
+    does, bit for bit.  Every argument is required: ``scratch``, a flat
+    int64 and a flat float64 array of ``u.size`` entries or more, holds
+    the temporaries, so nothing of u's size is allocated.
     """
-    index, gathered = ((np.empty(u.size, np.int64), np.empty(u.size))
-                       if scratch is None else scratch)
+    index, gathered = scratch
     if REWARD_MODELS[model] == "bernoulli":
-        arms = np.asarray(arms)
         mu = means.take(arms, out=_carve(gathered, arms.shape), mode="wrap")
-        if out is None:
-            return (u < mu).astype(np.float64)
         return np.less(u, mu, out=out)
-    if diff is None:
-        diff = beta_diffs(table)
     n = table.shape[1]
     frac = np.multiply(u, n - 1, out=out)  # the position, then its fraction
     whole = _carve(gathered, u.shape)
@@ -189,7 +180,7 @@ def reward_array(model: int, means: np.ndarray, arms, u, table: np.ndarray,
     np.copyto(idx, whole, casting="unsafe")
     # arms * n, in as many entries as ``arms`` has; whole is spent
     idx += np.multiply(arms, n, out=_carve(gathered.view(np.int64),
-                                           np.shape(arms)))
+                                           arms.shape))
     frac *= diff.take(idx, out=whole, mode="wrap")
     return np.add(table.take(idx, out=whole, mode="wrap"), frac, out=frac)
 

@@ -250,6 +250,11 @@ class TestEstimators:
             with pytest.raises(ValueError, match="arm 1$"):
                 pool_estimates(bc, 4, 10, estimator)
 
+    def test_no_broadcasts_rejected(self):
+        for estimator in ("weighted", "naive"):
+            with pytest.raises(ValueError, match="no broadcast covers arm 0$"):
+                pool_estimates([], 3, 10, estimator)
+
     def test_unknown_estimator_rejected(self):
         bc = two_agent_broadcasts(probs=(0.5, 0.25), sums=(30.0, 10.0))
         with pytest.raises(ConfigError, match="estimator"):

@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -282,6 +283,9 @@ class TestConfigValidation:
         ({"algorithm": {"estimator": "mean"}}, "estimator"),
         ({"seeds": []}, "at least one seed"),
         ({"seeds": [1, 1]}, "distinct"),
+        ({"num_seeds": 5, "seed_base": 7},
+         "give seeds, or num_seeds and seed_base, not both"),
+        ({"seed_base": 0}, "give seeds, or num_seeds and seed_base, not both"),
         ({"horizon": 1}, "horizon"),
         ({"bogus_key": 1}, "unknown top-level"),
         ({"adversary": "loud"}, "mapping"),
@@ -808,6 +812,67 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "could not parse" in capsys.readouterr().err
 
+    @staticmethod
+    def python_parser_loader(monkeypatch):
+        """``config.YAML_LOADER`` as a PyYAML without libyaml builds it:
+        a private copy of the module, run without ``yaml.CSafeLoader``."""
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        spec = importlib.util.spec_from_file_location(
+            "draa._config_without_libyaml", config_module.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        assert issubclass(module.YAML_LOADER, yaml.SafeLoader)
+        return module.YAML_LOADER
+
+    @pytest.mark.parametrize("parser", ["default", "python"])
+    @pytest.mark.parametrize("command,section", [
+        ("run", None), ("run", "instance"), ("sweep", "base")])
+    def test_repeated_key_exit_2(self, tmp_path, monkeypatch, capsys,
+                                 parser, command, section):
+        """A key given twice in one mapping exits 2 with its line, before
+        anything is written, instead of the last value silently winning."""
+        if parser == "python":
+            monkeypatch.setattr(config_module, "YAML_LOADER",
+                                self.python_parser_loader(monkeypatch))
+        data = base_config(output_dir=str(tmp_path))
+        if command == "sweep":
+            data = {"base": data,
+                    "axes": [{"field": "horizon", "values": [1500]}]}
+        lines = yaml.safe_dump(data).splitlines()
+        key = "num_arms" if section == "instance" else "horizon"
+        if section is None:
+            lines.append(f"{key}: 3000")
+            line = len(lines)
+        else:
+            line = lines.index(f"{section}:") + 2
+            lines.insert(line - 1, f"  {key}: 3")
+        path = tmp_path / "config.yaml"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, str(path), "--backend", "numpy"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: could not parse")
+        assert f"found duplicate key {key!r}" in err
+        assert f"line {line}," in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    @pytest.mark.parametrize("parser", ["default", "python"])
+    def test_merge_may_override_a_key(self, tmp_path, monkeypatch, parser):
+        """A ``<<`` merge, chained or not, may repeat a key on purpose; a
+        complex key is PyYAML's own error, not a TypeError."""
+        if parser == "python":
+            monkeypatch.setattr(config_module, "YAML_LOADER",
+                                self.python_parser_loader(monkeypatch))
+        path = tmp_path / "merge.yaml"
+        # ``c`` flattens ``b`` before ``b`` itself is built
+        path.write_text("a: {b: &b {<<: {k: 0, j: 1}, k: 1}}\n"
+                        "c: {<<: *b, k: 2}\n")
+        assert load_yaml(path) == {"a": {"b": {"k": 1, "j": 1}},
+                                   "c": {"k": 2, "j": 1}}
+        path.write_text("? [1, 2]\n: x\n")
+        with pytest.raises(ConfigError, match="found unhashable key"):
+            load_yaml(path)
+
     @pytest.mark.parametrize("overrides", [
         {},
         {"horizon": 1500},
@@ -999,6 +1064,9 @@ class TestCli:
          "name must name one directory entry"),
         ({"axes": [{"field": "adversary.budget", "values": [10.0, 10.0]}]},
          "sweep points share the name 'unit_budget=10.0'"),
+        # the base lists seeds, so no point may count them as well
+        ({"axes": [{"field": "num_seeds", "values": [1, 2]}]},
+         "give seeds, or num_seeds and seed_base, not both"),
         # "base" holds overrides of base_config; a point name or the CSV
         # name that passes 255 bytes fails before anything runs
         ({"base": {"name": "y" * 250},

@@ -19,7 +19,8 @@ from draa.errors import ConfigError
 from draa.kernels import _reward_nb
 from draa import beta_tables
 from draa.beta_tables import cache_path
-from draa.model import REWARD_MODELS, build_instance, reward_array
+from draa.model import (REWARD_MODELS, beta_diffs, build_instance,
+                        reward_array)
 from draa.rng import ENV_STREAM, stream_prefix, uniform_array
 
 
@@ -71,18 +72,32 @@ def test_means_are_read_only():
         inst.means[0] = 0.1
 
 
+def rewards(model, means, arms, u, table, in_place=True):
+    """``reward_array`` as the numpy kernel calls it: into (a copy of)
+    ``u``, or else into an array of its own, with the table's steps (None
+    for Bernoulli) and flat scratch of u's size."""
+    u = np.array(u, dtype=np.float64)
+    out = u if in_place else np.full(u.shape, np.nan)
+    diff = beta_diffs(table) if REWARD_MODELS[model] == "beta" else None
+    scratch = (np.empty(u.size, np.int64), np.empty(u.size))
+    got = reward_array(model, means, np.asarray(arms, np.int64), u, table,
+                       out, diff, scratch)
+    assert got is out
+    return got
+
+
 def draw(inst, seed, t, ell, arms):
     """Clean rewards of ``arms`` for agent ``ell`` in round(s) ``t``."""
     u = uniform_array(stream_prefix(seed, ENV_STREAM), t, ell, arms)
     table = inst.beta_table() if inst.reward_model == "beta" else None
-    return reward_array(REWARD_MODELS.index(inst.reward_model), inst.means,
-                        arms, u, table)
+    return rewards(REWARD_MODELS.index(inst.reward_model), inst.means, arms,
+                   u, table)
 
 
 def test_bernoulli_rewards_are_binary_and_degenerate_means_exact():
     inst = build_instance(small_descriptor(means=[0.0, 1.0, 0.5]))
     u = np.array([0.0, 0.3, 0.999])
-    r = reward_array(0, inst.means, np.array([0, 1, 2]), u, None)
+    r = rewards(0, inst.means, [0, 1, 2], u, None)
     assert r[0] == 0.0  # mean 0 never pays
     assert r[1] == 1.0  # mean 1 always pays
     assert r[2] in (0.0, 1.0)
@@ -101,7 +116,7 @@ def test_reward_array_matches_the_loop_kernels_scalar_map(model, shape,
                                                          in_place):
     """Every reward equals the loop kernel's ``_reward_nb`` bit for bit,
     with ``arms`` of shape (L,) against uniforms of shape (rows, L), and
-    (P, L, 1) against (P, L, n), into a fresh array and into ``u``."""
+    (P, L, 1) against (P, L, n), into an array of its own and into ``u``."""
     inst = build_instance(small_descriptor(
         num_arms=5, means=[0.0, 0.13, 0.5, 0.91, 1.0], reward_model=model,
         arm_sets=[[0, 1, 2, 3, 4], [1, 2]]))
@@ -117,11 +132,7 @@ def test_reward_array_matches_the_loop_kernels_scalar_map(model, shape,
     want = np.array([_reward_nb(code, inst.means[k], x, table, k)
                      for k, x in zip(arm_of.reshape(-1).tolist(),
                                      u.reshape(-1).tolist())]).reshape(u.shape)
-    if in_place:
-        got = reward_array(code, inst.means, arms, u, table, out=u)
-        assert got is u
-    else:
-        got = reward_array(code, inst.means, arms, u, table)
+    got = rewards(code, inst.means, arms, u, table, in_place)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got, want)
 

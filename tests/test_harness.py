@@ -283,9 +283,6 @@ class TestConfigValidation:
         ({"algorithm": {"estimator": "mean"}}, "estimator"),
         ({"seeds": []}, "at least one seed"),
         ({"seeds": [1, 1]}, "distinct"),
-        ({"num_seeds": 5, "seed_base": 7},
-         "give seeds, or num_seeds and seed_base, not both"),
-        ({"seed_base": 0}, "give seeds, or num_seeds and seed_base, not both"),
         ({"horizon": 1}, "horizon"),
         ({"bogus_key": 1}, "unknown top-level"),
         ({"adversary": "loud"}, "mapping"),
@@ -337,6 +334,9 @@ class TestConfigValidation:
          "estimator must be a str, got None"),
         ({"algorithm": {"estimator": ["weighted"]}},
          "estimator must be a str, got"),
+        ({"num_seeds": 5, "seed_base": 7},
+         "give seeds, or num_seeds and seed_base, not both"),
+        ({"seed_base": 0}, "give seeds, or num_seeds and seed_base, not both"),
     ])
     def test_invalid(self, tmp_path, capsys, patch, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -1064,9 +1064,6 @@ class TestCli:
          "name must name one directory entry"),
         ({"axes": [{"field": "adversary.budget", "values": [10.0, 10.0]}]},
          "sweep points share the name 'unit_budget=10.0'"),
-        # the base lists seeds, so no point may count them as well
-        ({"axes": [{"field": "num_seeds", "values": [1, 2]}]},
-         "give seeds, or num_seeds and seed_base, not both"),
         # "base" holds overrides of base_config; a point name or the CSV
         # name that passes 255 bytes fails before anything runs
         ({"base": {"name": "y" * 250},
@@ -1078,6 +1075,9 @@ class TestCli:
         ({"base": {"name": "y" * 247},
           "axes": [{"field": "name", "values": ["z"]}]},
          "sweep CSV name must name one directory entry"),
+        # the base lists seeds, so no point may count them as well
+        ({"axes": [{"field": "num_seeds", "values": [1, 2]}]},
+         "give seeds, or num_seeds and seed_base, not both"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
         spec = {"axes": [{"field": "horizon", "values": [1500, 2000]}],

@@ -114,9 +114,9 @@ class AgentState:
     """One agent's algorithm state for the current epoch.
 
     ``gaps`` and ``estimates`` refer to the previous epoch (superscript
-    m-1 quantities); ``probs`` and the accumulators belong to the
-    current epoch ``epoch``; the engine sets the accumulators from its
-    kernel call.  Updates rebind fields and never write into an array.
+    m-1 quantities); ``probs`` and ``reward_sums`` belong to the current
+    epoch ``epoch``; the engine sets ``reward_sums`` from its kernel
+    call.  Updates rebind fields and never write into an array.
     """
 
     ell: int
@@ -129,7 +129,6 @@ class AgentState:
     fallback: bool  # True if the active set came from the empty-A fallback
     probs: np.ndarray
     reward_sums: np.ndarray | None = None  # delivered-reward sums per arm
-    pull_counts: np.ndarray | None = None  # int64 pulls per arm
 
 
 def init_epoch1(instance: BanditInstance, ell: int) -> AgentState:

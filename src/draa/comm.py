@@ -17,10 +17,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EpochBroadcast:
-    """One agent's end-of-epoch message (value-copied on post).
+    """One agent's end-of-epoch message.
 
     Carries the reward sums and probabilities over exactly the sender's
-    local arms, which is all the estimators read.
+    local arms, which is all the estimators read.  :func:`freeze_broadcast`
+    builds it from read-only copies; posting it copies nothing.
     """
 
     arms: np.ndarray  # int64

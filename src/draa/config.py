@@ -250,13 +250,18 @@ def validate_sweep(data: dict) -> SweepSpec:
         if not (isinstance(ax.get("field"), str) and ax.get("values")
                 and isinstance(ax["values"], list)):
             raise ConfigError("each axis needs 'field' and nonempty 'values'")
+    fields = [ax["field"] for ax in axes]
+    # a field sorts before every field inside it
+    if len(fields) == 2 and f"{max(fields)}.".startswith(f"{min(fields)}."):
+        raise ConfigError(f"sweep axes {fields[0]!r} and {fields[1]!r} "
+                          "overlap: one sets the other's field or a part "
+                          "of it")
     cap = checked("cap", data.get("cap", 64), int, 0, strict=True)
     n_points = math.prod(len(ax["values"]) for ax in axes)
     if n_points > cap:
         raise ConfigError(f"sweep has {n_points} points, exceeding cap {cap}")
     base = validate_config(data["base"])
     checked_entry("sweep CSV name", f"{base.name}_sweep.csv")
-    fields = [ax["field"] for ax in axes]
     points = {}  # (label, config) by point name
     for combo in itertools.product(*(ax["values"] for ax in axes)):
         label = dict(zip(fields, combo))

@@ -30,7 +30,7 @@ gap-estimate range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,8 @@ _BOUND_TOL = 1e-12
 
 @dataclass
 class EpochRecord:
-    """Snapshot of one epoch as it ran (state frozen at epoch start)."""
+    """One epoch as it ran, built once at its end, before the boundary
+    update: the state frozen at its start, its pulls and its C^m."""
 
     m: int
     start: int
@@ -62,10 +63,10 @@ class EpochRecord:
     gaps: list  # per-agent previous-epoch gap estimates
     estimates: list  # per-agent previous-epoch reward estimates
     r_max: list
-    pull_counts: list = field(default_factory=list)  # filled at epoch end
-    corruption: float = 0.0  # C^m, filled at epoch end
-    prob_bracket_violations: int = 0
-    gap_range_violations: int = 0
+    pull_counts: list  # per-agent int64 pulls per local arm
+    corruption: float  # C^m
+    prob_bracket_violations: int
+    gap_range_violations: int
 
 
 @dataclass
@@ -208,18 +209,8 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
 
     for m, (start, end, in_epoch, cuts) in enumerate(spans, start=1):
         brackets, gap_range, cdf = _epoch_start(states, m, instance)
-        record = EpochRecord(
-            m=m, start=start, end=end, length=schedule.epoch_length(m),
-            probs=[s.probs for s in states],
-            active_sets=[s.arms[s.active].tolist() for s in states],
-            fallback=[s.fallback for s in states],
-            gaps=[s.gaps for s in states],
-            estimates=[s.estimates for s in states],
-            r_max=[s.r_max for s in states],
-            prob_bracket_violations=brackets, gap_range_violations=gap_range,
-        )
-
-        targets, pushes = adversary.begin_epoch(instance, m, record.estimates)
+        estimates = [s.estimates for s in states]
+        targets, pushes = adversary.begin_epoch(instance, m, estimates)
         plan = SegmentPlan(
             t_start=start, cuts=cuts, env_prefix=env_prefix,
             pull_prefix=pull_prefix, arms=instance.local_arms, cdf=cdf,
@@ -232,9 +223,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
         result = run_segment(plan, backend=backend, trace=rows,
                              workspace=workspace)
         for ell, state in enumerate(states):
-            n = len(state.arms)
-            state.reward_sums = result.reward_sums[ell, :n]
-            state.pull_counts = result.pull_counts[ell, :n]
+            state.reward_sums = result.reward_sums[ell, :len(state.arms)]
         spent, active = result.spent, result.adv_active
         # fold the cut segments in order, as running sums; the first k
         # cuts are the checkpoints, and an added epoch end follows them
@@ -246,9 +235,18 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             folded[:k], float(ledger[:m - 1].sum()) + charged[:k].sum(axis=1),
             np.full(k, comm_cost(log))))
 
-        record.pull_counts = [s.pull_counts for s in states]
-        record.corruption = float(ledger[m - 1].sum())
-        epochs.append(record)
+        epochs.append(EpochRecord(
+            m=m, start=start, end=end, length=schedule.epoch_length(m),
+            probs=[s.probs for s in states],
+            active_sets=[s.arms[s.active].tolist() for s in states],
+            fallback=[s.fallback for s in states],
+            gaps=[s.gaps for s in states], estimates=estimates,
+            r_max=[s.r_max for s in states],
+            pull_counts=[result.pull_counts[ell, :len(s.arms)]
+                         for ell, s in enumerate(states)],
+            corruption=float(ledger[m - 1].sum()),
+            prob_bracket_violations=brackets, gap_range_violations=gap_range,
+        ))
 
         broadcasts = [make_broadcast(s) for s in states]
         for b in broadcasts:

@@ -333,6 +333,30 @@ def test_checkpoints_equal_the_per_cut_fold(backend, every):
     assert every is None or closed < cps.t.size - 1
 
 
+@pytest.mark.parametrize("every", [None, 7])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_record_pull_counts_are_the_traced_pulls(backend, every):
+    """Each epoch's record holds, per agent and local arm, the number of
+    that agent's traced pulls in the epoch, and each agent's counts sum
+    to the epoch's length; read after the run, so a later epoch's call
+    must not have overwritten an earlier record's counts."""
+    inst = build_instance(WIDE)
+    sched = small_schedule(inst, horizon=6000)
+    adversary = make_adversary({"kind": "gap_flip", "magnitude": 0.7,
+                                "budget": 1000.3})
+    marks = (None if every is None
+             else list(range(every, sched.horizon + 1, every)))
+    result = run_single(inst, sched, adversary, 5, backend=backend,
+                        checkpoints=marks, trace=True)
+    assert sched.num_epochs == 3 and result.corruption["C"] > 0
+    for record in result.epochs:
+        pulls = result.pulls[record.start - 1:record.end]
+        for ell, arms in enumerate(inst.arm_sets):
+            counts = [int(np.sum(pulls[:, ell] == arm)) for arm in arms]
+            assert record.pull_counts[ell].tolist() == counts
+            assert sum(counts) == record.length
+
+
 def test_traced_run_holds_its_trace_once():
     """A traced run's peak memory is its three (T, L) trace arrays, 24 B
     per agent-round, plus little: the kernel fills the epoch's rows in

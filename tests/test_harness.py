@@ -802,11 +802,14 @@ class TestCli:
         path = write_config(tmp_path, algorithm={"delta": 1.5})
         assert main(["run", str(path)]) == 2
 
-    @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
+    @pytest.mark.parametrize("loader", ["default", "SafeLoader", "python"])
     def test_malformed_yaml_exit_2(self, tmp_path, monkeypatch, capsys,
                                    loader):
         if loader == "SafeLoader":
             monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        elif loader == "python":
+            monkeypatch.setattr(config_module, "YAML_LOADER",
+                                self.python_parser_loader(monkeypatch))
         path = tmp_path / "config.yaml"
         path.write_text("schema_version: 1\ninstance: [0, 1\nhorizon: 10\n")
         assert main(["run", str(path)]) == 2
@@ -824,6 +827,17 @@ class TestCli:
         spec.loader.exec_module(module)
         assert issubclass(module.YAML_LOADER, yaml.SafeLoader)
         return module.YAML_LOADER
+
+    @classmethod
+    def other_loads(cls, monkeypatch, path) -> list:
+        """``load_yaml(path)`` under plain ``yaml.SafeLoader``, the
+        reference, then under ``config.YAML_LOADER`` as a PyYAML without
+        libyaml builds it."""
+        loads = []
+        for loader in (yaml.SafeLoader, cls.python_parser_loader(monkeypatch)):
+            monkeypatch.setattr(config_module, "YAML_LOADER", loader)
+            loads.append(load_yaml(path))
+        return loads
 
     @pytest.mark.parametrize("parser", ["default", "python"])
     @pytest.mark.parametrize("command,section", [
@@ -885,8 +899,7 @@ class TestCli:
             assert issubclass(config_module.YAML_LOADER, yaml.CSafeLoader)
         path = write_config(tmp_path, **overrides)
         default = load_yaml(path)
-        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
-        assert load_yaml(path) == default
+        assert self.other_loads(monkeypatch, path) == [default, default]
         assert default == base_config(output_dir=str(tmp_path), **overrides)
 
     @pytest.mark.parametrize("text,expected", [
@@ -906,8 +919,8 @@ class TestCli:
         # repr tells 1, 1.0 and True apart
         assert repr(default) == repr(
             {"seq": [expected, 4], "nested": [[expected]], "key": expected})
-        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
-        assert repr(load_yaml(path)) == repr(default)
+        assert repr(self.other_loads(monkeypatch, path)) == repr(
+            [default, default])
 
     @given(value=st.one_of(
         st.sampled_from(["0", "7", "12", "-3", "+5", "0x1f", "017", "09",
@@ -934,8 +947,8 @@ class TestCli:
         assert default == {"a": [5, 5, [5, 0]], "b": 0, "c": [1, 2],
                            "d": [[1, 2], [1, 2]]}
         assert default["d"][0] is default["c"]  # an alias is one object
-        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
-        assert load_yaml(path) == default
+        for other in self.other_loads(monkeypatch, path):
+            assert other == default and other["d"][0] is other["c"]
 
     def test_non_scalar_int_tag_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -1078,6 +1091,17 @@ class TestCli:
         # the base lists seeds, so no point may count them as well
         ({"axes": [{"field": "num_seeds", "values": [1, 2]}]},
          "give seeds, or num_seeds and seed_base, not both"),
+        # two axes on one field, or on a field and a part of it, would
+        # drop one axis's values or write into the other's value
+        ({"axes": [{"field": "horizon", "values": [1000]},
+                   {"field": "horizon", "values": [2000]}]},
+         "sweep axes 'horizon' and 'horizon' overlap"),
+        ({"axes": [{"field": "adversary",
+                    "values": [{"kind": "budgeted_targeted",
+                                "target_arm": 0, "magnitude": 0.5,
+                                "budget": 10.0}]},
+                   {"field": "adversary.budget", "values": [1.0, 2.0]}]},
+         "sweep axes 'adversary' and 'adversary.budget' overlap"),
     ])
     def test_invalid_sweep_exit_2(self, tmp_path, capsys, patch, msg):
         spec = {"axes": [{"field": "horizon", "values": [1500, 2000]}],

@@ -81,23 +81,27 @@ def cmd_show(args) -> int:
             return [format(checked(name, v), spec) for v in value]
         return format(checked(name, value), spec)
 
+    def integer(key):
+        """``summary[key]`` as a nonnegative integer."""
+        return checked(f"summary field {key!r}", summary[key], int, 0)
+
     try:
         lines = [
             f"experiment : {summary['name']}",
-            f"seed       : {summary['seed']}",
+            f"seed       : {integer('seed')}",
             f"estimator  : {summary['estimator']}  "
             f"backend: {summary['backend']}",
-            f"horizon    : {summary['horizon']}  "
-            f"epochs: {summary['num_epochs']}  "
+            f"horizon    : {integer('horizon')}  "
+            f"epochs: {integer('num_epochs')}  "
             f"lambda: {number('lambda', '.4g')}",
             f"regret     : total {number('regret_total', '.4f')}  "
             f"per agent {number('regret_per_agent', '.2f')}",
             f"corruption : C = {number('C', '.4f', corr)}  "
             f"per epoch {number('C_per_epoch', '.1f', corr)}",
-            f"comm cost  : {summary['comm_cost']}",
-            f"fallbacks  : {summary['fallback_epochs']}  "
-            f"bracket violations: {summary['prob_bracket_violations']}  "
-            f"gap-range violations: {summary['gap_range_violations']}",
+            f"comm cost  : {integer('comm_cost')}",
+            f"fallbacks  : {integer('fallback_epochs')}  "
+            f"bracket violations: {integer('prob_bracket_violations')}  "
+            f"gap-range violations: {integer('gap_range_violations')}",
         ]
     except KeyError as exc:
         raise ConfigError(f"{what}: missing {exc}") from None

@@ -27,8 +27,11 @@ Two backends implement the same contract:
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
 The numpy kernel walks the epoch in groups of whole consecutive segments
-of at most ``_GROUP_CELLS`` (round, agent) cells; a longer segment is a
-group of its own.  Every call reuses one :class:`Workspace` of flat
+of at most ``_GROUP_CELLS`` (round, agent) cells, one block's worth, so a
+short segment shares its group with its neighbours; a longer segment is
+a group of its own.  A group's segments also hold no more reward bins,
+L * Kmax per segment, than it has cells, so a wide plan's fold stays the
+size of its group.  Every call reuses one :class:`Workspace` of flat
 arrays, which ``engine.run_single`` makes once per numpy run, sized from
 all its calls' cuts (a call without one makes its own): no call
 allocates arrays that grow with its cells, so a long run does not fault
@@ -52,10 +55,17 @@ is a target takes its plane's clean reward, and only the cells whose
 pulled arm is no target draw it, in one compacted pass.  Once gated, a
 block's charges are folded at once: a ``cumsum`` per segment, its first
 row seeded with the segment's total so far, adds each agent's charges
-in round order.  Each group is then folded in whole-array passes: one
-``bincount``, over a bin per segment and slot, adds each slot's rewards
-in round order; and one ``take`` gives every cell its pulled arm's mean,
-summed per segment along each agent's row.
+in round order.  Each group is then folded in whole-array passes, with
+no Python loop over its segments but the regret's: a per-round offset
+row (``np.repeat`` of each segment's first bin over its rounds) gives
+every cell a bin per segment and slot, so one ``bincount`` adds each
+slot's rewards in round order; the running total, added into the first
+segment's bins, and one ``cumsum`` over the segments then make the old
+segment-by-segment additions in their order.  One ``take`` gives every
+cell its pulled arm's mean, reduced per segment along each agent's row
+(pairwise, as a per-segment sum reduces it), and the regret of all the
+group's segments is one subtraction from ``best_means`` times their
+lengths.
 
 Backend selection: the ``DRAA_BACKEND`` environment variable (``numba``
 or ``numpy``), overridable per call.  For the same plan, pulls, clean
@@ -94,8 +104,8 @@ from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np, _unit
 BACKENDS = ("numba", "numpy")
 
 #: (round, agent) cells that whole segments may fill in one group of the
-#: numpy kernel; a longer segment is a group of its own
-_GROUP_CELLS = 4096
+#: numpy kernel, one block's worth; a longer segment is a group of its own
+_GROUP_CELLS = 16384
 
 #: (round, agent) cells per block of the numpy kernel's reward draws: a
 #: block's arrays in the workspace hold this many cells, and a longer
@@ -324,7 +334,7 @@ class Workspace:
     It serves calls of ``num_agents`` agents, one ``(t_start, cuts)``
     pair of a plan per call in ``calls``, and holds the largest group
     any of them makes: its longest segment, or whole segments of at most
-    ``group_rows`` rounds.  ``beta_table`` is the (K, N) Beta table the
+    ``group_rows`` rounds, as many as one block holds.  ``beta_table`` is the (K, N) Beta table the
     calls map with, or (0, 0).  The buffers are flat; a call views their
     leading entries in the shape it needs (``model._carve``).  A group's
     slots and rewards are group-sized; the hashes, pulled arms, charges
@@ -586,9 +596,9 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
     """Execute a plan with vectorized numpy (fallback backend).
 
     The rounds are drawn in groups of whole consecutive segments holding
-    at most ``_GROUP_CELLS`` cells; a longer segment is a group of its
-    own.  Every group reuses the arrays of ``workspace``, which is made
-    for this call when not given.  The budget spend carries from block to
+    at most ``_GROUP_CELLS`` cells, and as many reward bins; a longer
+    segment is a group of its own.  Every group reuses the arrays of
+    ``workspace``, which is made for this call when not given.  The budget spend carries from block to
     block, and every sum is reduced per segment, so neither the grouping
     nor the blocks change a result bit.
     """
@@ -610,10 +620,13 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
     edits = (targets, np.maximum(targets, 0),
              np.where(targets >= 0, plan.pushes.T[columns, :, None], 0.0))
 
+    # a group's segments have no more bins, L * kmax each, than it has
+    # cells
+    group_segments = max(1, _GROUP_CELLS // (L * kmax))
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
-        s1 = max(s0 + 1, int(np.searchsorted(cuts, t0 + ws.group_rows - 1,
-                                             "right")))
+        s1 = max(s0 + 1, min(s0 + group_segments, int(np.searchsorted(
+            cuts, t0 + ws.group_rows - 1, "right"))))
         t1 = int(cuts[s1 - 1])
         n = t1 - t0 + 1
         slot = _carve(ws.slot, (L, n))
@@ -629,17 +642,22 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
         pull_counts += np.bincount(slot.reshape(-1), minlength=L * kmax)
         # one bin per segment and slot: a slot is one agent's, so its bin
         # adds the segment's rewards in round order
-        for s, (a, b) in enumerate(bounds[1:], start=1):
-            slot[:, a:b] += s * L * kmax
+        lengths = np.diff(cuts[s0:s1], prepend=t0 - 1)
+        if s1 - s0 > 1:
+            slot += np.repeat(np.arange(s1 - s0) * (L * kmax), lengths)
         sums = np.bincount(slot.reshape(-1), observed.reshape(-1),
                            (s1 - s0) * L * kmax).reshape(s1 - s0, -1)
+        # the total so far, then each segment's sums, in segment order
+        sums[0] += reward_sums
+        reward_sums = np.cumsum(sums, axis=0, out=sums)[-1]
         # the rewards are summed, so their array takes each cell's pulled
         # mean (wrap drops the bins' offsets)
         means = slot_means.take(slot, out=observed, mode="wrap")
-        for s, (a, b) in enumerate(bounds, start=s0):
-            reward_sums += sums[s - s0]
-            regret[s] = (plan.best_means * (b - a)
-                         - np.add.reduce(means[:, a:b], axis=1))
+        seg_regret = regret[s0:s1]
+        for s, (a, b) in enumerate(bounds):
+            np.add.reduce(means[:, a:b], axis=1, out=seg_regret[s])
+        np.subtract(plan.best_means * lengths[:, None], seg_regret,
+                    out=seg_regret)
         s0, t0 = s1, t1 + 1
 
     return SegmentResult(

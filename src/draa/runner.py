@@ -7,7 +7,12 @@ Artifacts per experiment land in ``<output_dir>/<name>/``:
 * ``seed_<s>_summary.json``: full run summary (schema described in the
   README).
 * ``checkpoints.csv``: the first seed file's header, then each seed
-  file's rows in seed order; writing holds the arrays, not their text.
+  file's rows in seed order.
+
+Each seed's rows are formatted in chunks of bounded size, each chunk's
+text written to the seed's file and appended to ``checkpoints.csv`` as it
+is made: writing holds the arrays and one chunk's text, and no file is
+read back.
 
 Configs arrive validated (:mod:`draa.config`); every seed runs from that
 one :class:`ExperimentConfig`, so one process loads or builds one Beta table.
@@ -22,13 +27,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-import shutil
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -38,6 +43,11 @@ from .config import validate_config  # noqa: F401 (perfbench rebinds it here)
 from .engine import Checkpoints, RunResult, run_single
 from .errors import ConfigError, checked
 from .kernels import default_backend
+
+
+#: fields of checkpoint rows formatted at once: writing holds the text
+#: and values of at most this many beside the run's arrays
+_CSV_CELLS = 8192
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -77,22 +87,44 @@ def execute_run(config: ExperimentConfig, seed: int,
                       checkpoints=checkpoints, trace=trace)
 
 
-def checkpoint_rows(seed: int, cp: Checkpoints) -> Iterator[list]:
-    """The checkpoint CSV's header, then one row per checkpoint."""
-    agents = [f"regret_agent_{ell}" for ell in range(cp.regret.shape[1])]
-    yield ["seed", "t", "total_regret", *agents, "C_so_far", "comm_cost"]
-    for t, total, regret, so_far, cost in zip(
-            cp.t, cp.regret.sum(axis=1), cp.regret, cp.corruption,
-            cp.comm_cost):
-        yield [seed, t, f"{total:.10g}",
-               *(f"{r:.10g}" for r in regret.tolist()), f"{so_far:.10g}",
-               cost]
+def checkpoint_rows(seed: int, cp: Checkpoints) -> Iterator[str]:
+    """The checkpoint CSV's header line, then its rows' text in chunks of
+    at most ``_CSV_CELLS`` fields of whole rows, which
+    :func:`write_checkpoint_csv` writes to the seed's file and to the
+    merged one as they come.
+
+    Each row is one ``%``-format of its chunk's ``tolist()`` values: the
+    bytes ``csv.writer`` writes for the fields ``seed``, ``t``, each float
+    as ``f"{x:.10g}"`` and ``comm_cost``, for none of them holds a comma,
+    quote or newline.
+    """
+    L = cp.regret.shape[1]
+    agents = ",".join(f"regret_agent_{ell}" for ell in range(L))
+    yield f"seed,t,total_regret,{agents},C_so_far,comm_cost\r\n"
+    row = "%d,%d," + "%.10g," * (L + 2) + "%d\r\n"
+    step = max(1, _CSV_CELLS // (L + 4))
+    for i in range(0, cp.t.size, step):
+        regret = cp.regret[i:i + step]
+        columns = (cp.t[i:i + step], regret.sum(axis=1), *regret.T,
+                   cp.corruption[i:i + step], cp.comm_cost[i:i + step])
+        yield "".join([row % fields for fields in
+                       zip(repeat(seed), *(c.tolist() for c in columns))])
 
 
-def write_checkpoint_csv(path: Path, rows: Iterable[list]) -> None:
-    """``rows``, a header and then its rows, as a CSV."""
+def write_checkpoint_csv(path: Path, lines: Iterable[str],
+                         merged: TextIO) -> None:
+    """Write ``lines``, a header and then its rows' text, to ``path``, and
+    append them to ``merged``: the rows, after the header if it is still
+    empty."""
+    lines = iter(lines)
+    header = next(lines)
+    if not merged.tell():
+        merged.write(header)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.write(header)
+        for text in lines:
+            fh.write(text)
+            merged.write(text)
 
 
 def check_output_dir(path: Path) -> None:
@@ -225,15 +257,10 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
-    with open(out_dir / "checkpoints.csv", "wb") as merged:
+    with open(out_dir / "checkpoints.csv", "w", newline="") as merged:
         for seed, (checkpoints, summary) in zip(config.seeds, outputs):
-            csv_path = out_dir / f"seed_{seed}_checkpoints.csv"
-            write_checkpoint_csv(csv_path, checkpoint_rows(seed, checkpoints))
-            with open(csv_path, "rb") as fh:  # its rows, after one header
-                header = fh.readline()
-                if merged.tell() == 0:
-                    merged.write(header)
-                shutil.copyfileobj(fh, merged)
+            write_checkpoint_csv(out_dir / f"seed_{seed}_checkpoints.csv",
+                                 checkpoint_rows(seed, checkpoints), merged)
             with open(out_dir / f"seed_{seed}_summary.json", "w") as fh:
                 json.dump(summary, fh, indent=2, sort_keys=True,
                           cls=_IndentedEncoder)
@@ -271,8 +298,10 @@ def run_sweep(spec: SweepSpec, backend: str | None = None,
                   f"over {len(summaries)} seeds")
     out_root.mkdir(parents=True, exist_ok=True)
     path = out_root / f"{base_config.name}_sweep.csv"
-    write_checkpoint_csv(path, [list(aggregated[0]),
-                                *(list(row.values()) for row in aggregated)])
+    # csv quotes the label cells that hold a comma
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([list(aggregated[0]),
+                                  *(list(row.values()) for row in aggregated)])
     if not quiet:
         print(f"wrote {path}")
     return aggregated

@@ -2,6 +2,7 @@
 import concurrent.futures
 import contextlib
 import copy
+import csv
 import hashlib
 import importlib.util
 import io
@@ -461,6 +462,70 @@ def test_checkpoint_spacing():
     assert len(cps) == 10
     cps_small = evenly_spaced_checkpoints(5, 64)
     assert cps_small == [1, 2, 3, 4, 5]
+
+
+def _csv_writer_rows(seed, cp):
+    """The checkpoint CSV as ``csv.writer`` wrote it from the row lists
+    ``runner.checkpoint_rows`` made before it formatted text itself."""
+    agents = [f"regret_agent_{ell}" for ell in range(cp.regret.shape[1])]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["seed", "t", "total_regret", *agents, "C_so_far",
+                     "comm_cost"])
+    for t, total, regret, so_far, cost in zip(
+            cp.t, cp.regret.sum(axis=1), cp.regret, cp.corruption,
+            cp.comm_cost):
+        writer.writerow([seed, t, f"{total:.10g}",
+                         *(f"{r:.10g}" for r in regret.tolist()),
+                         f"{so_far:.10g}", cost])
+    return buf.getvalue()
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -2.2250738585072014e-308, 1e-300, -1e300,
+                     1.7976931348623157e308, 1e-310]),
+    st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+_CSV_INTS = st.one_of(st.integers(-2**63, -2**63 + 10),
+                      st.integers(2**63 - 10, 2**63 - 1),
+                      st.integers(-10**6, 10**6))
+
+
+@given(data=st.data(), L=st.sampled_from([1, 3, 64]),
+       seed=st.integers(0, 2**64 - 1), extra=st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_text_is_the_csv_writer_bytes(data, L, seed, extra):
+    """``checkpoint_rows``' header and text chunks are the bytes
+    ``csv.writer`` wrote from the old row lists, for special floats,
+    int64 extremes and row counts on both sides of a chunk."""
+    chunk = max(1, runner._CSV_CELLS // (L + 4))
+    rows = data.draw(st.sampled_from(
+        [0, 1, max(0, chunk + extra), max(0, 2 * chunk + extra)]))
+
+    def floats(shape):
+        cells = int(np.prod(shape))
+        drawn = data.draw(st.lists(_CSV_FLOATS, min_size=min(cells, 40),
+                                   max_size=min(cells, 40)))
+        # the drawn values, then plain ones, shuffled into place
+        values = np.random.default_rng(seed % 2**32).normal(
+            0.0, 1e3, cells)
+        values[:len(drawn)] = drawn
+        return np.random.default_rng(rows).permutation(values).reshape(shape)
+
+    def ints():
+        drawn = data.draw(st.lists(_CSV_INTS, min_size=min(rows, 20),
+                                   max_size=min(rows, 20)))
+        values = np.arange(rows, dtype=np.int64)
+        values[:len(drawn)] = drawn
+        return values
+
+    cp = engine.Checkpoints(t=ints(), regret=floats((rows, L)),
+                            corruption=floats((rows,)), comm_cost=ints())
+    with np.errstate(over="ignore", invalid="ignore"):
+        text = "".join(runner.checkpoint_rows(seed, cp))
+        expected = _csv_writer_rows(seed, cp)
+    assert text == expected
 
 
 def set_cpus(monkeypatch, affinity, count=64):
@@ -1279,6 +1344,18 @@ class TestCli:
          "'regret_total' must be a number, got None"),
         (dict(_SUMMARY, regret_per_agent=[1.5, "x"]),
          "'regret_per_agent' must be a number, got 'x'"),
+        (dict(_SUMMARY, seed={"a": 1}),
+         "'seed' must be a number, got {'a': 1}"),
+        (dict(_SUMMARY, num_epochs=float("nan")),
+         "'num_epochs' must be an integer, got nan"),
+        (dict(_SUMMARY, horizon=2.5), "'horizon' must be an integer"),
+        (dict(_SUMMARY, comm_cost=-1), "'comm_cost' must be nonnegative"),
+        (dict(_SUMMARY, fallback_epochs="0"),
+         "'fallback_epochs' must be a number, got '0'"),
+        (dict(_SUMMARY, prob_bracket_violations=True),
+         "'prob_bracket_violations' must be a number, got True"),
+        (dict(_SUMMARY, gap_range_violations=None),
+         "'gap_range_violations' must be a number, got None"),
     ])
     def test_show_non_summary_exit_2(self, tmp_path, capsys, content, msg):
         path = tmp_path / "other.json"

@@ -281,6 +281,56 @@ def test_cuts_change_no_bit(seed, L, t_len, beta, spent, budget_frac,
         run_plan(plan)
 
 
+@pytest.mark.parametrize("edits", ["none", "gap_flip", "gap_flip-budget"])
+@pytest.mark.parametrize("beta", [False, True])
+@pytest.mark.parametrize("cut_every", [1, 7, "uneven"])
+@pytest.mark.parametrize("L", [1, 4, 64])
+def test_many_segments_per_group_at_default_caps(L, cut_every, beta, edits):
+    """At the kernel's own caps a group holds many whole segments, folded
+    in array passes: cuts every round, every 7 rounds or at uneven places
+    over two groups and more.  With gap_flip-style targets the budget may
+    close inside a group that holds several segments."""
+    group_rows = max(1, kernels._GROUP_CELLS // L)
+    t_len = 2 * group_rows + 11
+    rng = np.random.default_rng(1000 + L)
+    plan = make_plan(rng, L, 2**32 + 3, t_len, beta, spent=1.3,
+                     budget_frac=1.0, num_arms=12, max_local=8, pad=1,
+                     means=np.linspace(0.1, 0.9, 12))
+    if cut_every == "uneven":
+        lengths = np.resize([1, 2, 9, 3, 40, 1, 17], t_len)
+        ends = np.cumsum(lengths)
+        cuts = np.append(ends[ends < t_len], t_len)
+    else:
+        cuts = np.append(np.arange(cut_every, t_len, cut_every), t_len)
+    plan.cuts = plan.t_start - 1 + np.unique(cuts)
+    if edits == "none":
+        plan.targets[:] = -1
+    else:
+        sizes = (plan.arms >= 0).sum(axis=1)
+        plan.targets[:, 0] = plan.arms[np.arange(L), sizes - 1]
+        plan.targets[:, 1] = np.where(sizes > 1, plan.arms[:, 0], -1)
+        plan.pushes[:] = [-0.3719, 0.2903]
+    unbudgeted = _oracle_segment(dataclasses.replace(plan, budget=np.inf))
+    if edits == "gap_flip-budget":
+        # closes in the middle of the first group, which holds several
+        # segments
+        charges = _cell_charges(plan).reshape(-1)
+        cell = (group_rows // 2) * L
+        plan = dataclasses.replace(
+            plan, budget=plan.spent + charges[:cell].sum())
+    else:
+        plan = dataclasses.replace(plan, budget=np.inf)
+    old = assert_same(plan)
+    assert plan.cuts.size > 2 * (t_len // (group_rows + 1))
+    assert (np.searchsorted(plan.cuts, plan.t_start - 1 + group_rows,
+                            "right") > 1)
+    if edits == "gap_flip-budget":
+        assert not old.adv_active
+        assert 0.0 < old.corruption.sum() < unbudgeted.corruption.sum()
+    else:
+        assert old.adv_active
+
+
 def _cell_charges(plan):
     """Each (round, agent) cell's charge with no budget, from the oracle
     cut at every round."""
@@ -290,7 +340,8 @@ def _cell_charges(plan):
 
 
 @pytest.mark.parametrize("where", ["short", "long", "cut"])
-@pytest.mark.parametrize("block_cells", [1, 37, kernels._GROUP_CELLS])
+@pytest.mark.parametrize("block_cells", [1, 37, 4096,
+                                         kernels._GROUP_CELLS])
 @pytest.mark.parametrize("beta", [False, True])
 @pytest.mark.parametrize("L", [1, 3, 64])
 def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,

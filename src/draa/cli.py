@@ -85,12 +85,16 @@ def cmd_show(args) -> int:
         """``summary[key]`` as a nonnegative integer."""
         return checked(f"summary field {key!r}", summary[key], int, 0)
 
+    def text(key):
+        """``summary[key]`` as a string."""
+        return checked_as(f"summary field {key!r}", summary[key], str)
+
     try:
         lines = [
-            f"experiment : {summary['name']}",
+            f"experiment : {text('name')}",
             f"seed       : {integer('seed')}",
-            f"estimator  : {summary['estimator']}  "
-            f"backend: {summary['backend']}",
+            f"estimator  : {text('estimator')}  "
+            f"backend: {text('backend')}",
             f"horizon    : {integer('horizon')}  "
             f"epochs: {integer('num_epochs')}  "
             f"lambda: {number('lambda', '.4g')}",

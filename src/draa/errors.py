@@ -52,7 +52,9 @@ def _exponent_hint(text: str) -> str:
         return ""
     if not e or not (dot or sign) or not math.isfinite(number):
         return ""  # no exponent, a quoted YAML float, or too large
-    plain = f"{int(number)} or " if number.is_integer() else ""
+    from decimal import Decimal  # off the CLI's import path
+    exact = number.is_integer() and Decimal(text) == number  # as written
+    plain = f"{int(number)} or " if exact else ""
     return (f" (YAML 1.1 reads this as text; "
             f"write {plain}{mantissa}{dot}e{sign}{exponent})")
 

@@ -26,23 +26,24 @@ Two backends implement the same contract:
   ``--backend`` gets a ``ConfigError`` instead (:func:`default_backend`).
 * ``numpy``: pure vectorized numpy (fallback; always available).
 
-The numpy kernel walks the epoch in groups of whole consecutive segments
-of at most ``_GROUP_CELLS`` (round, agent) cells, one block's worth, so a
-short segment shares its group with its neighbours; a longer segment is
-a group of its own.  A group's segments also hold no more reward bins,
-L * Kmax per segment, than it has cells, so a wide plan's fold stays the
-size of its group.  Every call reuses one :class:`Workspace` of flat
-arrays, which ``engine.run_single`` makes once per numpy run, sized from
-all its calls' cuts (a call without one makes its own): no call
-allocates arrays that grow with its cells, so a long run does not fault
-their pages in again group after group.  A group's slots and delivered
-rewards live in agent-major (L, rounds) arrays, so per-agent broadcasts
-run along contiguous rows.  The group is drawn in blocks of at most
-``_BLOCK_CELLS`` cells, each ufunc, ``take`` and ``cumsum`` writing into
-the workspace; only a block's charges, one block in size, are
+The numpy kernel walks the epoch in groups drawn in blocks of at most
+``_BLOCK_CELLS`` (round, agent) cells.  A group is either several whole
+consecutive segments within one block's rounds, or one segment drawn
+block by block, so every segment of a group spans every block of it.
+Its segments also hold no more reward bins, L * Kmax each, than a block
+has cells, so a wide plan's fold stays the size of its group.  Every
+call reuses one :class:`Workspace` of flat arrays, which
+``engine.run_single`` makes once per numpy run, sized from all its
+calls' cuts (a call without one makes its own): no call allocates arrays
+that grow with its cells, so a long run does not fault their pages in
+again group after group.  A group's slots and delivered rewards live in
+agent-major (L, rounds) arrays, so per-agent broadcasts run along
+contiguous rows.  Each ufunc, ``take`` and ``cumsum`` of a block writes
+into the workspace; only a block's charges, one block in size, are
 round-major, the budget gate's order.  A block first draws its pulls,
 then their rewards; for both streams the ``(t)`` hash prefixes are mixed
-once per round and the ``(t, ell)`` ones once per cell.  The pull hashes are searched as integers, not as
+once per round and the ``(t, ell)`` ones once per cell.  The pull hashes
+are searched as integers, not as
 uniforms: a hash h draws u = (h >> 11) * 2**-53, and u >= c holds
 exactly when h >> 11 >= ceil(c * 2**53), since the scaling and the
 ceiling are exact.  Each call turns the CDF rows into these thresholds
@@ -103,14 +104,11 @@ from .rng import _INV_2_53, _U64_GAMMA, _U64_MUL1, _U64_MUL2, _mix64_np, _unit
 
 BACKENDS = ("numba", "numpy")
 
-#: (round, agent) cells that whole segments may fill in one group of the
-#: numpy kernel, one block's worth; a longer segment is a group of its own
-_GROUP_CELLS = 16384
-
-#: (round, agent) cells per block of the numpy kernel's reward draws: a
-#: block's arrays in the workspace hold this many cells, and a longer
-#: block covers a group's cells with fewer numpy calls.  At 32768 the
-#: narrow plan of test_numpy_kernel_peak_memory_per_cell exceeds its bound
+#: (round, agent) cells per block of the numpy kernel's draws, and the
+#: most that whole segments may fill as one group: a block's arrays in
+#: the workspace hold this many cells, and a longer block covers a
+#: group's cells with fewer numpy calls.  At 32768 the narrow plan of
+#: test_numpy_kernel_peak_memory_per_cell exceeds its bound
 _BLOCK_CELLS = 16384
 
 #: the top bits of a pull hash that pick its bucket of the agent's guide
@@ -333,24 +331,22 @@ class Workspace:
 
     It serves calls of ``num_agents`` agents, one ``(t_start, cuts)``
     pair of a plan per call in ``calls``, and holds the largest group
-    any of them makes: its longest segment, or whole segments of at most
-    ``group_rows`` rounds, as many as one block holds.  ``beta_table`` is the (K, N) Beta table the
-    calls map with, or (0, 0).  The buffers are flat; a call views their
-    leading entries in the shape it needs (``model._carve``).  A group's
-    slots and rewards are group-sized; the hashes, pulled arms, charges
-    and scratch hold one block, whose pulls and rewards are drawn
-    together.  Each call
-    also makes the pull search's tables for its CDF here (:meth:`index`).
+    any of them makes: its longest segment, or one block of ``rows``
+    rounds.  ``beta_table`` is the (K, N) Beta table the calls map with,
+    or (0, 0).  The buffers are flat; a call views their leading entries
+    in the shape it needs (``model._carve``).  A group's slots and
+    rewards are group-sized; the hashes, pulled arms, charges and scratch
+    hold one block, whose pulls and rewards are drawn together.  Each
+    call also makes the pull search's tables for its CDF here
+    (:meth:`index`).
     """
 
     def __init__(self, num_agents: int, calls, beta_table: np.ndarray):
-        #: rounds that whole segments may fill in one group
-        self.group_rows = max(1, _GROUP_CELLS // num_agents)
-        #: rounds per reward block
+        #: rounds per block, and that whole segments may fill in one group
         self.rows = max(1, _BLOCK_CELLS // num_agents)
         group = max(
             max(int(np.diff(cuts, prepend=t_start - 1).max()),
-                min(self.group_rows, int(cuts[-1]) - t_start + 1))
+                min(self.rows, int(cuts[-1]) - t_start + 1))
             for t_start, cuts in calls)
         self.ramp = np.arange(min(self.rows, group), dtype=np.uint64)
         self.rounds = np.empty_like(self.ramp)  # a block's t hashes
@@ -468,9 +464,9 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
     arms drawn for them and their pushes; then each block's round-major
     charges are gated, its spend carried from ``spent``, and added into
     row s of ``corruption`` for each segment s, the group rows [a, b) of
-    ``bounds[s]``.  Once the gate closes, the rest of the group draws as
-    without edits and charges nothing.  Returns the spend and whether the
-    gate is still open.
+    ``bounds[s]``, each of which spans every block.  Once the gate
+    closes, the rest of the group draws as without edits and charges
+    nothing.  Returns the spend and whether the gate is still open.
     """
     L, n = slot.shape
     arms_flat = plan.arms.reshape(-1)
@@ -546,16 +542,14 @@ def _draw_group(plan: SegmentPlan, ws: Workspace, t0: int, slot, observed,
             np.maximum(edited[0], edited[-1], out=charges.T)
             spent, live = _gate(charges, out, clean, spent, plan.budget,
                                 floats)
-            # each segment's running sums in round order, as the loop
-            # kernel adds them: seeding its first row here with the total
-            # of its earlier blocks (0.0 in its first, which adds exactly)
-            # is the gate's own carry
+            # each segment's running sums in round order, as the loop kernel
+            # adds them: its first row here takes the total of its earlier
+            # blocks (0.0 in its first, which adds exactly), the gate's carry
             for s, (a, b) in enumerate(bounds):
-                if a < r1 and r0 < b:
-                    rows = charges[max(a, r0) - r0:min(b, r1) - r0]
-                    rows[0] += corruption[s]
-                    corruption[s] = np.cumsum(
-                        rows, axis=0, out=_carve(floats, rows.shape))[-1]
+                rows = charges[max(a - r0, 0):b - r0]
+                rows[0] += corruption[s]
+                corruption[s] = np.cumsum(
+                    rows, axis=0, out=_carve(floats, rows.shape))[-1]
         if trace is not None:
             span = slice(t0 - plan.t_start + r0, t0 - plan.t_start + r1)
             for rows_out, block in zip(trace, (arm, out, clean)):
@@ -595,12 +589,11 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
                       workspace: Workspace | None = None) -> SegmentResult:
     """Execute a plan with vectorized numpy (fallback backend).
 
-    The rounds are drawn in groups of whole consecutive segments holding
-    at most ``_GROUP_CELLS`` cells, and as many reward bins; a longer
-    segment is a group of its own.  Every group reuses the arrays of
-    ``workspace``, which is made for this call when not given.  The budget spend carries from block to
-    block, and every sum is reduced per segment, so neither the grouping
-    nor the blocks change a result bit.
+    The rounds are drawn in the groups of the module docstring, each
+    reusing the arrays of ``workspace``, which is made for this call
+    when not given.  The budget spend carries from block to block, and
+    every sum is reduced per segment, so neither the grouping nor the
+    blocks change a result bit.
     """
     L, kmax = plan.arms.shape
     cuts = plan.cuts
@@ -620,13 +613,13 @@ def run_segment_numpy(plan: SegmentPlan, trace: tuple | None = None,
     edits = (targets, np.maximum(targets, 0),
              np.where(targets >= 0, plan.pushes.T[columns, :, None], 0.0))
 
-    # a group's segments have no more bins, L * kmax each, than it has
-    # cells
-    group_segments = max(1, _GROUP_CELLS // (L * kmax))
+    # whole segments share a group if their rounds and bins, L * kmax each,
+    # fit one block
+    group_segments = max(1, _BLOCK_CELLS // (L * kmax))
     s0, t0 = 0, plan.t_start
     while s0 < cuts.size:
         s1 = max(s0 + 1, min(s0 + group_segments, int(np.searchsorted(
-            cuts, t0 + ws.group_rows - 1, "right"))))
+            cuts, t0 + ws.rows - 1, "right"))))
         t1 = int(cuts[s1 - 1])
         n = t1 - t0 + 1
         slot = _carve(ws.slot, (L, n))

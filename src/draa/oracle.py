@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .runner import RunResult, _IndentedEncoder, execute_run, summarize
+from .runner import RunResult, execute_run, summarize
 
 #: family-wise false-alarm rate of the pull-count rows
 ALPHA = 1e-6
@@ -33,10 +33,10 @@ class OracleReport:
 
 
 def _artifacts(result: RunResult, config: ExperimentConfig):
-    """The summary as ``draa run`` encodes it, and the checkpoint arrays'
-    bytes (the CSV's ``.10g`` text would hide their last bits)."""
-    summary = json.dumps(summarize(result, config), indent=2,
-                         sort_keys=True, cls=_IndentedEncoder)
+    """The summary as compact JSON, whose floats are their ``repr`` as in
+    the file ``draa run`` writes, and the checkpoint arrays' bytes (the
+    CSV's ``.10g`` text would hide their last bits)."""
+    summary = json.dumps(summarize(result, config), sort_keys=True)
     return summary, [(a.dtype, a.shape, a.tobytes())
                      for a in vars(result.checkpoints).values()]
 

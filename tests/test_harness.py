@@ -1032,6 +1032,17 @@ class TestCli:
                 f"this as text; write 10000 or 1.0e+4)") in err
         assert not (tmp_path / "unit").exists()
 
+    @pytest.mark.parametrize("text,write", [
+        ("1e4", "10000 or 1.0e+4"), ("1e+300", "1.0e+300"),
+        ("1e300", "1.0e+300"), ("1e23", "1.0e+23"), ("25e-1", "25.0e-1"),
+        ("3e2", "300 or 3.0e+2")])
+    def test_exponent_hint_offers_only_the_written_integer(self, text, write):
+        """1e23 and 1e+300 are not integers as floats hold them, so the
+        hint offers no digits that differ from the number written."""
+        from draa.errors import _exponent_hint
+        assert _exponent_hint(text) == (
+            f" (YAML 1.1 reads this as text; write {write})")
+
     def test_signed_exponent_runs(self, tmp_path):
         path = write_config(tmp_path, horizon=2000)
         path.write_text(path.read_text().replace("horizon: 2000",
@@ -1356,6 +1367,10 @@ class TestCli:
          "'prob_bracket_violations' must be a number, got True"),
         (dict(_SUMMARY, gap_range_violations=None),
          "'gap_range_violations' must be a number, got None"),
+        (dict(_SUMMARY, name={"a": 1}), "'name' must be a str, got {'a': 1}"),
+        (dict(_SUMMARY, estimator=["w"]),
+         "'estimator' must be a str, got ['w']"),
+        (dict(_SUMMARY, backend=None), "'backend' must be a str, got None"),
     ])
     def test_show_non_summary_exit_2(self, tmp_path, capsys, content, msg):
         path = tmp_path / "other.json"

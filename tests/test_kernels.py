@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from draa import kernels
@@ -194,12 +194,11 @@ def make_plan(rng, L, t_start, t_len, beta, spent, budget_frac,
 
 
 def caps(cells):
-    """Groups and blocks of at most ``cells`` cells each, as one constant
-    capped both before they were split; None keeps the kernel's caps."""
+    """Blocks of at most ``cells`` cells, which also bound the whole
+    segments that share a group; None keeps the kernel's cap."""
     if cells is None:
         return contextlib.nullcontext()
-    return mock.patch.multiple(kernels, _GROUP_CELLS=cells,
-                               _BLOCK_CELLS=cells)
+    return mock.patch.object(kernels, "_BLOCK_CELLS", cells)
 
 
 def assert_same(plan):
@@ -281,6 +280,38 @@ def test_cuts_change_no_bit(seed, L, t_len, beta, spent, budget_frac,
         run_plan(plan)
 
 
+def test_groups_are_segments_in_one_block_or_one_segment():
+    """Every group the numpy kernel draws is either whole segments within
+    one block's rounds or a single segment, however long, over random
+    cuts and caps; each kind occurs, and every result is the oracle's."""
+    kinds = set()
+
+    @given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([1, 3, 64]),
+           t_len=st.integers(1, 150), num_cuts=st.integers(1, 60),
+           block_cells=st.sampled_from([None, 1, 37]))
+    @example(seed=0, L=1, t_len=150, num_cuts=10, block_cells=37)
+    @example(seed=0, L=3, t_len=60, num_cuts=2, block_cells=37)
+    @example(seed=0, L=1, t_len=1, num_cuts=1, block_cells=1)
+    @settings(max_examples=40, deadline=None)
+    def walk(seed, L, t_len, num_cuts, block_cells):
+        rng = np.random.default_rng(seed)
+        # at most 3 arms per agent, so that many segments' bins fit a block
+        plan = make_plan(rng, L, 1 + seed % 5000, t_len, seed % 2 == 1,
+                         spent=0.5, budget_frac=0.7, max_local=3,
+                         num_cuts=num_cuts)
+        with caps(block_cells), mock.patch.object(
+                kernels, "_draw_group", wraps=kernels._draw_group) as draw:
+            assert_same(plan)
+        for call in draw.call_args_list:
+            ws, slot, bounds = call.args[1], call.args[3], call.args[6]
+            assert len(bounds) == 1 or slot.shape[1] <= ws.rows
+            kinds.add("shared" if len(bounds) > 1
+                      else "long" if slot.shape[1] > ws.rows else "one")
+
+    walk()
+    assert kinds == {"shared", "long", "one"}
+
+
 @pytest.mark.parametrize("edits", ["none", "gap_flip", "gap_flip-budget"])
 @pytest.mark.parametrize("beta", [False, True])
 @pytest.mark.parametrize("cut_every", [1, 7, "uneven"])
@@ -290,8 +321,8 @@ def test_many_segments_per_group_at_default_caps(L, cut_every, beta, edits):
     in array passes: cuts every round, every 7 rounds or at uneven places
     over two groups and more.  With gap_flip-style targets the budget may
     close inside a group that holds several segments."""
-    group_rows = max(1, kernels._GROUP_CELLS // L)
-    t_len = 2 * group_rows + 11
+    rows = max(1, kernels._BLOCK_CELLS // L)
+    t_len = 2 * rows + 11
     rng = np.random.default_rng(1000 + L)
     plan = make_plan(rng, L, 2**32 + 3, t_len, beta, spent=1.3,
                      budget_frac=1.0, num_arms=12, max_local=8, pad=1,
@@ -315,14 +346,14 @@ def test_many_segments_per_group_at_default_caps(L, cut_every, beta, edits):
         # closes in the middle of the first group, which holds several
         # segments
         charges = _cell_charges(plan).reshape(-1)
-        cell = (group_rows // 2) * L
+        cell = (rows // 2) * L
         plan = dataclasses.replace(
             plan, budget=plan.spent + charges[:cell].sum())
     else:
         plan = dataclasses.replace(plan, budget=np.inf)
     old = assert_same(plan)
-    assert plan.cuts.size > 2 * (t_len // (group_rows + 1))
-    assert (np.searchsorted(plan.cuts, plan.t_start - 1 + group_rows,
+    assert plan.cuts.size > 2 * (t_len // (rows + 1))
+    assert (np.searchsorted(plan.cuts, plan.t_start - 1 + rows,
                             "right") > 1)
     if edits == "gap_flip-budget":
         assert not old.adv_active
@@ -341,7 +372,7 @@ def _cell_charges(plan):
 
 @pytest.mark.parametrize("where", ["short", "long", "cut"])
 @pytest.mark.parametrize("block_cells", [1, 37, 4096,
-                                         kernels._GROUP_CELLS])
+                                         kernels._BLOCK_CELLS])
 @pytest.mark.parametrize("beta", [False, True])
 @pytest.mark.parametrize("L", [1, 3, 64])
 def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
@@ -387,12 +418,13 @@ def test_budget_crossed_inside_a_group_or_at_a_cut(L, beta, block_cells,
 
 
 def _gate_positions():
-    """(agent, row, group rounds) of the first overrun, blocks of 5 rounds.
+    """(agent, row, segment rounds) of the first overrun, blocks of 5
+    rounds.
 
-    With 5-round groups: each agent of a round in the middle of the
-    third group, or of its last round.  With one 30-round group: the
-    first cell of its third block, and the last cell of that block,
-    which does not end the group.
+    With six 5-round segments, each a block: each agent of a round in
+    the middle of the third, or of its last round.  With one 30-round
+    segment drawn block by block: the first cell of its third block,
+    and the last cell of that block, which does not end the segment.
     """
     for last in (False, True):
         for agent in range(3):
@@ -402,8 +434,8 @@ def _gate_positions():
     yield pytest.param(2, 14, 30, id="block-end")
 
 
-@pytest.mark.parametrize("agent,row,group", _gate_positions())
-def test_gate_closes_at_every_agent_position(agent, row, group):
+@pytest.mark.parametrize("agent,row,segment", _gate_positions())
+def test_gate_closes_at_every_agent_position(agent, row, segment):
     """The first overrun falls on the given cell, after two earlier
     blocks carried the spend.  From that cell on, round-major, the
     numpy kernel delivers clean rewards and charges nothing, as the
@@ -413,7 +445,7 @@ def test_gate_closes_at_every_agent_position(agent, row, group):
     plan = make_plan(rng, L, 2**32 + 9, 6 * block, True, spent=2.3,
                      budget_frac=1.0, num_arms=12, max_local=8, pad=1,
                      means=np.linspace(0.1, 0.9, 12))
-    plan.cuts = plan.t_start - 1 + block * np.arange(1, 7)
+    plan.cuts = plan.t_start - 1 + np.arange(segment, 6 * block + 1, segment)
     sizes = (plan.arms >= 0).sum(axis=1)
     plan.targets[:, 0] = plan.arms[np.arange(L), sizes - 1]
     plan.targets[:, 1] = np.where(sizes > 1, plan.arms[:, 0], -1)
@@ -426,8 +458,7 @@ def test_gate_closes_at_every_agent_position(agent, row, group):
     cell = row * L + agent
     assert flat[cell] > 0
     plan = dataclasses.replace(plan, budget=cum[cell - 1] + 0.5 * flat[cell])
-    with mock.patch.multiple(kernels, _GROUP_CELLS=group * L,
-                             _BLOCK_CELLS=block * L):
+    with caps(block * L):
         old = assert_same(plan)
     assert old.spent == cum[cell - 1] and not old.adv_active
     observed, clean = old.observed.reshape(-1), old.clean.reshape(-1)
@@ -648,17 +679,17 @@ def test_corruption_rows_match_the_loop_kernel(L, seed):
 @pytest.mark.parametrize("budget_frac", [0.9, 1.2])
 @pytest.mark.parametrize("seed", range(4))
 def test_corruption_rows_carried_across_blocks(seed, budget_frac):
-    """Groups of 40 rounds drawn in blocks of 7, so segments start and
-    end inside blocks and span several: each block's charges are added
-    into their segments' rows as it is gated, and every row matches the
-    oracle bit for bit, whether or not the budget closes."""
+    """Blocks of 7 rounds, so short segments share one and segments
+    longer than 7 rounds are drawn block by block: each block's charges
+    are added into their segments' rows as it is gated, a long segment's
+    carried from its earlier blocks, and every row matches the oracle
+    bit for bit, whether or not the budget closes."""
     L = 3
     rng = np.random.default_rng(100 + seed)
     plan = make_plan(rng, L, 1 + seed, 100, seed % 2 == 1, spent=0.4,
                      budget_frac=budget_frac, num_cuts=12)
     assert np.diff(plan.cuts).max() > 7
-    with mock.patch.multiple(kernels, _GROUP_CELLS=40 * L,
-                             _BLOCK_CELLS=7 * L):
+    with caps(7 * L):
         old = assert_same(plan)
     assert np.count_nonzero(old.corruption.sum(axis=1)) > 4
     assert old.adv_active == (budget_frac > 1)

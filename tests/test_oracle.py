@@ -167,6 +167,15 @@ class TestReplay:
         report = replay_check(config, ref, backend="numpy")
         assert "mismatch" in report.note
 
+    def test_estimate_one_ulp_off_detected(self):
+        # the compact summary gives each float its repr, so one ulp shows
+        config = replay_config()
+        ref = execute_run(config, 3, backend="numpy")
+        estimates = ref.epochs[1].estimates[0]
+        estimates[0] = np.nextafter(estimates[0], np.inf)
+        report = replay_check(config, ref, backend="numpy")
+        assert "mismatch" in report.note
+
     def test_replays_the_run_that_draa_run_executes(self):
         # 7 checkpoints cut the kernel calls elsewhere than the epoch
         # ends, which moves the last bits of regret and Beta estimates

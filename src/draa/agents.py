@@ -56,28 +56,18 @@ def exploration_constant(num_arms: int, num_agents: int, horizon: int,
 
 @dataclass(frozen=True)
 class EpochSchedule:
-    """Epoch lengths T^m and their cumulative boundaries over {1..T}."""
+    """Epoch lengths T^m, the schedule's one record of its epochs: in
+    order they partition {1..T}, so epoch m ends at sum(lengths[:m])."""
 
     horizon: int
     lam: float
     lam_scale: float
     delta: float
     lengths: tuple[int, ...]
-    starts: tuple[int, ...]  # first round (1-based) of each epoch
 
     @property
     def num_epochs(self) -> int:
         return len(self.lengths)
-
-    def epoch_length(self, m: int) -> int:
-        if m < 1 or m > len(self.lengths):
-            raise ValueError(f"epoch {m} outside schedule")
-        return self.lengths[m - 1]
-
-    def epoch_bounds(self, m: int) -> tuple[int, int]:
-        """Inclusive (first, last) round of epoch m."""
-        start = self.starts[m - 1]
-        return start, start + self.lengths[m - 1] - 1
 
 
 def raw_epoch_length(lam: float, num_arms: int, l_min: int, m: int) -> int:
@@ -93,20 +83,16 @@ def build_schedule(instance: BanditInstance, horizon: int, delta: float,
     lam = exploration_constant(instance.num_arms, instance.num_agents,
                                horizon, delta, lam_scale)
     lengths: list[int] = []
-    starts: list[int] = []
     used = 0
     m = 1
     while used < horizon:
         length = min(raw_epoch_length(lam, instance.num_arms, instance.l_min, m),
                      horizon - used)
-        starts.append(used + 1)
         lengths.append(length)
         used += length
         m += 1
-    return EpochSchedule(
-        horizon=horizon, lam=lam, lam_scale=lam_scale, delta=delta,
-        lengths=tuple(lengths), starts=tuple(starts),
-    )
+    return EpochSchedule(horizon=horizon, lam=lam, lam_scale=lam_scale,
+                         delta=delta, lengths=tuple(lengths))
 
 
 @dataclass

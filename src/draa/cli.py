@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid or unreadable configuration, 3
 violated internal invariant (the message names the invariant), 1
-anything else, a reader that closes the output early included.
+anything else, a reader that closes the output early and a run that
+runs out of memory included.
 """
 from __future__ import annotations
 
@@ -70,16 +71,19 @@ def cmd_show(args) -> int:
     if not isinstance(summary, dict):
         raise ConfigError(f"{what}: its top level is a JSON "
                           f"{type(summary).__name__}, not an object")
-    corr = {"C": 0.0, "C_per_epoch": [],
-            **checked_as("summary field 'corruption'",
-                         summary.get("corruption", {}), dict)}
+    # a 'corruption' that is not a mapping is named before a missing field
+    checked_as("summary field 'corruption'", summary.get("corruption", {}),
+               dict)
 
     def number(key, spec, section=summary):
-        """``section[key]``, or each item of a list there, as a number."""
-        value, name = section[key], f"summary field {key!r}"
-        if isinstance(value, list):
-            return [format(checked(name, v), spec) for v in value]
-        return format(checked(name, value), spec)
+        """``section[key]`` as a number."""
+        return format(checked(f"summary field {key!r}", section[key]), spec)
+
+    def numbers(key, spec, section=summary):
+        """``section[key]`` as a list of numbers."""
+        name = f"summary field {key!r}"
+        return [format(checked(name, v), spec)
+                for v in checked_as(name, section[key], list)]
 
     def integer(key):
         """``summary[key]`` as a nonnegative integer."""
@@ -99,9 +103,10 @@ def cmd_show(args) -> int:
             f"epochs: {integer('num_epochs')}  "
             f"lambda: {number('lambda', '.4g')}",
             f"regret     : total {number('regret_total', '.4f')}  "
-            f"per agent {number('regret_per_agent', '.2f')}",
-            f"corruption : C = {number('C', '.4f', corr)}  "
-            f"per epoch {number('C_per_epoch', '.1f', corr)}",
+            f"per agent {numbers('regret_per_agent', '.2f')}",
+            f"corruption : C = {number('C', '.4f', summary['corruption'])}  "
+            "per epoch "
+            f"{numbers('C_per_epoch', '.1f', summary['corruption'])}",
             f"comm cost  : {integer('comm_cost')}",
             f"fallbacks  : {integer('fallback_epochs')}  "
             f"bracket violations: {integer('prob_bracket_violations')}  "
@@ -153,6 +158,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

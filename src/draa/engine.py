@@ -153,25 +153,29 @@ def _epoch_start(states: list[AgentState], m: int,
     return int(brackets), int(gap_range), cdf
 
 
-def default_checkpoints(schedule: EpochSchedule) -> list[int]:
-    """Each epoch's last round, ascending; the last one is the horizon."""
-    return [schedule.epoch_bounds(m)[1]
-            for m in range(1, schedule.num_epochs + 1)]
-
-
 def run_single(instance: BanditInstance, schedule: EpochSchedule,
                adversary: Adversary, seed: int, estimator: str = "weighted",
                backend: str | None = None, checkpoints=None,
                trace: bool = False) -> RunResult:
-    """Simulate one full run; deterministic given (config, seed)."""
+    """Simulate one full run; deterministic given (config, seed).
+
+    ``checkpoints`` is any iterable of integers in [1, T]; their order and
+    repeats are ignored, and None means each epoch's last round."""
     backend = backend or default_backend()
     L = instance.num_agents
     T = schedule.horizon
+    ends = np.cumsum(schedule.lengths).tolist()  # each epoch's last round
     if checkpoints is None:
-        checkpoints = default_checkpoints(schedule)
+        checkpoints = ends
     marks = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
     if marks.size and (marks[0] < 1 or marks[-1] > T):
         raise ValueError("checkpoints must lie in [1, T]")
+    # each epoch's first round, checkpoints and cuts (the checkpoints
+    # before its end, then its end)
+    starts = [end - length + 1 for end, length in zip(ends, schedule.lengths)]
+    in_epochs = np.split(marks, np.searchsorted(marks, ends[:-1], "right"))
+    cuts = [np.append(marked[marked < end], end)
+            for marked, end in zip(in_epochs, ends)]
 
     env_prefix = stream_prefix(seed, ENV_STREAM)
     pull_prefix = stream_prefix(seed, PULL_STREAM)
@@ -190,29 +194,21 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     rows_by_epoch = []  # (regret, C so far, comm cost) of its checkpoints
     epochs: list[EpochRecord] = []
 
-    # each epoch's bounds, checkpoints and cuts (the checkpoints before
-    # its end, then its end)
-    spans = []
-    for m in range(1, schedule.num_epochs + 1):
-        start, end = schedule.epoch_bounds(m)
-        in_epoch = marks[np.searchsorted(marks, start):
-                         np.searchsorted(marks, end, "right")]
-        spans.append((start, end, in_epoch,
-                      np.append(in_epoch[in_epoch < end], end)))
     # the numpy kernel's arrays, made for all of the run's calls
-    workspace = (Workspace(L, [(start, cuts) for start, _, _, cuts in spans],
-                           beta_table) if backend == "numpy" else None)
+    workspace = (Workspace(L, list(zip(starts, cuts)), beta_table)
+                 if backend == "numpy" else None)
 
     # (pulls, observed, clean), filled epoch by epoch by the kernels
     traced = ((np.zeros((T, L), dtype=np.int64), np.zeros((T, L)),
                np.zeros((T, L))) if trace else None)
 
-    for m, (start, end, in_epoch, cuts) in enumerate(spans, start=1):
+    for m, (start, end, length, in_epoch, epoch_cuts) in enumerate(zip(
+            starts, ends, schedule.lengths, in_epochs, cuts), start=1):
         brackets, gap_range, cdf = _epoch_start(states, m, instance)
         estimates = [s.estimates for s in states]
         targets, pushes = adversary.begin_epoch(instance, m, estimates)
         plan = SegmentPlan(
-            t_start=start, cuts=cuts, env_prefix=env_prefix,
+            t_start=start, cuts=epoch_cuts, env_prefix=env_prefix,
             pull_prefix=pull_prefix, arms=instance.local_arms, cdf=cdf,
             means=instance.means, best_means=best_means,
             reward_model=reward_model, beta_table=beta_table,
@@ -236,7 +232,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             np.full(k, comm_cost(log))))
 
         epochs.append(EpochRecord(
-            m=m, start=start, end=end, length=schedule.epoch_length(m),
+            m=m, start=start, end=end, length=length,
             probs=[s.probs for s in states],
             active_sets=[s.arms[s.active].tolist() for s in states],
             fallback=[s.fallback for s in states],
@@ -253,12 +249,11 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
             log.post(b)
 
         if m < schedule.num_epochs:
-            epoch_len = schedule.epoch_length(m)
-            pooled = pool_estimates(broadcasts, instance.num_arms, epoch_len,
+            pooled = pool_estimates(broadcasts, instance.num_arms, length,
                                     estimator)
             for state in states:
-                advance_epoch(state, broadcasts, instance, epoch_len,
-                              estimator, pooled=pooled)
+                advance_epoch(state, broadcasts, instance, length, estimator,
+                              pooled=pooled)
 
     per_agent = ledger.sum(axis=0)
     corruption = {

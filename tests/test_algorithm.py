@@ -56,11 +56,12 @@ class TestEpochLength:
     def test_boundaries_partition_horizon(self):
         inst = make_instance()
         sched = build_schedule(inst, horizon=7777, delta=0.1, lam_scale=20)
-        covered = []
-        for m in range(1, sched.num_epochs + 1):
-            lo, hi = sched.epoch_bounds(m)
-            covered.extend(range(lo, hi + 1))
+        # epoch m is rounds end - length + 1 .. end, end its running sum
+        ends = np.cumsum(sched.lengths).tolist()
+        covered = [t for end, length in zip(ends, sched.lengths)
+                   for t in range(end - length + 1, end + 1)]
         assert covered == list(range(1, 7778))
+        assert min(sched.lengths) >= 1
 
     def test_lambda_logged_value(self):
         inst = make_instance()
@@ -337,7 +338,7 @@ def test_engine_boundary_estimates_match_oracle(estimator):
             assert np.array_equal(b.probs, result.epochs[m - 1].probs[ell])
             assert b.arms.tolist() == list(inst.arm_sets[ell])
         expected = per_arm_oracle(broadcasts,
-                                  inst.num_arms, sched.epoch_length(m),
+                                  inst.num_arms, sched.lengths[m - 1],
                                   estimator)
         for ell, estimates in enumerate(result.epochs[m].estimates):
             assert np.array_equal(estimates,

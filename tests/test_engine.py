@@ -17,10 +17,11 @@ from draa.agents import build_schedule, init_epoch1
 from draa.cli import main
 from draa.comm import MessageLog
 from draa.config import validate_config
-from draa.engine import default_checkpoints, run_single
+from draa.engine import run_single
 from draa.errors import InvariantError
 from draa.kernels import BACKENDS, run_segment
 from draa.model import build_instance
+from draa.oracle import _artifacts
 from draa.runner import execute_run
 
 ADVERSARIES = [
@@ -210,12 +211,44 @@ def test_no_bracket_or_gap_violations_on_clean_run():
     assert result.gap_range_violations() == 0
 
 
-def test_default_checkpoints_cover_epoch_ends():
+def test_checkpoints_default_to_epoch_ends():
     inst = small_instance()
     sched = small_schedule(inst)
-    marks = default_checkpoints(sched)
-    for m in range(1, sched.num_epochs + 1):
-        assert sched.epoch_bounds(m)[1] in marks
+    result = run_single(inst, sched, make_adversary(None), 1,
+                        backend="numpy")
+    assert result.checkpoints.t.dtype == np.int64
+    assert np.array_equal(result.checkpoints.t, np.cumsum(sched.lengths))
+    assert result.checkpoints.t[-1] == sched.horizon
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_checkpoints_are_a_set_of_rounds(backend):
+    """Any iterable of integers in [1, T] gives the artifacts of its
+    sorted, deduplicated list: order, repeats and container are ignored."""
+    config = validate_config({
+        "schema_version": 1, "horizon": 1500, "seeds": [0],
+        "instance": {"num_arms": 3, "num_agents": 2,
+                     "arm_sets": [[0, 1], [1, 2]], "means": [0.9, 0.5, 0.4]},
+        "adversary": {"kind": "gap_flip", "magnitude": 0.7, "budget": 90.0},
+        "algorithm": {"lam_scale": 16}})
+    sched = build_schedule(config.instance, config.horizon, config.delta,
+                           config.lam_scale)
+    marks = [1, 3, 100, 307, 308, 999, 1500]
+    shuffled = [999, 3, 1500, 308, 1, 3, 100, 307, 999, 1500]
+
+    def artifacts(checkpoints):
+        result = run_single(config.instance, sched, config.adversary, 4,
+                            backend=backend, checkpoints=checkpoints)
+        return _artifacts(result, config)
+
+    expected = artifacts(marks)
+    for checkpoints in (shuffled, tuple(shuffled),
+                        np.array(shuffled, dtype=np.int64)):
+        assert artifacts(checkpoints) == expected
+    for outside in (0, sched.horizon + 1):
+        with pytest.raises(ValueError,
+                           match=r"checkpoints must lie in \[1, T\]"):
+            artifacts([*marks, outside])
 
 
 def test_corruption_ledger_reaches_budget():
@@ -258,8 +291,9 @@ def test_one_kernel_call_per_epoch(monkeypatch, backend):
     result = run_single(inst, sched, make_adversary(None), 4,
                         backend=backend, checkpoints=marks)
     assert len(plans) == sched.num_epochs
+    ends = np.cumsum(sched.lengths).tolist()
     assert [(p.t_start, p.t_end) for p in plans] == [
-        sched.epoch_bounds(m) for m in range(1, sched.num_epochs + 1)]
+        (end - length + 1, end) for end, length in zip(ends, sched.lengths)]
     assert result.checkpoints.t.tolist() == marks
 
 
@@ -302,7 +336,7 @@ def test_checkpoints_equal_the_per_cut_fold(backend, every):
     sched = small_schedule(inst, horizon=1500)
     adversary = make_adversary({"kind": "gap_flip", "magnitude": 0.7,
                                 "budget": 1000.3})
-    marks = (default_checkpoints(sched) if every is None
+    marks = (np.cumsum(sched.lengths).tolist() if every is None
              else list(range(every, sched.horizon + 1, every)))
     results = []
 
@@ -328,7 +362,7 @@ def test_checkpoints_equal_the_per_cut_fold(backend, every):
     # ``closed - 1``; with dense checkpoints, rows after it stay flat
     assert sched.num_epochs == 2 and not results[-1].adv_active
     closed = int(np.argmax(cps.corruption == cps.corruption[-1]))
-    assert cps.t[closed] > sched.epoch_bounds(1)[1]
+    assert cps.t[closed] > sched.lengths[0]
     assert cps.corruption[closed - 1] < cps.corruption[-1] < 1000.3
     assert every is None or closed < cps.t.size - 1
 

@@ -1371,6 +1371,20 @@ class TestCli:
         (dict(_SUMMARY, estimator=["w"]),
          "'estimator' must be a str, got ['w']"),
         (dict(_SUMMARY, backend=None), "'backend' must be a str, got None"),
+        ({k: v for k, v in _SUMMARY.items() if k != "corruption"},
+         "missing 'corruption'"),
+        (dict(_SUMMARY, corruption={}), "missing 'C'"),
+        (dict(_SUMMARY, corruption={"C": 0.0}), "missing 'C_per_epoch'"),
+        (dict(_SUMMARY, regret_total=[1.0]),
+         "'regret_total' must be a number, got [1.0]"),
+        (dict(_SUMMARY, regret_per_agent=5),
+         "'regret_per_agent' must be a list, got 5"),
+        (dict(_SUMMARY, corruption={"C": [0.0], "C_per_epoch": [0.0]}),
+         "'C' must be a number, got [0.0]"),
+        (dict(_SUMMARY, corruption={"C": 0.0, "C_per_epoch": 0.0}),
+         "'C_per_epoch' must be a list, got 0.0"),
+        (dict(_SUMMARY, **{"lambda": [2.0]}),
+         "'lambda' must be a number, got [2.0]"),
     ])
     def test_show_non_summary_exit_2(self, tmp_path, capsys, content, msg):
         path = tmp_path / "other.json"
@@ -1379,6 +1393,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and msg in err
         assert "Traceback" not in err
+
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        """A run whose arrays cannot be allocated exits 1 with one line and
+        no traceback.  The numpy kernel's workspace is made to fail: a
+        horizon large enough to fail for real could start running on a
+        host that overcommits memory."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.64 TiB for an array")
+
+        monkeypatch.setattr(engine, "Workspace", no_memory)
+        monkeypatch.setenv("DRAA_JOBS", "1")
+        path = write_config(tmp_path)
+        assert main(["run", str(path), "--backend", "numpy"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 7.64 TiB")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _pin_config(**overrides):

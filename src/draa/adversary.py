@@ -43,7 +43,7 @@ import inspect
 import numpy as np
 
 from .errors import (ConfigError, InvariantError, checked, checked_as,
-                     checked_keys)
+                     checked_keys, shown)
 from .model import BanditInstance
 
 
@@ -157,7 +157,7 @@ class EpochFloodAdversary(BudgetedTargetedAdversary):
                  budget: float, magnitude: float = 1.0):
         if direction not in ("up", "down"):
             raise ConfigError(f"adversary direction must be 'up' or 'down', "
-                              f"got {direction!r}")
+                              f"got {shown(direction)}")
         super().__init__(target_arm, magnitude, budget)
         self.start_epoch = checked("adversary start_epoch", start_epoch, int, 1)
         self.sign = 1.0 if direction == "up" else -1.0
@@ -202,7 +202,7 @@ def make_adversary(config: dict | None) -> Adversary:
     kind = "null" if config.get("kind") is None else config["kind"]
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError(f"unknown adversary kind {kind!r}")
+        raise ConfigError(f"unknown adversary kind {shown(kind)}")
     parameters = inspect.signature(cls).parameters
     checked_keys("adversary", config, {"kind", *parameters})
     for name, parameter in parameters.items():

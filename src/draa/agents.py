@@ -56,13 +56,11 @@ def exploration_constant(num_arms: int, num_agents: int, horizon: int,
 
 @dataclass(frozen=True)
 class EpochSchedule:
-    """Epoch lengths T^m, the schedule's one record of its epochs: in
-    order they partition {1..T}, so epoch m ends at sum(lengths[:m])."""
+    """The exploration constant lambda and the epoch lengths T^m, the
+    schedule's one record of its epochs: in order they partition {1..T},
+    so epoch m ends at sum(lengths[:m]) and T is sum(lengths)."""
 
-    horizon: int
     lam: float
-    lam_scale: float
-    delta: float
     lengths: tuple[int, ...]
 
     @property
@@ -91,8 +89,7 @@ def build_schedule(instance: BanditInstance, horizon: int, delta: float,
         lengths.append(length)
         used += length
         m += 1
-    return EpochSchedule(horizon=horizon, lam=lam, lam_scale=lam_scale,
-                         delta=delta, lengths=tuple(lengths))
+    return EpochSchedule(lam=lam, lengths=tuple(lengths))
 
 
 @dataclass

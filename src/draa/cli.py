@@ -65,7 +65,7 @@ def cmd_show(args) -> int:
     try:
         with open(args.summary) as fh:
             summary = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"could not read {args.summary}: {exc}") from exc
     what = f"{args.summary} is not a run summary"
     if not isinstance(summary, dict):

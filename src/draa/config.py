@@ -49,6 +49,7 @@ SCHEMA_VERSION = 1
 _INT_TAG = "tag:yaml.org,2002:int"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 _DECIMAL = re.compile("0|[1-9][0-9]*")
+_MAX_DEPTH = 64  # a valid config nests at most 7 levels
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -57,11 +58,27 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     A plain decimal integer is tagged before the resolver's regex table
     runs, and built directly in a sequence (most of ``arm_sets``); every
     other node goes through the resolver and the constructor.  A
-    mapping that repeats one of its own keys is an error."""
+    mapping that repeats one of its own keys is an error, and so is a
+    node more than ``_MAX_DEPTH`` deep, before a composer's recursion
+    exhausts the stack."""
 
     def __init__(self, stream):
         super().__init__(stream)
         self.checked_mappings = set()  # nodes whose own keys were compared
+        self.depth = 0  # of the node being composed
+
+    def _descend(self, current_node, current_index):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise yaml.composer.ComposerError(
+                None, None, f"nested more than {_MAX_DEPTH} levels deep")
+
+    def _ascend(self):
+        self.depth -= 1
+
+    # both composers call these around each node; with no path resolvers
+    # registered the base methods do nothing
+    descend_resolver, ascend_resolver = _descend, _ascend
 
     def flatten_mapping(self, node):
         # A ``<<`` merge may repeat a key on purpose, and a complex key is
@@ -135,7 +152,8 @@ def load_yaml(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: an integer past Python's digit limit
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a mapping")
@@ -268,10 +286,10 @@ def validate_sweep(data: dict) -> SweepSpec:
         point = copy.deepcopy(base.raw)
         for dotted, value in label.items():
             _set_path(point, dotted, value)
-        config = validate_config(point)
-        config.name = checked_entry("sweep point name", "_".join(
+        point["name"] = checked_entry("sweep point name", "_".join(
             [base.name] + [f"{dotted.split('.')[-1]}={value}"
                            for dotted, value in label.items()]))
+        config = validate_config(point)
         if config.name in points:
             raise ConfigError(f"sweep points share the name {config.name!r}")
         points[config.name] = (label, config)

@@ -31,6 +31,7 @@ gap-estimate range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -81,10 +82,10 @@ class Checkpoints:
 
 @dataclass
 class RunResult:
-    """Everything a completed run exposes to the harness and metrics."""
+    """Everything a completed run exposes to the harness and metrics; the
+    config's settings (estimator, delta, lam_scale, T) stay in the config."""
 
     seed: int
-    estimator: str
     backend: str
     schedule: EpochSchedule
     epochs: list[EpochRecord]
@@ -163,11 +164,11 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     repeats are ignored, and None means each epoch's last round."""
     backend = backend or default_backend()
     L = instance.num_agents
-    T = schedule.horizon
     ends = np.cumsum(schedule.lengths).tolist()  # each epoch's last round
+    T = ends[-1]
     if checkpoints is None:
         checkpoints = ends
-    marks = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
+    marks = np.array(sorted({index(c) for c in checkpoints}), dtype=np.int64)
     if marks.size and (marks[0] < 1 or marks[-1] > T):
         raise ValueError("checkpoints must lie in [1, T]")
     # each epoch's first round, checkpoints and cuts (the checkpoints
@@ -263,7 +264,7 @@ def run_single(instance: BanditInstance, schedule: EpochSchedule,
     }
     pulls, observed, clean = traced or (None, None, None)
     return RunResult(
-        seed=seed, estimator=estimator, backend=backend, schedule=schedule,
+        seed=seed, backend=backend, schedule=schedule,
         epochs=epochs, checkpoints=Checkpoints(
             marks, *(np.concatenate(part) for part in zip(*rows_by_epoch))),
         per_agent_regret=cum_regret, total_regret=float(cum_regret.sum()),

@@ -3,6 +3,7 @@ checked once, when the config loads (a bad value exits with code 2)."""
 import math
 import numbers
 import os
+import reprlib
 
 
 class DraaError(Exception):
@@ -13,6 +14,13 @@ class ConfigError(DraaError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
+#: ``shown(value)`` is ``repr(value)`` cut to three items two levels deep
+#: and to short strings: YAML aliases let a small file hold a huge value
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxdict, _SHOWN.maxset = 2, 3, 3, 3
+shown = _SHOWN.repr
+
+
 def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
             strict: bool = False):
     """``value`` as a ``kind`` (``int`` or ``float``) in [lo, hi], or in (lo,
@@ -20,7 +28,7 @@ def checked(name: str, value, kind=float, lo=-math.inf, hi=math.inf, *,
     ints and values out of range raise :class:`ConfigError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         hint = _exponent_hint(value) if isinstance(value, str) else ""
-        raise ConfigError(f"{name} must be a number, got {value!r}{hint}")
+        raise ConfigError(f"{name} must be a number, got {shown(value)}{hint}")
     try:
         number = kind(value)
     except (OverflowError, ValueError):  # int(nan), float(10**400)
@@ -64,7 +72,7 @@ def checked_as(name: str, value, kind):
     ``str``."""
     if not isinstance(value, kind):
         what = "mapping" if kind is dict else kind.__name__
-        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+        raise ConfigError(f"{name} must be a {what}, got {shown(value)}")
     return value
 
 
@@ -79,7 +87,8 @@ def checked_entry(name: str, value) -> str:
             return value
     except UnicodeEncodeError:
         pass
-    raise ConfigError(f"{name} must name one directory entry, got {value!r}")
+    raise ConfigError(f"{name} must name one directory entry, "
+                      f"got {shown(value)}")
 
 
 def checked_keys(name: str, section: dict, allowed) -> None:

@@ -153,12 +153,12 @@ def summarize(result: RunResult, config: ExperimentConfig) -> dict:
         "schema_version": 1,
         "name": config.name,
         "seed": result.seed,
-        "estimator": result.estimator,
+        "estimator": config.estimator,
         "backend": result.backend,
         "lambda": result.schedule.lam,
-        "lam_scale": result.schedule.lam_scale,
-        "delta": result.schedule.delta,
-        "horizon": result.schedule.horizon,
+        "lam_scale": config.lam_scale,
+        "delta": config.delta,
+        "horizon": config.horizon,
         "num_epochs": result.num_epochs,
         "epoch_lengths": list(result.schedule.lengths),
         "regret_total": result.total_regret,

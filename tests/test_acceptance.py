@@ -248,7 +248,8 @@ def test_criterion_7_communication(invariant_batch):
         exact = exact and (r.comm_cost == inst.num_agents * M)
         sched = r.schedule
         bound = math.ceil(math.log(
-            sched.horizon * inst.l_min / (sched.lam * inst.num_arms), 4)) + 1
+            sum(sched.lengths) * inst.l_min / (sched.lam * inst.num_arms),
+            4)) + 1
         bounded = bounded and (M <= bound)
     ok = exact and bounded
     print(f"\n{'PASS' if ok else 'FAIL'} criterion 7: comm_cost == L*M in "

@@ -156,7 +156,8 @@ class TestEpochFlood:
 
 
     @pytest.mark.parametrize("direction,shown", [
-        (1, "1"), (None, "None"), (["up"], "['up']")])
+        (1, "1"), (None, "None"), (["up"], "['up']"),
+        (["up"] * 100, "['up', 'up', 'up', ...]")])
     def test_bad_direction(self, direction, shown):
         with pytest.raises(ConfigError) as raised:
             make_adversary({"kind": "epoch_flood", "target_arm": 0,

@@ -95,7 +95,7 @@ def test_budget_crossing_exact_across_kernels_and_checkpoints(reward_model,
     spent must keep the loop's running sum exactly."""
     inst = small_instance(reward_model)
     sched = small_schedule(inst)
-    every_7 = range(7, sched.horizon + 1, 7)
+    every_7 = range(7, sum(sched.lengths) + 1, 7)
     cfg = {"kind": "gap_flip", "magnitude": 0.7, "budget": budget}
     for seed in range(10):
         loop = run_single(inst, sched, make_adversary(cfg), seed,
@@ -154,7 +154,7 @@ def test_checkpoint_rows_monotone_and_final():
                         backend="numpy")
     ts = result.checkpoints.t.tolist()
     assert ts == sorted(ts)
-    assert ts[-1] == sched.horizon
+    assert ts[-1] == sum(sched.lengths)
     regrets = result.checkpoints.regret.sum(axis=1).tolist()
     assert all(b >= a - 1e-12 for a, b in zip(regrets, regrets[1:]))
     assert regrets[-1] == pytest.approx(result.total_regret)
@@ -167,7 +167,7 @@ def test_comm_cost_is_l_times_epochs():
     sched = small_schedule(inst)
     L = inst.num_agents
     for adv_cfg in ADVERSARIES:
-        for checkpoints in (None, range(7, sched.horizon + 1, 7)):
+        for checkpoints in (None, range(7, sum(sched.lengths) + 1, 7)):
             result = run_single(inst, sched, make_adversary(adv_cfg), 2,
                                 backend="numpy", checkpoints=checkpoints)
             assert result.comm_cost == L * result.num_epochs
@@ -184,7 +184,8 @@ def test_regret_upper_bound():
                         backend="numpy")
     worst_gap = max(float(inst.means[best] - inst.means[list(arms)].min())
                     for arms, best in zip(inst.arm_sets, inst.best_arms))
-    assert result.total_regret <= sched.horizon * inst.num_agents * worst_gap
+    assert (result.total_regret
+            <= sum(sched.lengths) * inst.num_agents * worst_gap)
 
 
 def test_homogeneous_agents_have_bit_identical_state():
@@ -218,7 +219,7 @@ def test_checkpoints_default_to_epoch_ends():
                         backend="numpy")
     assert result.checkpoints.t.dtype == np.int64
     assert np.array_equal(result.checkpoints.t, np.cumsum(sched.lengths))
-    assert result.checkpoints.t[-1] == sched.horizon
+    assert result.checkpoints.t[-1] == sum(sched.lengths)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -245,10 +246,14 @@ def test_checkpoints_are_a_set_of_rounds(backend):
     for checkpoints in (shuffled, tuple(shuffled),
                         np.array(shuffled, dtype=np.int64)):
         assert artifacts(checkpoints) == expected
-    for outside in (0, sched.horizon + 1):
+    for outside in (0, sum(sched.lengths) + 1):
         with pytest.raises(ValueError,
                            match=r"checkpoints must lie in \[1, T\]"):
             artifacts([*marks, outside])
+    # a checkpoint is a round, not a number to truncate
+    for fractional in ([*marks, 2.9], np.array(marks, dtype=float)):
+        with pytest.raises(TypeError):
+            artifacts(fractional)
 
 
 def test_corruption_ledger_reaches_budget():
@@ -337,7 +342,7 @@ def test_checkpoints_equal_the_per_cut_fold(backend, every):
     adversary = make_adversary({"kind": "gap_flip", "magnitude": 0.7,
                                 "budget": 1000.3})
     marks = (np.cumsum(sched.lengths).tolist() if every is None
-             else list(range(every, sched.horizon + 1, every)))
+             else list(range(every, sum(sched.lengths) + 1, every)))
     results = []
 
     def keep(*args, **kwargs):
@@ -379,7 +384,7 @@ def test_record_pull_counts_are_the_traced_pulls(backend, every):
     adversary = make_adversary({"kind": "gap_flip", "magnitude": 0.7,
                                 "budget": 1000.3})
     marks = (None if every is None
-             else list(range(every, sched.horizon + 1, every)))
+             else list(range(every, sum(sched.lengths) + 1, every)))
     result = run_single(inst, sched, adversary, 5, backend=backend,
                         checkpoints=marks, trace=True)
     assert sched.num_epochs == 3 and result.corruption["C"] > 0

@@ -816,7 +816,10 @@ class TestSweep:
         run_sweep(spec, backend="numpy", quiet=True)
         path = tmp_path / "unit_estimator=naive" / "seed_7_summary.json"
         with open(path) as fh:
-            assert json.load(fh)["name"] == "unit_estimator=naive"
+            summary = json.load(fh)
+        assert summary["name"] == "unit_estimator=naive"
+        # the echoed config, run again, writes into the point's directory
+        assert summary["config"]["name"] == "unit_estimator=naive"
 
     def test_estimator_axis_rows(self, tmp_path):
         spec = validate_sweep(self.sweep_data(
@@ -855,6 +858,10 @@ _SUMMARY = {"name": "x", "seed": 0, "estimator": "weighted",
             "corruption": {"C": 0.0, "C_per_epoch": [0.0]}, "comm_cost": 1,
             "fallback_epochs": 0, "prob_bracket_violations": 0,
             "gap_range_violations": 0}
+
+
+#: a config whose name nests 5,000 levels deep
+_NESTED = "schema_version: 1\nname: " + "[" * 5000 + "]" * 5000
 
 
 class TestCli:
@@ -1393,6 +1400,64 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and msg in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,text,parser", [
+        pytest.param("run", _NESTED, "default", id="run-nested"),
+        pytest.param("run", _NESTED, "python", id="run-nested-python"),
+        pytest.param("run", "horizon: " + "9" * 5000, "default",
+                     id="run-digits"),
+        pytest.param("run", "seeds: [" + "9" * 5000 + "]", "default",
+                     id="run-seed-digits"),
+        pytest.param("show", '{"seed": ' + "9" * 5000 + "}", None,
+                     id="show-digits"),
+    ])
+    def test_unreadable_value_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     command, text, parser):
+        """A value nested deeper than the loader allows, or an integer
+        past Python's 4300-digit limit, is one configuration error."""
+        if parser == "python":
+            monkeypatch.setattr(config_module, "YAML_LOADER",
+                                self.python_parser_loader(monkeypatch))
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: could not ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,text", [
+        ("run", "name: " + "[" * 100_000 + "]" * 100_000),
+        ("sweep", "base: " + "[" * 100_000 + "]" * 100_000),
+        ("show", "[" * 100_000 + "]" * 100_000),
+    ], ids=["run", "sweep", "show"])
+    def test_deep_nesting_exit_2(self, tmp_path, command, text):
+        """100,000 levels, deep enough to overflow the C stack in libyaml's
+        recursive composer, exit 2; a child process runs them, so that a
+        crash fails one test."""
+        path = tmp_path / "input"
+        path.write_text(text)
+        src = str(Path(draa.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "draa.cli", command, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: could not ")
+        assert "Traceback" not in proc.stderr
+
+    def test_aliased_value_quoted_briefly(self, tmp_path, capsys):
+        """A name of 10**5 strings, each level ten aliases of the one
+        below, is quoted in a short line."""
+        value = '&s0 "directory"'
+        for k in range(1, 6):
+            value = f"&s{k} [{value}" + f", *s{k - 1}" * 9 + "]"
+        path = tmp_path / "config.yaml"
+        path.write_text(f"schema_version: 1\nname: {value}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: name must name one "
+                              "directory entry, got [[[...], [...], ")
+        assert len(err) < 200 and "Traceback" not in err
 
     def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         """A run whose arrays cannot be allocated exits 1 with one line and
